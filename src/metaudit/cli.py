@@ -8,6 +8,7 @@ disable terminal styling.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from pathlib import Path
@@ -264,6 +265,16 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _alpha(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not 0.0 < value < 1.0:
+        raise argparse.ArgumentTypeError(f"alpha must lie in (0, 1), got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="metaudit",
@@ -280,7 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
     audit_cmd = sub.add_parser("audit", help="convert effects to p-values and run diagnostics")
     audit_cmd.add_argument("--input", required=True, help="effects CSV path")
     audit_cmd.add_argument("--counts", default=None, help="optional counts CSV for multiplicity")
-    audit_cmd.add_argument("--alpha", type=float, default=0.05)
+    audit_cmd.add_argument("--alpha", type=_alpha, default=0.05)
     audit_cmd.add_argument("--output", required=True, help="output directory")
     audit_cmd.add_argument("--format", choices=["json", "csv", "md"], default=None)
     audit_cmd.set_defaults(func=cmd_audit)
@@ -288,7 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
     plot = sub.add_parser("plot", help="render the p-value plot as SVG")
     plot.add_argument("--input", required=True, help="effects CSV path")
     plot.add_argument("--output", required=True, help="SVG path or output directory")
-    plot.add_argument("--alpha", type=float, default=0.05)
+    plot.add_argument("--alpha", type=_alpha, default=0.05)
     plot.set_defaults(func=cmd_plot)
 
     simulate = sub.add_parser("simulate", help="run the selection-bias Monte Carlo")
@@ -303,7 +314,7 @@ def build_parser() -> argparse.ArgumentParser:
     simulate.add_argument("--censor", action="store_true")
     simulate.add_argument("--n-studies", dest="n_studies", type=int, default=None)
     simulate.add_argument("--seed", type=int, default=None)
-    simulate.add_argument("--format", choices=["json", "csv", "md"], default=None)
+    simulate.add_argument("--format", choices=["json", "csv"], default=None)
     simulate.add_argument(
         "--emit-effects",
         default=None,

@@ -145,6 +145,15 @@ class TestCmdAudit:
         code = main(["audit", "--input", str(effects), "--output", str(tmp_path / "o")])
         assert code == 4
 
+    @pytest.mark.parametrize("alpha", ["5", "0", "1", "-0.1", "nan", "x"])
+    def test_alpha_out_of_range_exits_2_without_counts(self, tmp_path, capsys, alpha):
+        outdir = tmp_path / "audit"
+        with pytest.raises(SystemExit) as exc:
+            main(["audit", "--input", EFFECTS, "--alpha", alpha, "--output", str(outdir)])
+        assert exc.value.code == 2
+        assert "alpha must lie in (0, 1)" in capsys.readouterr().err
+        assert not outdir.exists()
+
 
 class TestCmdPlot:
     def test_matches_golden_bytes(self, tmp_path):
@@ -182,6 +191,15 @@ class TestCmdPlot:
         )
         code = main(["plot", "--input", str(effects), "--output", str(tmp_path / "p.svg")])
         assert code == 4
+
+    @pytest.mark.parametrize("alpha", ["5", "0", "1", "-0.1", "nan"])
+    def test_alpha_out_of_range_exits_2(self, tmp_path, capsys, alpha):
+        target = tmp_path / "plot.svg"
+        with pytest.raises(SystemExit) as exc:
+            main(["plot", "--input", EFFECTS, "--alpha", alpha, "--output", str(target)])
+        assert exc.value.code == 2
+        assert "alpha must lie in (0, 1)" in capsys.readouterr().err
+        assert not target.exists()
 
 
 class TestCmdSimulate:
@@ -242,6 +260,15 @@ class TestCmdSimulate:
         )
         assert code == 2
         assert "correlation must be < 1" in capsys.readouterr().err
+
+    def test_markdown_format_is_rejected(self, tmp_path, capsys):
+        # simulate has no markdown output; accepting md wrote nothing.
+        outdir = tmp_path / "sim"
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--replicates", "10", "--format", "md", "--output", str(outdir)])
+        assert exc.value.code == 2
+        assert "invalid choice: 'md'" in capsys.readouterr().err
+        assert not outdir.exists()
 
     def test_emit_effects_feeds_audit(self, tmp_path):
         effects = tmp_path / "sim_effects.csv"

@@ -14,18 +14,23 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from metaudit import effect_audit
 from metaudit.effect_audit import (
     INSUFFICIENT_DATA,
+    P_FLOOR,
     EffectRecord,
+    HockeyStickFit,
     NoPlottableRecordsError,
     PValuePlot,
     PValueRecord,
+    _line_fit,
     audit,
     bilinearity_test,
     build_pvalue_plot,
     hockey_stick_fit,
     multiplicity_report,
     p_from_ratio_ci,
+    record_from_statistic,
     uniformity_test,
 )
 from metaudit.searchspace import StudyCounts, compute_spaces, summarize_spaces
@@ -395,6 +400,78 @@ class TestHockeyStickFit:
             hockey_stick_fit(plot_from_pvalues([0.1, 0.2, 0.3, 0.4, 0.5]))
 
 
+def full_scan_hockey_stick(plot: PValuePlot) -> HockeyStickFit:
+    """Reference: fit both segments with _line_fit at every breakpoint, O(n^2)."""
+    xs = [float(i) for i, _ in plot.points]
+    ys = [p for _, p in plot.points]
+    best = None
+    for k in range(2, plot.n - 1):
+        _, left_slope, left_sse = _line_fit(xs[:k], ys[:k])
+        _, right_slope, right_sse = _line_fit(xs[k:], ys[k:])
+        total = left_sse + right_sse
+        if best is None or total < best.sse:
+            best = HockeyStickFit(k, left_slope, right_slope, total)
+    return best
+
+
+PLOT_SHAPES = {
+    "uniform": lambda rng, n: [rng.random() for _ in range(n)],
+    "skewed": lambda rng, n: [rng.random() ** 6 for _ in range(n)],
+    "selected-over-null": lambda rng, n: [
+        rng.random() ** (8 if i % 3 == 0 else 1) for i in range(n)
+    ],
+    "collinear": lambda rng, n: [0.9 * i / n for i in range(1, n + 1)],
+    "duplicated": lambda rng, n: [rng.choice((0.01, 0.2, 0.5, 1.0)) for _ in range(n)],
+    "two-decimal": lambda rng, n: [max(0.01, round(rng.random(), 2)) for _ in range(n)],
+    "clustered": lambda rng, n: [1e-8 * rng.random() for _ in range(n)],
+    "floor-clamped": lambda rng, n: [
+        P_FLOOR if rng.random() < 0.5 else rng.random() for _ in range(n)
+    ],
+    "all-floor": lambda rng, n: [P_FLOOR] * n,
+    "squares-underflow": lambda rng, n: [1e-160 * rng.random() + P_FLOOR for _ in range(n)],
+    "ulps-below-one": lambda rng, n: [1.0 - rng.randint(0, 50) * 2.0**-53 for _ in range(n)],
+}
+
+
+@pytest.mark.parametrize("shape", sorted(PLOT_SHAPES))
+def test_hockey_stick_fit_equals_full_scan(shape):
+    # The linear scan only filters breakpoints; the winner and its fields
+    # must be exactly those of the full scan, not merely close.
+    rng = random.Random(f"hockey-{shape}")
+    for n in [6, 7, 8, 400] + [rng.randint(9, 300) for _ in range(16)]:
+        plot = plot_from_pvalues(PLOT_SHAPES[shape](rng, n))
+        assert hockey_stick_fit(plot) == full_scan_hockey_stick(plot)
+
+
+def test_hockey_stick_fit_at_scale(monkeypatch):
+    n = 50_000
+    rng = random.Random(50_000)
+    plot = plot_from_pvalues(PLOT_SHAPES["selected-over-null"](rng, n))
+    calls = []
+
+    def counted_line_fit(xs, ys):
+        calls.append(len(xs))
+        return _line_fit(xs, ys)
+
+    monkeypatch.setattr(effect_audit, "_line_fit", counted_line_fit)
+    fit = hockey_stick_fit(plot)
+    monkeypatch.undo()
+    # A non-degenerate plot re-scores a handful of breakpoints, not all n.
+    assert len(calls) <= 50
+    xs = [float(i) for i in range(1, n + 1)]
+    ys = [p for _, p in plot.points]
+
+    def two_segment(k):
+        _, left_slope, left_sse = _line_fit(xs[:k], ys[:k])
+        _, right_slope, right_sse = _line_fit(xs[k:], ys[k:])
+        return left_slope, right_slope, left_sse + right_sse
+
+    k = fit.breakpoint
+    assert (fit.left_slope, fit.right_slope, fit.sse) == two_segment(k)
+    for j in sorted({k - 1, k + 1, *rng.sample(range(2, n - 1), 48)}):
+        assert fit.sse <= two_segment(j)[2]
+
+
 class TestMultiplicityReport:
     def test_search_space_median_adjustment(self):
         report = multiplicity_report([0.001], alpha=0.05, m=6784)
@@ -470,6 +547,39 @@ class TestAudit:
     def test_empty_raises(self):
         with pytest.raises(NoPlottableRecordsError):
             audit([])
+
+    def test_converts_each_record_once(self, monkeypatch):
+        calls = []
+
+        def counted(record):
+            calls.append(record.study_id)
+            return p_from_ratio_ci(record)
+
+        monkeypatch.setattr(effect_audit, "p_from_ratio_ci", counted)
+        records = [record_with_p(f"s{i:02d}", (i + 1) / 12) for i in range(10)]
+        records.append(EffectRecord(study_id="ns", not_significant_flag=True))
+        report = audit(records)
+        assert sorted(calls) == sorted(r.study_id for r in records[:10])
+        assert report.plot.points == [(r.rank, r.p) for r in report.pvalues]
+        assert report.plot.excluded_ns_count == 1
+
+    def test_one_critical_value_per_confidence_level(self, monkeypatch):
+        levels = []
+
+        def counted(q):
+            levels.append(q)
+            return std_normal_quantile(q)
+
+        monkeypatch.setattr(effect_audit, "std_normal_quantile", counted)
+        effect_audit._critical_value.cache_clear()
+        records = [
+            record_from_statistic(f"s{i:03d}", 0.01 * i, 0.1, level)
+            for i in range(60)
+            for level in (0.9, 0.95, 0.99)
+        ]
+        audit(records)
+        effect_audit._critical_value.cache_clear()
+        assert sorted(levels) == [0.95, 0.975, 0.995]
 
 
 def test_pvalue_record_validation():
