@@ -18,10 +18,10 @@ from metaudit.effect_audit import (
     NoPlottableRecordsError,
     audit,
     build_pvalue_plot,
-    record_from_statistic,
+    ratio_interval,
 )
 from metaudit.fileio import ParseError
-from metaudit.hacksim import SimConfig, run_simulation
+from metaudit.hacksim import SimConfig, SimResult, run_simulation
 from metaudit.searchspace import (
     SearchSpaceOverflowError,
     compute_spaces,
@@ -37,6 +37,7 @@ EXIT_EMPTY = 4
 # Standard error used when projecting simulated z statistics onto the
 # ratio/interval form that the audit pipeline ingests.
 EMITTED_EFFECT_SE = 0.1
+EMITTED_EFFECT_LEVEL = 0.95
 
 
 def _use_color(stream) -> bool:
@@ -232,9 +233,33 @@ def _build_sim_config(args: argparse.Namespace) -> SimConfig:
     return SimConfig(**values)
 
 
+def _emitted_effect_rows(config: SimConfig, result: SimResult) -> list[tuple]:
+    """(study_id, label, ratio, ci_low, ci_high) of each reported study.
+
+    ``ratio_interval`` raises ValueError for a statistic whose interval
+    leaves the positive floating-point range, as EffectRecord would.
+    """
+    label = f"simulated ({config.selection_rule})"
+    reported = result.reported
+    rows = []
+    for replicate, study, estimate in zip(
+        result.replicate[reported].tolist(),
+        result.study[reported].tolist(),
+        result.estimate[reported].tolist(),
+    ):
+        study_id = f"k{config.tests_per_study}-r{replicate:06d}-s{study}"
+        rows.append(
+            (study_id, label, *ratio_interval(estimate, EMITTED_EFFECT_SE, EMITTED_EFFECT_LEVEL))
+        )
+    return rows
+
+
 def cmd_simulate(args: argparse.Namespace) -> int:
     config = _build_sim_config(args)
     result = run_simulation(config)
+    # Build the emitted rows first, so that a statistic off the ratio scale
+    # fails before any file is written.
+    emitted = _emitted_effect_rows(config, result) if args.emit_effects else None
     outdir = _ensure_outdir(args.output)
     written = []
     if _wanted(args, "csv"):
@@ -246,17 +271,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         fileio.write_sim_summary_json(path, config, result)
         written.append(path)
     if args.emit_effects:
-        records = [
-            record_from_statistic(
-                study_id=f"k{config.tests_per_study}-r{replicate:06d}-s{study}",
-                statistic=estimate,
-                standard_error=EMITTED_EFFECT_SE,
-                label=f"simulated ({config.selection_rule})",
-            )
-            for replicate, study, p, estimate, published in result.records
-            if published or not config.censor_at_alpha
-        ]
-        fileio.write_effects_csv(args.emit_effects, records)
+        fileio.write_effect_rows_csv(args.emit_effects, emitted, EMITTED_EFFECT_LEVEL)
         written.append(Path(args.emit_effects))
     _info(
         f"simulate: {result.n_published}/{result.n_total} published -> "

@@ -175,6 +175,35 @@ def p_from_ratio_ci(record: EffectRecord) -> float:
     return min(1.0, max(P_FLOOR, p))
 
 
+def ratio_interval(
+    statistic: float, standard_error: float, confidence_level: float = 0.95
+) -> tuple[float, float, float]:
+    """(ratio, ci_low, ci_high) of the ratio interval laid around a z statistic.
+
+    The ratio is exp(statistic * standard_error) and the bounds move the
+    statistic by the two-sided critical value.  Raises ValueError unless
+    all three are positive finite doubles with ci_low <= ratio <= ci_high,
+    the conditions ``EffectRecord`` places on them.
+    """
+    if not math.isfinite(statistic):
+        raise ValueError(f"statistic must be finite, got {statistic!r}")
+    if not standard_error > 0:
+        raise ValueError(f"standard_error must be positive, got {standard_error!r}")
+    z = _critical_value(confidence_level)
+    try:
+        ratio = math.exp(statistic * standard_error)
+        ci_low = math.exp((statistic - z) * standard_error)
+        ci_high = math.exp((statistic + z) * standard_error)
+    except OverflowError:
+        ci_low = ratio = ci_high = math.inf  # rejected below
+    if not 0.0 < ci_low <= ratio <= ci_high < math.inf:
+        raise ValueError(
+            f"statistic {statistic!r} with standard error {standard_error!r} gives a "
+            "ratio interval outside the positive floating-point range"
+        )
+    return ratio, ci_low, ci_high
+
+
 def record_from_statistic(
     study_id: str,
     statistic: float,
@@ -186,19 +215,15 @@ def record_from_statistic(
 
     Useful for feeding simulated test statistics into the audit pipeline;
     p_from_ratio_ci recovers exactly 2 * (1 - cdf(|statistic|)) from the
-    returned record.
+    returned record.  The interval is ``ratio_interval``'s.
     """
-    if not math.isfinite(statistic):
-        raise ValueError(f"statistic must be finite, got {statistic!r}")
-    if not standard_error > 0:
-        raise ValueError(f"standard_error must be positive, got {standard_error!r}")
-    z = _critical_value(confidence_level)
+    ratio, ci_low, ci_high = ratio_interval(statistic, standard_error, confidence_level)
     return EffectRecord(
         study_id=study_id,
         label=label,
-        ratio=math.exp(statistic * standard_error),
-        ci_low=math.exp((statistic - z) * standard_error),
-        ci_high=math.exp((statistic + z) * standard_error),
+        ratio=ratio,
+        ci_low=ci_low,
+        ci_high=ci_high,
         confidence_level=confidence_level,
     )
 

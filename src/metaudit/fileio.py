@@ -13,6 +13,7 @@ import hashlib
 import importlib.resources
 import io
 import math
+from collections.abc import Iterable
 from dataclasses import asdict
 from pathlib import Path
 
@@ -257,7 +258,8 @@ def format_csv_value(value) -> str:
     if isinstance(value, bool):
         return "1" if value else "0"
     if isinstance(value, float):
-        return repr(value)
+        # float.__repr__, not repr: NumPy 2 scalars repr as "np.float64(...)".
+        return float.__repr__(value)
     return str(value)
 
 
@@ -456,12 +458,15 @@ def write_report_markdown(path: str | Path, document: dict) -> None:
 
 def write_sim_csv(path: str | Path, result: SimResult) -> None:
     """One row per published study, in replicate order."""
-    rows = [
-        (replicate, study, p, estimate)
-        for replicate, study, p, estimate, published in result.records
-        if published
+    published = result.published
+    columns = (result.replicate, result.study, result.p, result.estimate)
+    # tolist() yields ints and Python floats, whose !r is format_csv_value's.
+    lines = ["replicate,study,p,estimate"]
+    lines += [
+        f"{replicate},{study},{p!r},{estimate!r}"
+        for replicate, study, p, estimate in zip(*(c[published].tolist() for c in columns))
     ]
-    write_csv(Path(path), ["replicate", "study", "p", "estimate"], rows)
+    _write_text(Path(path), "\n".join(lines) + "\n")
 
 
 def sim_summary_document(config: SimConfig, result: SimResult) -> dict:
@@ -511,3 +516,21 @@ def write_effects_csv(path: str | Path, records: list[EffectRecord]) -> None:
                 )
             )
     write_csv(Path(path), EFFECTS_HEADER, rows)
+
+
+def write_effect_rows_csv(
+    path: str | Path, rows: Iterable[tuple[str, str, float, float, float]], confidence_level: float
+) -> None:
+    """Effects CSV of numeric rows (study_id, label, ratio, ci_low, ci_high).
+
+    The same bytes as ``write_effects_csv`` for the equivalent records,
+    without building them: the values must be str and Python float, whose
+    !r is format_csv_value's.
+    """
+    tail = f",{confidence_level!r},0"
+    lines = [",".join(EFFECTS_HEADER)]
+    lines += [
+        f"{study_id},{label},{ratio!r},{ci_low!r},{ci_high!r}{tail}"
+        for study_id, label, ratio, ci_low, ci_high in rows
+    ]
+    _write_text(Path(path), "\n".join(lines) + "\n")

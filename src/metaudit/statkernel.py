@@ -79,13 +79,6 @@ def std_normal_cdf(x: float) -> float:
     return 0.5 * math.erfc(-x * _SQRT_HALF)
 
 
-def std_normal_sf(x: float) -> float:
-    """Upper tail P(Z > x), computed without cancellation near 1."""
-    if not math.isfinite(x):
-        raise ValueError(f"x must be finite, got {x!r}")
-    return 0.5 * math.erfc(x * _SQRT_HALF)
-
-
 def std_normal_quantile(p: float) -> float:
     """Inverse standard normal CDF on the open interval (0, 1).
 

@@ -1,5 +1,6 @@
 """End-to-end tests for the command-line interface."""
 
+import csv
 import io
 import json
 import subprocess
@@ -10,6 +11,7 @@ import pytest
 
 from metaudit.cli import main
 from metaudit.fileio import bundled_data_path, json_dumps
+from metaudit.hacksim import SimConfig, run_simulation
 from tests.conftest import CORPUS_ROWS, CORPUS_SUMMARY
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -286,6 +288,35 @@ class TestCmdSimulate:
         # Censored selected p-values all clear the screen, so the blade
         # is everything and uniformity must reject hard.
         assert document["tests"]["uniformity"]["p_value"] < 1e-6
+
+    def test_sim_results_cells_are_plain_floats(self, tmp_path):
+        outdir = tmp_path / "sim"
+        args = ["--k", "4", "--replicates", "400", "--seed", "13"]
+        assert main(["simulate", *args, "--output", str(outdir)]) == 0
+        result = run_simulation(SimConfig(tests_per_study=4, replicates=400, seed=13))
+        with open(outdir / "sim_results.csv", newline="", encoding="utf-8") as handle:
+            header, *rows = list(csv.reader(handle))
+        assert header == ["replicate", "study", "p", "estimate"]
+        published = result.published
+        assert [int(row[0]) for row in rows] == result.replicate[published].tolist()
+        assert [float(row[2]) for row in rows] == result.p[published].tolist()
+        assert [float(row[3]) for row in rows] == result.estimate[published].tolist()
+
+    @pytest.mark.parametrize("effect", ["10000", "-10000"])
+    def test_emit_off_the_ratio_scale_exits_2_writing_nothing(self, tmp_path, capsys, effect):
+        outdir = tmp_path / "sim"
+        effects = tmp_path / "effects.csv"
+        code = main(
+            [
+                "simulate", "--replicates", "5", "--true-effect", effect,
+                "--output", str(outdir), "--emit-effects", str(effects),
+            ]
+        )
+        assert code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
+        assert "ratio interval" in err[0]
+        assert not outdir.exists() and not effects.exists()
 
 
 class FakeTtyStream(io.StringIO):

@@ -175,6 +175,12 @@ class TestPFromRatioCi:
         p = p_from_ratio_ci(rec)
         assert 1e-300 <= p < 1e-10
 
+    @pytest.mark.parametrize("statistic", [1e4, -1e4])
+    def test_statistic_off_the_ratio_scale_is_a_value_error(self, statistic):
+        # exp overflows (OverflowError) or underflows to a zero bound.
+        with pytest.raises(ValueError, match="ratio interval"):
+            record_from_statistic("far", statistic, 0.1)
+
 
 class TestEffectRecordValidation:
     def test_ns_record_needs_no_numbers(self):

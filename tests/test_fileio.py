@@ -3,6 +3,7 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 from metaudit.effect_audit import EffectRecord, audit, record_from_statistic
@@ -11,9 +12,11 @@ from metaudit.fileio import (
     build_report_document,
     bundled_data_path,
     file_digest,
+    format_csv_value,
     json_dumps,
     read_counts_csv,
     read_effects_csv,
+    write_effect_rows_csv,
     write_effects_csv,
     write_plot_csv,
     write_report_markdown,
@@ -262,6 +265,20 @@ class TestWriters:
         assert len(lines) == 1 + result.n_published
         for line in lines[1:]:
             assert float(line.split(",")[2]) < config.alpha
+
+    def test_effect_rows_match_effect_records(self, tmp_path):
+        rows = [("a", "x", 1.5, 1.2, 1.9), ("b", "", 0.25, 0.125, 0.5)]
+        records = [
+            EffectRecord(study_id=s, label=l, ratio=r, ci_low=lo, ci_high=hi, confidence_level=0.9)
+            for s, l, r, lo, hi in rows
+        ]
+        write_effect_rows_csv(tmp_path / "rows.csv", rows, 0.9)
+        write_effects_csv(tmp_path / "records.csv", records)
+        assert (tmp_path / "rows.csv").read_bytes() == (tmp_path / "records.csv").read_bytes()
+
+    def test_csv_float_subclass_written_as_plain_float(self):
+        value = -2.169971257049289
+        assert format_csv_value(np.float64(value)) == repr(value)
 
     def test_markdown_report_sections(self, tmp_path):
         records = [record_from_statistic(f"s{i:02d}", 0.4 * i, 0.1) for i in range(1, 8)]

@@ -6,24 +6,36 @@ uniformity of unselected p-values) or high-precision quadrature oracles
 compare full result objects bit for bit.
 """
 
+import itertools
 import math
 import random
 
 import mpmath
 import pytest
 
+from metaudit import hacksim
 from metaudit.hacksim import (
     MAX_TOTAL_DRAWS,
     SELECTION_RULES,
     SimConfig,
     run_simulation,
-    selection_bias,
     simulate_study,
     substream,
 )
 from metaudit.statkernel import ks_uniform_test
 
 mpmath.mp.dps = 30
+
+
+def scalar_records(config):
+    """The scalar reference: simulate_study on each replicate's substream."""
+    records = []
+    for replicate in range(config.replicates):
+        stream = substream(config.seed, replicate)
+        for study in range(config.n_studies):
+            p, estimate = simulate_study(config, stream)
+            records.append((replicate, study, p, float(estimate), p < config.alpha))
+    return records
 
 
 @pytest.fixture(scope="module")
@@ -217,7 +229,7 @@ class TestRunSimulation:
         mass += mpmath.quad(density, [-mpmath.inf, -z_crit])
         oracle_bias = float(num / mass) - 0.5
         assert oracle_bias > 0
-        assert selection_bias(result, config) == pytest.approx(oracle_bias, abs=0.05)
+        assert result.bias == pytest.approx(oracle_bias, abs=0.05)
         assert result.publication_rate == pytest.approx(float(mass), abs=0.01)
 
 
@@ -225,14 +237,85 @@ class TestSelectionBias:
     def test_matches_reported_bias_field(self):
         config = SimConfig(tests_per_study=3, true_effect=0.2, replicates=2000, seed=4)
         result = run_simulation(config)
-        assert selection_bias(result, config) == result.bias
+        estimates = result.selected_estimates
+        assert result.bias == math.fsum(estimates) / len(estimates) - config.true_effect
 
-    def test_raises_when_everything_censored(self):
+    def test_bias_is_nan_when_everything_censored(self):
         config = SimConfig(
             alpha=1e-6, censor_at_alpha=True, replicates=50, seed=1
         )
         result = run_simulation(config)
         assert result.n_published == 0
+        assert result.selected_estimates == []
         assert math.isnan(result.bias)
-        with pytest.raises(ValueError, match="censored"):
-            selection_bias(result, config)
+
+
+class TestBatchedMatchesScalar:
+    """run_simulation against the scalar simulate_study/substream loop."""
+
+    @pytest.mark.parametrize("rule", SELECTION_RULES)
+    @pytest.mark.parametrize("n_studies", [1, 3])
+    def test_records_equal_scalar_reference(self, rule, n_studies):
+        grid = itertools.product(
+            (1, 2, 10, 100), (0.0, 0.5, 0.999999), (0.0, 0.3, 40.0), (7, 2**64 - 1)
+        )
+        for k, rho, delta, seed in grid:
+            config = SimConfig(
+                n_studies=n_studies, tests_per_study=k, correlation=rho,
+                true_effect=delta, selection_rule=rule, replicates=12, seed=seed,
+            )
+            assert run_simulation(config).records == scalar_records(config), config
+
+    def test_saturated_erfc_ties_go_to_the_first_test(self):
+        config = SimConfig(tests_per_study=6, true_effect=60.0, replicates=50, seed=3)
+        result = run_simulation(config)
+        for replicate, estimate in enumerate(result.selected_estimates):
+            stream = substream(config.seed, replicate)
+            stream.standard_normal()
+            z = [config.true_effect + e for e in stream.standard_normal(6).tolist()]
+            assert all(math.erfc(abs(v) * math.sqrt(0.5)) == 0.0 for v in z)
+            assert estimate == z[0]
+        assert result.records == scalar_records(config)
+
+    @pytest.mark.parametrize("ulps", [0, 1])
+    def test_alpha_on_a_drawn_p_value(self, ulps):
+        # alpha is the smallest p drawn in one replicate.  Equal to it, no test
+        # there clears p < alpha; one ulp higher, exactly that test does.
+        base = dict(tests_per_study=8, correlation=0.2, replicates=40, seed=21)
+        smallest = run_simulation(SimConfig(**base)).records[20][2]
+        alpha = math.nextafter(smallest, 1.0) if ulps else smallest
+        config = SimConfig(selection_rule="report-first-significant", alpha=alpha, **base)
+        result = run_simulation(config)
+        assert result.records == scalar_records(config)
+        _, _, p, _, published = result.records[20]
+        assert published == bool(ulps)
+        assert (p == smallest) == bool(ulps)
+
+    def test_random_rule_draws_each_pick_after_its_study(self):
+        config = SimConfig(
+            n_studies=4, tests_per_study=7, selection_rule="report-random",
+            replicates=60, seed=5,
+        )
+        assert run_simulation(config).records == scalar_records(config)
+
+    @pytest.mark.parametrize("block_draws", [1, 7, 100])
+    def test_blocks_do_not_change_results(self, monkeypatch, block_draws):
+        config = SimConfig(
+            n_studies=2, tests_per_study=5, selection_rule="report-random",
+            replicates=90, censor_at_alpha=True, seed=17,
+        )
+        whole = run_simulation(config)
+        monkeypatch.setattr(hacksim, "_BLOCK_DRAWS", block_draws)
+        blocked = run_simulation(config)
+        assert blocked.records == whole.records
+        assert blocked.records == scalar_records(config)
+        for name in ("publication_rate", "bias", "abs_bias", "mean_abs_estimate"):
+            assert getattr(blocked, name) == getattr(whole, name)
+
+    def test_views_yield_python_values_from_read_only_columns(self):
+        result = run_simulation(SimConfig(tests_per_study=3, replicates=20, seed=2))
+        record = result.records[0]
+        assert [type(v) for v in record] == [int, int, float, float, bool]
+        assert type(result.selected_estimates[0]) is float
+        with pytest.raises(ValueError):
+            result.estimate[0] = 0.0
