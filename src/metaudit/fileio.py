@@ -1,9 +1,16 @@
 """File formats: counts/effects CSV parsing and report serialization.
 
+CSV inputs are UTF-8, with or without a byte-order mark, and are read as
+one stream by ``csv.reader``: a quoted cell may hold commas, doubled
+quotes and line breaks.  Blank lines and lines starting with '#' are
+skipped between records.
+
 All output is UTF-8 with LF line endings and '.' decimal separators,
-independent of locale.  JSON floats carry 17 significant digits and CSV
-floats use shortest round-trip form, so parsing any emitted file and
-re-serializing it reproduces the bytes exactly.
+independent of locale.  CSV cells holding a comma, a quote, CR or LF are
+quoted as ``csv.QUOTE_MINIMAL`` does, so every written CSV reads back as
+written.  JSON floats carry 17 significant digits and CSV floats use
+shortest round-trip form, so parsing any emitted file and re-serializing
+it reproduces the bytes exactly.
 """
 
 from __future__ import annotations
@@ -11,10 +18,11 @@ from __future__ import annotations
 import csv
 import hashlib
 import importlib.resources
-import io
 import math
-from collections.abc import Iterable
+from collections.abc import Sequence
 from dataclasses import asdict
+from json.encoder import encode_basestring
+from operator import itemgetter
 from pathlib import Path
 
 from metaudit.effect_audit import AuditReport, EffectRecord
@@ -50,13 +58,29 @@ class ParseError(ValueError):
 
 
 def _data_rows(path: Path):
-    """Yield (line_number, cells) for non-comment, non-blank CSV lines."""
-    with open(path, encoding="utf-8", newline="") as handle:
+    """Yield (line_number, cells) for each CSV record of ``path``.
+
+    One ``csv.reader`` reads the whole file, so quoted cells may hold
+    commas, quotes and line breaks.  Blank and '#' lines are skipped
+    between records, never inside a quoted cell, and a record's line
+    number is that of its first physical line.
+    """
+    first_line = 0  # of the record being read; 0 between records
+
+    def record_lines(handle):
+        nonlocal first_line
         for lineno, line in enumerate(handle, start=1):
-            stripped = line.strip()
-            if not stripped or stripped.startswith("#"):
-                continue
-            yield lineno, next(csv.reader([line]))
+            if not first_line:
+                stripped = line.strip()
+                if not stripped or stripped[0] == "#":
+                    continue
+                first_line = lineno
+            yield line
+
+    with open(path, encoding="utf-8-sig", newline="") as handle:
+        for cells in csv.reader(record_lines(handle)):
+            row, first_line = first_line, 0
+            yield row, cells
 
 
 def _match_header(cells: list[str], accepted: list[list[str]], path: Path) -> list[str]:
@@ -105,24 +129,25 @@ def read_counts_csv(path: str | Path) -> list[StudyCounts]:
         ) from None
     header = _match_header(header_cells, [COUNTS_HEADER_NAMED, COUNTS_HEADER], path)
 
+    has_names = header is COUNTS_HEADER_NAMED
     studies = []
     for lineno, cells in rows:
         if len(cells) != len(header):
             raise ParseError(
                 f"expected {len(header)} fields, got {len(cells)}", row=lineno
             )
-        record = dict(zip(header, cells))
+        study_id, outcomes, predictors, lags, covariates = cells[:5]
         names = None
-        if "covariate_names" in record and record["covariate_names"].strip():
-            names = [n.strip() for n in record["covariate_names"].split(";")]
+        if has_names and cells[5].strip():
+            names = [n.strip() for n in cells[5].split(";")]
         try:
             studies.append(
                 StudyCounts(
-                    study_id=record["study_id"].strip(),
-                    outcomes=_parse_int(record["outcomes"], lineno, "outcomes"),
-                    predictors=_parse_int(record["predictors"], lineno, "predictors"),
-                    lags=_parse_int(record["lags"], lineno, "lags"),
-                    covariates=_parse_int(record["covariates"], lineno, "covariates"),
+                    study_id=study_id.strip(),
+                    outcomes=_parse_int(outcomes, lineno, "outcomes"),
+                    predictors=_parse_int(predictors, lineno, "predictors"),
+                    lags=_parse_int(lags, lineno, "lags"),
+                    covariates=_parse_int(covariates, lineno, "covariates"),
                     covariate_names=names,
                 )
             )
@@ -151,24 +176,29 @@ def read_effects_csv(path: str | Path) -> list[EffectRecord]:
         ) from None
     header = _match_header(header_cells, [EFFECTS_HEADER, EFFECTS_HEADER_NO_LEVEL], path)
 
+    has_level = header is EFFECTS_HEADER
     records = []
     for lineno, cells in rows:
         if len(cells) != len(header):
             raise ParseError(
                 f"expected {len(header)} fields, got {len(cells)}", row=lineno
             )
-        record = dict(zip(header, cells))
-        ns_cell = record["ns"].strip()
+        if has_level:
+            study_id, label, ratio, ci_low, ci_high, level_cell, ns_cell = cells
+        else:
+            study_id, label, ratio, ci_low, ci_high, ns_cell = cells
+            level_cell = ""
+        ns_cell = ns_cell.strip()
         if ns_cell not in ("0", "1", ""):
             raise ParseError(f"ns must be 0 or 1, got {ns_cell!r}", row=lineno, column="ns")
-        level_cell = record.get("level", "").strip()
+        level_cell = level_cell.strip()
         level = _parse_float(level_cell, lineno, "level") if level_cell else 0.95
         try:
             if ns_cell == "1":
                 records.append(
                     EffectRecord(
-                        study_id=record["study_id"].strip(),
-                        label=record["label"].strip(),
+                        study_id=study_id.strip(),
+                        label=label.strip(),
                         confidence_level=level,
                         not_significant_flag=True,
                     )
@@ -176,11 +206,11 @@ def read_effects_csv(path: str | Path) -> list[EffectRecord]:
             else:
                 records.append(
                     EffectRecord(
-                        study_id=record["study_id"].strip(),
-                        label=record["label"].strip(),
-                        ratio=_parse_float(record["ratio"], lineno, "ratio"),
-                        ci_low=_parse_float(record["ci_low"], lineno, "ci_low"),
-                        ci_high=_parse_float(record["ci_high"], lineno, "ci_high"),
+                        study_id=study_id.strip(),
+                        label=label.strip(),
+                        ratio=_parse_float(ratio, lineno, "ratio"),
+                        ci_low=_parse_float(ci_low, lineno, "ci_low"),
+                        ci_high=_parse_float(ci_high, lineno, "ci_high"),
                         confidence_level=level,
                     )
                 )
@@ -194,52 +224,123 @@ def read_effects_csv(path: str | Path) -> list[EffectRecord]:
 
 
 def _format_json_float(value: float) -> str:
-    if math.isnan(value) or math.isinf(value):
-        return "null"
-    return format(value, ".17g")
+    if math.isfinite(value):
+        return format(value, ".17g")
+    return "null"
 
 
-def _dump_json(value, out: io.StringIO, indent: int) -> None:
-    pad = "  " * indent
+def _format_json_bool(value: bool) -> str:
+    return "true" if value else "false"
+
+
+def _format_json_none(value: None) -> str:
+    return "null"
+
+
+# Scalars dispatched on their exact type.  bool and None have no subclasses;
+# float and int subclasses (np.float64, IntEnum) and other objects take the
+# isinstance chain at the end of _json_text, which gives the same text.
+_JSON_SCALARS = {
+    float: _format_json_float,
+    int: int.__repr__,
+    str: encode_basestring,
+    bool: _format_json_bool,
+    type(None): _format_json_none,
+}
+
+
+def _json_text(value, pad: str) -> str:
+    """JSON text of ``value`` whose closing bracket is indented by ``pad``."""
+    scalar = _JSON_SCALARS.get(type(value))
+    if scalar is not None:
+        return scalar(value)
     if isinstance(value, dict):
         if not value:
-            out.write("{}")
-            return
-        out.write("{\n")
-        for i, (key, item) in enumerate(value.items()):
-            out.write(f'{pad}  "{key}": ')
-            _dump_json(item, out, indent + 1)
-            out.write(",\n" if i < len(value) - 1 else "\n")
-        out.write(pad + "}")
-    elif isinstance(value, (list, tuple)):
+            return "{}"
+        texts = _json_member_texts(value.values(), pad + "  ")
+        return _json_dict_layout(tuple(value), pad) % tuple(texts)
+    if isinstance(value, (list, tuple)):
         if not value:
-            out.write("[]")
-            return
-        out.write("[\n")
-        for i, item in enumerate(value):
-            out.write(pad + "  ")
-            _dump_json(item, out, indent + 1)
-            out.write(",\n" if i < len(value) - 1 else "\n")
-        out.write(pad + "]")
-    elif isinstance(value, bool):
-        out.write("true" if value else "false")
-    elif isinstance(value, float):
-        out.write(_format_json_float(value))
-    elif isinstance(value, int):
-        out.write(str(value))
-    elif value is None:
-        out.write("null")
+            return "[]"
+        texts = _json_member_texts(value, pad + "  ")
+        return _json_list_layout(len(value), pad) % tuple(texts)
+    if isinstance(value, float):
+        return _format_json_float(value)
+    if isinstance(value, int):
+        return str(value)
+    return encode_basestring(str(value))
+
+
+def _json_dict_layout(keys: tuple, pad: str) -> str:
+    """%-template of a non-empty dict with these keys, one %s per value."""
+    inner = pad + "  "
+    items = [f"{inner}{encode_basestring(f'{key}')}: ".replace("%", "%%") + "%s" for key in keys]
+    return "{\n" + ",\n".join(items) + "\n" + pad + "}"
+
+
+def _json_list_layout(size: int, pad: str) -> str:
+    """%-template of a non-empty list of ``size`` members."""
+    inner = pad + "  "
+    return "[\n" + ",\n".join([inner + "%s"] * size) + "\n" + pad + "]"
+
+
+def _json_member_texts(members, pad: str) -> list[str]:
+    texts = _json_scalar_texts(members)
+    if texts is None:
+        texts = _json_table_texts(members, pad)
+    if texts is None:
+        texts = [_json_text(member, pad) for member in members]
+    return texts
+
+
+def _json_scalar_texts(values) -> list[str] | None:
+    """Texts of ``values`` if all are exact-type scalars, else None."""
+    try:
+        formats = [_JSON_SCALARS[kind] for kind in set(map(type, values))]
+    except KeyError:
+        return None
+    if len(formats) == 1:
+        return list(map(formats[0], values))
+    return [_JSON_SCALARS[type(value)](value) for value in values]
+
+
+def _json_table_texts(rows, pad: str) -> list[str] | None:
+    """Texts of ``rows`` if all are flat containers of one layout, else None.
+
+    A flat container holds only exact-type scalars.  Such a table (each of
+    the pvalues, plot.points and reference_line lists of a report) is
+    formatted a column at a time and filled into one layout per row.
+    """
+    kinds = set(map(type, rows))
+    if kinds == {dict}:
+        shapes = set(map(tuple, rows))
+        if len(shapes) != 1 or () in shapes:
+            return None
+        keys = shapes.pop()
+        layout = _json_dict_layout(keys, pad)
+    elif kinds and kinds <= {list, tuple}:
+        shapes = set(map(len, rows))
+        if len(shapes) != 1 or 0 in shapes:
+            return None
+        keys = range(shapes.pop())
+        layout = _json_list_layout(len(keys), pad)
     else:
-        out.write('"' + str(value).replace("\\", "\\\\").replace('"', '\\"') + '"')
+        return None
+    # itemgetter, not zip(*rows): zip would hold an iterator per row.
+    texts = [_json_scalar_texts(list(map(itemgetter(key), rows))) for key in keys]
+    if None in texts:
+        return None
+    return list(map(layout.__mod__, zip(*texts)))
 
 
 def json_dumps(document) -> str:
     """Serialize to deterministic JSON: 17-significant-digit floats,
-    insertion-ordered keys, two-space indent, trailing newline."""
-    out = io.StringIO()
-    _dump_json(document, out, 0)
-    out.write("\n")
-    return out.getvalue()
+    insertion-ordered keys, two-space indent, trailing newline.
+
+    Strings and keys are escaped as the stdlib ``json`` module escapes them
+    (control characters included), so the output is always valid JSON.
+    """
+    return _json_text(document, "") + "\n"
 
 
 def _write_text(path: Path, text: str) -> None:
@@ -254,13 +355,24 @@ def file_digest(path: str | Path) -> dict:
     return {"name": Path(path).name, "sha256": hashlib.sha256(data).hexdigest()}
 
 
+def _needs_quotes(text: str) -> bool:
+    return "," in text or '"' in text or "\r" in text or "\n" in text
+
+
+def _csv_cell(text: str) -> str:
+    """Quote a cell only when it holds , " CR or LF, as csv.QUOTE_MINIMAL does."""
+    if _needs_quotes(text):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
 def format_csv_value(value) -> str:
     if isinstance(value, bool):
         return "1" if value else "0"
     if isinstance(value, float):
         # float.__repr__, not repr: NumPy 2 scalars repr as "np.float64(...)".
         return float.__repr__(value)
-    return str(value)
+    return _csv_cell(str(value))
 
 
 def write_csv(path: Path, header: list[str], rows: list[tuple]) -> None:
@@ -398,13 +510,14 @@ def write_report_json(path: str | Path, document: dict) -> None:
 
 
 def write_plot_csv(path: str | Path, report: AuditReport) -> None:
-    rows = [
-        (rank, p, ref)
-        for (rank, p), (_, ref) in zip(
-            report.plot.points, report.plot.reference_line
-        )
+    # audit computes p and the reference with math on Python floats, whose
+    # !r is format_csv_value's; ranks are ints.
+    lines = ["rank,p,reference"]
+    lines += [
+        f"{rank},{p!r},{ref!r}"
+        for (rank, p), (_, ref) in zip(report.plot.points, report.plot.reference_line)
     ]
-    write_csv(Path(path), ["rank", "p", "reference"], rows)
+    _write_text(Path(path), "\n".join(lines) + "\n")
 
 
 def _fmt(value: float) -> str:
@@ -519,7 +632,7 @@ def write_effects_csv(path: str | Path, records: list[EffectRecord]) -> None:
 
 
 def write_effect_rows_csv(
-    path: str | Path, rows: Iterable[tuple[str, str, float, float, float]], confidence_level: float
+    path: str | Path, rows: Sequence[tuple[str, str, float, float, float]], confidence_level: float
 ) -> None:
     """Effects CSV of numeric rows (study_id, label, ratio, ci_low, ci_high).
 
@@ -527,6 +640,10 @@ def write_effect_rows_csv(
     without building them: the values must be str and Python float, whose
     !r is format_csv_value's.
     """
+    # The emit step's ids and label never need quotes: scan each text column
+    # once, and quote cell by cell only when some cell does.
+    if any(_needs_quotes("".join(map(itemgetter(column), rows))) for column in (0, 1)):
+        rows = [(_csv_cell(study_id), _csv_cell(label), *numbers) for study_id, label, *numbers in rows]
     tail = f",{confidence_level!r},0"
     lines = [",".join(EFFECTS_HEADER)]
     lines += [

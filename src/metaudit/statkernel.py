@@ -1,10 +1,13 @@
 """Numerical primitives shared by the auditing modules.
 
 Everything here is a pure function of its arguments, built on the math
-stdlib only: standard normal CDF and quantile, Student's t survival
-function, ordinary least squares with per-coefficient t tests, a
-one-sample Kolmogorov-Smirnov uniformity test, and (n+1)-position
-linear-interpolation quantiles.
+stdlib: standard normal CDF and quantile, Student's t survival function,
+ordinary least squares with per-coefficient t tests, a one-sample
+Kolmogorov-Smirnov uniformity test, and (n+1)-position
+linear-interpolation quantiles.  ``ols_fit`` forms its elementwise terms
+with NumPy and adds every sum with ``math.fsum``, whose exactly rounded
+result does not depend on the order of the terms, so its bits are those
+of the equivalent pure-Python loops.
 """
 
 from __future__ import annotations
@@ -14,6 +17,8 @@ import statistics
 import sys
 from dataclasses import dataclass
 from typing import Sequence
+
+import numpy as np
 
 _SQRT_HALF = math.sqrt(0.5)
 _SQRT_TWO_PI = math.sqrt(2.0 * math.pi)
@@ -202,27 +207,34 @@ def ols_fit(design: Sequence[Sequence[float]], response: Sequence[float]) -> Ols
         raise ValueError(f"response length {len(response)} != row count {n}")
     if n <= k:
         raise ValueError(f"need more observations than regressors (n={n}, k={k})")
-    for i, row in enumerate(design):
-        for j, v in enumerate(row):
-            if not math.isfinite(v):
-                raise ValueError(f"non-finite design entry at row {i}, column {j}")
-    for i, v in enumerate(response):
-        if not math.isfinite(v):
-            raise ValueError(f"non-finite response entry at row {i}")
+    x = np.asarray(design, dtype=np.float64)
+    y = np.asarray(response, dtype=np.float64)
+    bad = np.argwhere(~np.isfinite(x))
+    if len(bad):
+        i, j = bad[0].tolist()
+        raise ValueError(f"non-finite design entry at row {i}, column {j}")
+    bad = np.flatnonzero(~np.isfinite(y))
+    if len(bad):
+        raise ValueError(f"non-finite response entry at row {bad[0]}")
 
+    # Terms are formed elementwise (NumPy's * and / round as Python's do) and
+    # every sum is math.fsum, the exactly rounded sum, so the bits do not
+    # depend on a summation order.  Squares of the given entries use
+    # Python's operators: float ** 2 is libm pow, not always v * v, and
+    # int squares are exact.
     col_norms: list[float] = []
     for j in range(k):
-        norm = math.sqrt(math.fsum(design[i][j] ** 2 for i in range(n)))
+        norm = math.sqrt(math.fsum([row[j] ** 2 for row in design]))
         if norm == 0.0:
             raise RankDeficiencyError(j)
         col_norms.append(norm)
-    xs = [[design[i][j] / col_norms[j] for j in range(k)] for i in range(n)]
+    xs = x / np.array(col_norms)
 
-    gram = [
-        [math.fsum(xs[i][a] * xs[i][b] for i in range(n)) for b in range(k)]
-        for a in range(k)
-    ]
-    xty = [math.fsum(xs[i][a] * response[i] for i in range(n)) for a in range(k)]
+    gram = [[0.0] * k for _ in range(k)]
+    for a in range(k):
+        for b in range(a + 1):
+            gram[a][b] = gram[b][a] = math.fsum((xs[:, a] * xs[:, b]).tolist())
+    xty = [math.fsum((xs[:, a] * y).tolist()) for a in range(k)]
 
     # Cholesky on the unit-diagonal Gram matrix; pivots near zero flag the
     # first column explained by its predecessors.
@@ -251,11 +263,10 @@ def ols_fit(design: Sequence[Sequence[float]], response: Sequence[float]) -> Ols
     scaled_coefs = cholesky_solve(xty)
     coefficients = [scaled_coefs[j] / col_norms[j] for j in range(k)]
 
-    residuals = [
-        response[i] - math.fsum(design[i][j] * coefficients[j] for j in range(k))
-        for i in range(n)
-    ]
-    rss = math.fsum(r * r for r in residuals)
+    # zip reuses its row tuple, so the n k-term sums allocate no containers.
+    fitted = list(map(math.fsum, zip(*(x * np.array(coefficients)).T.tolist())))
+    residuals = y - np.array(fitted)
+    rss = math.fsum((residuals * residuals).tolist())
     df = n - k
 
     inv_diag_scaled = []
@@ -264,7 +275,7 @@ def ols_fit(design: Sequence[Sequence[float]], response: Sequence[float]) -> Ols
         unit[j] = 1.0
         inv_diag_scaled.append(cholesky_solve(unit)[j])
 
-    response_norm = math.sqrt(math.fsum(v * v for v in response))
+    response_norm = math.sqrt(math.fsum([v * v for v in response]))
     noise_floor = _EXACT_FIT_FACTOR * (1.0 + response_norm)
     exact_fit = rss <= noise_floor * noise_floor * n
 

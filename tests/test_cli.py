@@ -157,6 +157,39 @@ class TestCmdAudit:
         assert not outdir.exists()
 
 
+    @pytest.mark.parametrize("name", ["report.json", "plot_data.csv", "report.md"])
+    def test_matches_golden_bytes(self, tmp_path, name):
+        outdir = tmp_path / "audit"
+        main(["audit", "--input", EFFECTS, "--counts", COUNTS, "--output", str(outdir)])
+        assert (outdir / name).read_bytes() == (GOLDEN_DIR / f"example_{name}").read_bytes()
+
+    def test_control_character_in_study_id_gives_valid_json(self, tmp_path):
+        effects = tmp_path / "tab.csv"
+        effects.write_text(
+            "study_id,label,ratio,ci_low,ci_high,level,ns\n"
+            "tab\there,x,1.2,1.05,1.3714285714285714,0.95,0\n"
+            "plain,y,1.1,1.0,1.21,0.95,0\n",
+            encoding="utf-8",
+        )
+        outdir = tmp_path / "audit"
+        assert main(["audit", "--input", str(effects), "--output", str(outdir)]) == 0
+        document = json.loads((outdir / "report.json").read_text(encoding="utf-8"))
+        assert {rec["study_id"] for rec in document["pvalues"]} == {"tab\there", "plain"}
+
+    def test_quoted_newline_in_label_audits(self, tmp_path):
+        effects = tmp_path / "multiline.csv"
+        effects.write_text(
+            "study_id,label,ratio,ci_low,ci_high,level,ns\n"
+            'a,"cohort A,\nmen",1.2,1.05,1.3714285714285714,0.95,0\n'
+            "b,y,1.1,1.0,1.21,0.95,0\n",
+            encoding="utf-8",
+        )
+        outdir = tmp_path / "audit"
+        assert main(["audit", "--input", str(effects), "--output", str(outdir)]) == 0
+        document = json.loads((outdir / "report.json").read_text(encoding="utf-8"))
+        assert document["plot"]["n"] == 2
+
+
 class TestCmdPlot:
     def test_matches_golden_bytes(self, tmp_path):
         target = tmp_path / "plot.svg"

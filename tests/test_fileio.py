@@ -1,14 +1,31 @@
-"""Tests for CSV parsing and deterministic report serialization."""
+"""Tests for CSV parsing and deterministic report serialization.
 
+The per-line CSV readers and the recursive JSON writer that the one-pass
+readers and the flat writer replaced are kept below as references: the new
+code must give the same records, errors and bytes wherever the old code's
+output was valid.
+"""
+
+import csv
+import io
 import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from metaudit.effect_audit import EffectRecord, audit, record_from_statistic
 from metaudit.fileio import (
+    COUNTS_HEADER,
+    COUNTS_HEADER_NAMED,
+    EFFECTS_HEADER,
+    EFFECTS_HEADER_NO_LEVEL,
     ParseError,
+    _match_header,
+    _parse_float,
+    _parse_int,
     build_report_document,
     bundled_data_path,
     file_digest,
@@ -24,8 +41,17 @@ from metaudit.fileio import (
     write_spaces_csv,
 )
 from metaudit.hacksim import SimConfig, run_simulation
-from metaudit.searchspace import SearchSpaceOverflowError, compute_spaces
+from metaudit.searchspace import SearchSpaceOverflowError, StudyCounts, compute_spaces
 from tests.conftest import CORPUS_NAMES, CORPUS_ROWS
+
+# Text that survives the effects CSV round trip: the reader strips each
+# cell and the writer does not protect surrounding whitespace, so values
+# with leading or trailing whitespace (str.strip's set, which includes
+# \x1c-\x1f and \x85) come back changed; a study id starting with '#'
+# makes its line a comment; an empty study id is rejected.
+CSV_TEXT = st.text(st.characters(blacklist_categories=("Cs",)), min_size=1).filter(
+    lambda text: text == text.strip() and not text.startswith("#")
+)
 
 
 class TestReadCountsCsv:
@@ -297,3 +323,431 @@ class TestWriters:
         path.write_text("stable contents\n", encoding="utf-8")
         assert file_digest(path) == file_digest(path)
         assert len(file_digest(path)["sha256"]) == 64
+
+
+# --- Byte-order mark, quoted cells and the CSV writers' quoting ----------------
+
+
+class TestCsvContract:
+    def test_bom_effects_header_matches(self, tmp_path):
+        path = tmp_path / "effects.csv"
+        path.write_text(
+            "﻿study_id,label,ratio,ci_low,ci_high,level,ns\nx,lab,1.1,1.0,1.21,0.95,0\n",
+            encoding="utf-8",
+        )
+        assert [r.study_id for r in read_effects_csv(path)] == ["x"]
+
+    def test_bom_counts_header_matches(self, tmp_path):
+        path = tmp_path / "counts.csv"
+        path.write_text(
+            "﻿study_id,outcomes,predictors,lags,covariates\nx,1,2,3,4\n", encoding="utf-8"
+        )
+        assert read_counts_csv(path)[0].covariates == 4
+
+    def test_quoted_newline_in_label_parses(self, tmp_path):
+        path = tmp_path / "effects.csv"
+        path.write_text(
+            "study_id,label,ratio,ci_low,ci_high,level,ns\n"
+            'a,"cohort A\nmen, 40+",1.1,1.0,1.21,0.95,0\n'
+            "b,plain,1.1,1.0,oops,0.95,0\n",
+            encoding="utf-8",
+        )
+        with pytest.raises(ParseError) as excinfo:
+            read_effects_csv(path)
+        # The record after a two-line record starts on physical line 4.
+        assert (excinfo.value.row, excinfo.value.column) == (4, "ci_high")
+        path.write_text(path.read_text(encoding="utf-8").replace("oops", "1.21"), encoding="utf-8")
+        assert [r.label for r in read_effects_csv(path)] == ["cohort A\nmen, 40+", "plain"]
+
+    def test_multi_line_record_reports_its_first_line(self, tmp_path):
+        path = tmp_path / "effects.csv"
+        path.write_text(
+            "study_id,label,ratio,ci_low,ci_high,level,ns\n"
+            "\n"
+            'a,"two\nlines",1.1,1.0,1.21,0.95,7\n',
+            encoding="utf-8",
+        )
+        with pytest.raises(ParseError) as excinfo:
+            read_effects_csv(path)
+        assert (excinfo.value.row, excinfo.value.column) == (3, "ns")
+
+    def test_comment_line_with_stray_quote_is_skipped(self, tmp_path):
+        path = tmp_path / "effects.csv"
+        path.write_text(
+            "study_id,label,ratio,ci_low,ci_high,level,ns\n"
+            '# a 5" screen, "unbalanced\n'
+            "x,lab,1.1,1.0,1.21,0.95,0\n",
+            encoding="utf-8",
+        )
+        assert [r.study_id for r in read_effects_csv(path)] == ["x"]
+
+    def test_blank_and_comment_lines_inside_a_quoted_cell_are_kept(self, tmp_path):
+        path = tmp_path / "effects.csv"
+        path.write_text(
+            "study_id,label,ratio,ci_low,ci_high,level,ns\n"
+            'x,"first\n\n# not a comment",1.1,1.0,1.21,0.95,0\n',
+            encoding="utf-8",
+        )
+        assert read_effects_csv(path)[0].label == "first\n\n# not a comment"
+
+    def test_effects_writer_quotes_comma_label(self, tmp_path):
+        records = [
+            EffectRecord(study_id="a", label="cohort A, men", ratio=1.5, ci_low=1.2, ci_high=1.9),
+            EffectRecord(study_id='say "hi"', label="x", ratio=1.5, ci_low=1.2, ci_high=1.9),
+        ]
+        path = tmp_path / "effects.csv"
+        write_effects_csv(path, records)
+        assert path.read_text(encoding="utf-8").splitlines()[1:] == [
+            'a,"cohort A, men",1.5,1.2,1.9,0.95,0',
+            '"say ""hi""",x,1.5,1.2,1.9,0.95,0',
+        ]
+        assert read_effects_csv(path) == records
+
+    def test_effect_rows_writer_quotes_like_the_records_writer(self, tmp_path):
+        rows = [
+            ("a, b", "cohort A, men", 1.5, 1.2, 1.9),
+            ("c", "cohort A, men", 0.25, 0.125, 0.5),
+            ("d\ne", 'five "5"', 2.0, 1.0, 4.0),
+        ]
+        records = [
+            EffectRecord(study_id=s, label=l, ratio=r, ci_low=lo, ci_high=hi, confidence_level=0.9)
+            for s, l, r, lo, hi in rows
+        ]
+        write_effect_rows_csv(tmp_path / "rows.csv", rows, 0.9)
+        write_effects_csv(tmp_path / "records.csv", records)
+        assert (tmp_path / "rows.csv").read_bytes() == (tmp_path / "records.csv").read_bytes()
+        assert read_effects_csv(tmp_path / "rows.csv") == records
+
+    def test_spaces_csv_quotes_a_quoted_counts_id(self, tmp_path):
+        counts = tmp_path / "counts.csv"
+        counts.write_text(
+            'study_id,outcomes,predictors,lags,covariates\n"Smith, 2001",1,2,3,4\n',
+            encoding="utf-8",
+        )
+        studies = read_counts_csv(counts)
+        assert studies[0].study_id == "Smith, 2001"
+        path = tmp_path / "spaces.csv"
+        write_spaces_csv(path, studies, [compute_spaces(s) for s in studies])
+        with open(path, encoding="utf-8", newline="") as handle:
+            rows = list(csv.reader(handle))
+        assert rows[1] == ["Smith, 2001", "1", "2", "3", "4", "6", "16", "96"]
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(CSV_TEXT, CSV_TEXT, st.booleans()), min_size=1, max_size=6
+        )
+    )
+    def test_write_read_round_trip_over_unicode_text(self, tmp_path_factory, cells):
+        records = [
+            EffectRecord(study_id=sid, label=label, not_significant_flag=True)
+            if ns
+            else EffectRecord(study_id=sid, label=label, ratio=1.5, ci_low=1.25, ci_high=2.0)
+            for sid, label, ns in cells
+        ]
+        path = tmp_path_factory.mktemp("round") / "effects.csv"
+        write_effects_csv(path, records)
+        assert read_effects_csv(path) == records
+
+
+# --- The JSON writer against its former recursive form --------------------------
+
+
+def reference_dump_json(value, out, indent):
+    """The recursive StringIO writer json_dumps replaced, kept as its reference."""
+    pad = "  " * indent
+    if isinstance(value, dict):
+        if not value:
+            out.write("{}")
+            return
+        out.write("{\n")
+        for i, (key, item) in enumerate(value.items()):
+            out.write(f'{pad}  "{key}": ')
+            reference_dump_json(item, out, indent + 1)
+            out.write(",\n" if i < len(value) - 1 else "\n")
+        out.write(pad + "}")
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            out.write("[]")
+            return
+        out.write("[\n")
+        for i, item in enumerate(value):
+            out.write(pad + "  ")
+            reference_dump_json(item, out, indent + 1)
+            out.write(",\n" if i < len(value) - 1 else "\n")
+        out.write(pad + "]")
+    elif isinstance(value, bool):
+        out.write("true" if value else "false")
+    elif isinstance(value, float):
+        out.write("null" if math.isnan(value) or math.isinf(value) else format(value, ".17g"))
+    elif isinstance(value, int):
+        out.write(str(value))
+    elif value is None:
+        out.write("null")
+    else:
+        out.write('"' + str(value).replace("\\", "\\\\").replace('"', '\\"') + '"')
+
+
+def reference_json_dumps(document) -> str:
+    out = io.StringIO()
+    reference_dump_json(document, out, 0)
+    out.write("\n")
+    return out.getvalue()
+
+
+# Control characters are the one intended difference: the reference wrote
+# them raw, which is invalid JSON.  Keys were never escaped at all.
+JSON_TEXT = st.text(
+    st.characters(blacklist_categories=("Cs",), blacklist_characters=[chr(c) for c in range(32)])
+)
+JSON_KEYS = JSON_TEXT.filter(lambda key: '"' not in key and "\\" not in key)
+JSON_SCALARS = st.one_of(
+    st.floats(),
+    st.floats().map(np.float64),
+    st.integers(),
+    st.booleans(),
+    st.none(),
+    JSON_TEXT,
+    st.sampled_from(['quote " backslash \\', "%s %% %(x)s", "\\u00e9", "{}"]),
+)
+
+
+@st.composite
+def json_tables(draw, children):
+    """Lists of containers of one layout, as the report's big lists are."""
+    rows = draw(st.integers(1, 5))
+    if draw(st.booleans()):
+        keys = draw(st.lists(JSON_KEYS, min_size=1, max_size=4, unique=True))
+        table = [dict(zip(keys, draw(st.tuples(*[JSON_SCALARS] * len(keys))))) for _ in range(rows)]
+    else:
+        size = draw(st.integers(1, 4))
+        kinds = [list, tuple] if draw(st.booleans()) else [list]
+        table = [
+            draw(st.sampled_from(kinds))(draw(st.tuples(*[JSON_SCALARS] * size)))
+            for _ in range(rows)
+        ]
+    if draw(st.booleans()):
+        # Spoil the layout or flatness of one row.
+        first = table[0]
+        if isinstance(first, dict):
+            reshaped = dict(reversed(first.items())) if len(first) > 1 else {**first, "+": 0}
+        else:
+            reshaped = [*first, draw(JSON_SCALARS)]
+        spoiled = draw(st.sampled_from(["child", "scalar", "empty", "reshaped"]))
+        row = {
+            "child": draw(children),
+            "scalar": draw(JSON_SCALARS),
+            "empty": {},
+            "reshaped": reshaped,
+        }[spoiled]
+        table.insert(draw(st.integers(0, rows)), row)
+    return table
+
+
+JSON_DOCUMENTS = st.recursive(
+    JSON_SCALARS,
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.dictionaries(JSON_KEYS, children, max_size=4),
+        json_tables(children),
+    ),
+    max_leaves=30,
+)
+
+
+class TestJsonMatchesReference:
+    @settings(max_examples=250, deadline=None)
+    @given(JSON_DOCUMENTS)
+    def test_same_text_as_the_recursive_writer(self, document):
+        assert json_dumps(document) == reference_json_dumps(document)
+
+    def test_report_document_same_text(self):
+        records = [record_from_statistic(f"s{i:02d}", 0.3 * i, 0.1) for i in range(1, 40)]
+        document = build_report_document(audit(records), digests=[])
+        assert json_dumps(document) == reference_json_dumps(document)
+
+    def test_control_characters_are_escaped(self):
+        text = json_dumps({"study\tid": ["tab\there", "nul\x00", "line\nbreak", "\x1f"]})
+        assert json.loads(text) == {"study\tid": ["tab\there", "nul\x00", "line\nbreak", "\x1f"]}
+        assert "\t" not in text
+
+    def test_quotes_in_keys_are_escaped(self):
+        document = {'a "key"': 1, "back\\slash": [{"x": 'y"'}]}
+        assert json.loads(json_dumps(document)) == document
+
+
+# --- The one-pass readers against the former per-line readers -------------------
+
+
+def reference_data_rows(path):
+    with open(path, encoding="utf-8", newline="") as handle:
+        for lineno, line in enumerate(handle, start=1):
+            stripped = line.strip()
+            if not stripped or stripped.startswith("#"):
+                continue
+            yield lineno, next(csv.reader([line]))
+
+
+def reference_read_effects_csv(path):
+    """The per-line effects reader read_effects_csv replaced, kept as its reference."""
+    rows = reference_data_rows(path)
+    try:
+        _, header_cells = next(rows)
+    except StopIteration:
+        raise ParseError(f"{path}: empty file; expected header {','.join(EFFECTS_HEADER)}") from None
+    header = _match_header(header_cells, [EFFECTS_HEADER, EFFECTS_HEADER_NO_LEVEL], path)
+    records = []
+    for lineno, cells in rows:
+        if len(cells) != len(header):
+            raise ParseError(f"expected {len(header)} fields, got {len(cells)}", row=lineno)
+        record = dict(zip(header, cells))
+        ns_cell = record["ns"].strip()
+        if ns_cell not in ("0", "1", ""):
+            raise ParseError(f"ns must be 0 or 1, got {ns_cell!r}", row=lineno, column="ns")
+        level_cell = record.get("level", "").strip()
+        level = _parse_float(level_cell, lineno, "level") if level_cell else 0.95
+        try:
+            if ns_cell == "1":
+                records.append(EffectRecord(
+                    study_id=record["study_id"].strip(), label=record["label"].strip(),
+                    confidence_level=level, not_significant_flag=True,
+                ))
+            else:
+                records.append(EffectRecord(
+                    study_id=record["study_id"].strip(), label=record["label"].strip(),
+                    ratio=_parse_float(record["ratio"], lineno, "ratio"),
+                    ci_low=_parse_float(record["ci_low"], lineno, "ci_low"),
+                    ci_high=_parse_float(record["ci_high"], lineno, "ci_high"),
+                    confidence_level=level,
+                ))
+        except ParseError:
+            raise
+        except ValueError as exc:
+            raise ParseError(str(exc), row=lineno) from exc
+    if not records:
+        raise ParseError(f"{path}: no effect rows after the header")
+    return records
+
+
+def reference_read_counts_csv(path):
+    """The per-line counts reader read_counts_csv replaced, kept as its reference."""
+    rows = reference_data_rows(path)
+    try:
+        _, header_cells = next(rows)
+    except StopIteration:
+        raise ParseError(f"{path}: empty file; expected header {','.join(COUNTS_HEADER)}") from None
+    header = _match_header(header_cells, [COUNTS_HEADER_NAMED, COUNTS_HEADER], path)
+    studies = []
+    for lineno, cells in rows:
+        if len(cells) != len(header):
+            raise ParseError(f"expected {len(header)} fields, got {len(cells)}", row=lineno)
+        record = dict(zip(header, cells))
+        names = None
+        if "covariate_names" in record and record["covariate_names"].strip():
+            names = [n.strip() for n in record["covariate_names"].split(";")]
+        try:
+            studies.append(StudyCounts(
+                study_id=record["study_id"].strip(),
+                outcomes=_parse_int(record["outcomes"], lineno, "outcomes"),
+                predictors=_parse_int(record["predictors"], lineno, "predictors"),
+                lags=_parse_int(record["lags"], lineno, "lags"),
+                covariates=_parse_int(record["covariates"], lineno, "covariates"),
+                covariate_names=names,
+            ))
+        except ParseError:
+            raise
+        except ValueError as exc:
+            raise ParseError(str(exc), row=lineno) from exc
+    if not studies:
+        raise ParseError(f"{path}: no study rows after the header")
+    return studies
+
+
+def read_outcome(reader, path):
+    """Parsed rows, or the error's type, message, row and column."""
+    try:
+        return reader(path)
+    except ValueError as exc:
+        return (type(exc), str(exc), getattr(exc, "row", None), getattr(exc, "column", None))
+
+
+# Lines both readers treat alike: no byte-order mark and no quoted line break.
+NOISE_LINES = st.sampled_from(["", "   ", "# comment", '  # a 5" screen, "unbalanced', "\t"])
+EFFECT_CELLS = {
+    "study_id": st.sampled_from(["s1", " s2 ", "", '"q, 1"', "#x"]),
+    "label": st.sampled_from(["lab", "", '"cohort A, men"', ' "a ""b"" c"', "5\" tall"]),
+    "ratio": st.sampled_from(["1.5", " 2 ", "", "x", "-1", "nan", "1e400", "3.0"]),
+    "ci_low": st.sampled_from(["1.25", "1", "", "low", "0"]),
+    "ci_high": st.sampled_from(["2.0", "4", "", "inf", "1.75"]),
+    "level": st.sampled_from(["0.95", "", " 0.9 ", "1.5", "abc"]),
+    "ns": st.sampled_from(["0", "1", "", " 1 ", "2"]),
+}
+COUNT_CELLS = {
+    "study_id": st.sampled_from(["a", " b ", "", '"Smith, 2001"']),
+    "outcomes": st.sampled_from(["1", " 2 ", "0", "x", "-1"]),
+    "predictors": st.sampled_from(["1", "3", "", "1.5"]),
+    "lags": st.sampled_from(["1", "2", "oops"]),
+    "covariates": st.sampled_from(["0", "4", "63", "-2"]),
+    "covariate_names": st.sampled_from(["", "Age;Sex", " T ; RH ", '"A, B;C"']),
+}
+
+
+@st.composite
+def csv_files(draw, header, cells):
+    """Text of a CSV file: noise lines around a header and records whose
+    cells, or whole width, may be bad."""
+    lines = draw(st.lists(NOISE_LINES, max_size=2)) + [header]
+    names = header.lower().split(",")
+    for _ in range(draw(st.integers(0, 5))):
+        record = [draw(cells[name]) for name in names]
+        if draw(st.integers(0, 9)) == 0:
+            record = record[:-1] if draw(st.booleans()) else record + ["extra"]
+        lines += draw(st.lists(NOISE_LINES, max_size=1)) + [",".join(record)]
+    ending = draw(st.sampled_from(["\n", "\r\n"]))
+    return ending.join(lines) + draw(st.sampled_from([ending, ""]))
+
+
+class TestReadersMatchReference:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.one_of(
+            csv_files(",".join(EFFECTS_HEADER), EFFECT_CELLS),
+            csv_files(",".join(EFFECTS_HEADER_NO_LEVEL), EFFECT_CELLS),
+            csv_files("Study_ID,Label,Ratio,CI_Low,CI_High,Level,NS", EFFECT_CELLS),
+            st.just(""),
+            st.just("# only a comment\n\n"),
+            st.just("study,label\n"),
+        )
+    )
+    def test_effects_reader(self, tmp_path_factory, text):
+        path = tmp_path_factory.mktemp("effects") / "effects.csv"
+        path.write_bytes(text.encode("utf-8"))
+        assert read_outcome(read_effects_csv, path) == read_outcome(reference_read_effects_csv, path)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.one_of(
+            csv_files(",".join(COUNTS_HEADER_NAMED), COUNT_CELLS),
+            csv_files(",".join(COUNTS_HEADER), COUNT_CELLS),
+            st.just(""),
+        )
+    )
+    def test_counts_reader(self, tmp_path_factory, text):
+        path = tmp_path_factory.mktemp("counts") / "counts.csv"
+        path.write_bytes(text.encode("utf-8"))
+        try:
+            want = read_outcome(reference_read_counts_csv, path)
+        except SearchSpaceOverflowError:
+            with pytest.raises(SearchSpaceOverflowError):
+                read_counts_csv(path)
+            return
+        assert read_outcome(read_counts_csv, path) == want
+
+    def test_bundled_files(self):
+        for reader, reference, name in (
+            (read_effects_csv, reference_read_effects_csv, "example_effects.csv"),
+            (read_counts_csv, reference_read_counts_csv, "nawrot_counts.csv"),
+        ):
+            path = bundled_data_path(name)
+            assert reader(path) == reference(path)

@@ -3,7 +3,9 @@
 Oracles used here: mpmath high-precision special functions for the normal
 CDF, t survival function and Kolmogorov series; exact rational (Fraction)
 normal-equation solves for least squares; brute-force enumeration over all
-step discrepancies for the KS statistic.
+step discrepancies for the KS statistic.  The former pure-Python ``ols_fit``
+is kept below as the reference the NumPy + ``fsum`` version must match bit
+for bit.
 """
 
 import math
@@ -16,7 +18,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from metaudit.statkernel import (
+    _EXACT_FIT_FACTOR,
+    OlsFit,
     RankDeficiencyError,
+    _two_sided_t_p,
     kolmogorov_sf,
     ks_uniform_test,
     ols_fit,
@@ -244,6 +249,207 @@ class TestOlsFit:
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError, match="non-finite"):
             ols_fit([[1.0], [math.nan], [1.0]], [1.0, 2.0, 3.0])
+
+
+def reference_ols_fit(design, response):
+    """The pure-Python ols_fit that statkernel.ols_fit replaced, kept as its
+    bit-for-bit reference: every sum is an fsum over a generator."""
+    n = len(design)
+    if n == 0:
+        raise ValueError("design matrix has no rows")
+    k = len(design[0])
+    if k == 0:
+        raise ValueError("design matrix has no columns")
+    if any(len(row) != k for row in design):
+        raise ValueError("design matrix rows have inconsistent lengths")
+    if len(response) != n:
+        raise ValueError(f"response length {len(response)} != row count {n}")
+    if n <= k:
+        raise ValueError(f"need more observations than regressors (n={n}, k={k})")
+    for i, row in enumerate(design):
+        for j, v in enumerate(row):
+            if not math.isfinite(v):
+                raise ValueError(f"non-finite design entry at row {i}, column {j}")
+    for i, v in enumerate(response):
+        if not math.isfinite(v):
+            raise ValueError(f"non-finite response entry at row {i}")
+
+    col_norms = []
+    for j in range(k):
+        norm = math.sqrt(math.fsum(design[i][j] ** 2 for i in range(n)))
+        if norm == 0.0:
+            raise RankDeficiencyError(j)
+        col_norms.append(norm)
+    xs = [[design[i][j] / col_norms[j] for j in range(k)] for i in range(n)]
+
+    gram = [
+        [math.fsum(xs[i][a] * xs[i][b] for i in range(n)) for b in range(k)]
+        for a in range(k)
+    ]
+    xty = [math.fsum(xs[i][a] * response[i] for i in range(n)) for a in range(k)]
+
+    lower = [[0.0] * k for _ in range(k)]
+    for j in range(k):
+        pivot = gram[j][j] - math.fsum(lower[j][m] ** 2 for m in range(j))
+        if pivot <= 1e-10:
+            raise RankDeficiencyError(j)
+        lower[j][j] = math.sqrt(pivot)
+        for i in range(j + 1, k):
+            lower[i][j] = (
+                gram[i][j] - math.fsum(lower[i][m] * lower[j][m] for m in range(j))
+            ) / lower[j][j]
+
+    def cholesky_solve(rhs):
+        fwd = [0.0] * k
+        for i in range(k):
+            fwd[i] = (rhs[i] - math.fsum(lower[i][m] * fwd[m] for m in range(i))) / lower[i][i]
+        back = [0.0] * k
+        for i in reversed(range(k)):
+            back[i] = (
+                fwd[i] - math.fsum(lower[m][i] * back[m] for m in range(i + 1, k))
+            ) / lower[i][i]
+        return back
+
+    scaled_coefs = cholesky_solve(xty)
+    coefficients = [scaled_coefs[j] / col_norms[j] for j in range(k)]
+
+    residuals = [
+        response[i] - math.fsum(design[i][j] * coefficients[j] for j in range(k))
+        for i in range(n)
+    ]
+    rss = math.fsum(r * r for r in residuals)
+    df = n - k
+
+    inv_diag_scaled = []
+    for j in range(k):
+        unit = [0.0] * k
+        unit[j] = 1.0
+        inv_diag_scaled.append(cholesky_solve(unit)[j])
+
+    response_norm = math.sqrt(math.fsum(v * v for v in response))
+    noise_floor = _EXACT_FIT_FACTOR * (1.0 + response_norm)
+    exact_fit = rss <= noise_floor * noise_floor * n
+
+    standard_errors, t_statistics, p_values = [], [], []
+    sigma2 = rss / df
+    for j in range(k):
+        if exact_fit:
+            standard_errors.append(0.0)
+            if abs(scaled_coefs[j]) <= noise_floor:
+                t_statistics.append(0.0)
+                p_values.append(1.0)
+            else:
+                t_statistics.append(math.copysign(math.inf, scaled_coefs[j]))
+                p_values.append(0.0)
+            continue
+        se = math.sqrt(sigma2 * inv_diag_scaled[j]) / col_norms[j]
+        standard_errors.append(se)
+        t = coefficients[j] / se
+        t_statistics.append(t)
+        p_values.append(_two_sided_t_p(t, df))
+
+    return OlsFit(
+        coefficients=coefficients,
+        standard_errors=standard_errors,
+        t_statistics=t_statistics,
+        p_values=p_values,
+        df=df,
+        rss=rss,
+    )
+
+
+def ols_outcome(fit, design, response):
+    """repr of every field of the fit, or the exception's type, message and column."""
+    try:
+        return repr(fit(design, response))
+    except ValueError as exc:
+        return (type(exc), str(exc), getattr(exc, "column", None))
+
+
+# Floats whose libm pow(v, 2) and v * v differ on at least one common
+# platform: ols_fit must keep squaring column entries with Python's **.
+POW_SQUARE_DIFFERS = [
+    -1.3897331162287718, 10.503521725417835, 0.006367980238317985,
+    -0.0025449072619175327, -2386.6520724665706, 3002.2341554005347,
+    0.11165297380758935, -71.19140901630793,
+]
+
+
+def random_ols_case(rng: random.Random):
+    """One random (design, response) pair; about a tenth are invalid inputs."""
+    n = rng.randint(4, 40) if rng.random() < 0.9 else int(4 * 125 ** rng.random())
+    k = rng.randint(1, min(3, n - 1))
+    shape = rng.random()
+    if shape < 0.25:
+        # The bilinearity design {1, i, i^2} on sorted p-values, as floats or ints.
+        cast = int if rng.random() < 0.3 else float
+        offset = rng.choice([0, 0, 1000, 2**26])
+        design = [[cast(1), cast(i + offset), cast((i + offset) ** 2)][:k] for i in range(1, n + 1)]
+        response = sorted(rng.random() for _ in range(n))
+    else:
+        scales = [10 ** rng.uniform(-5, 5) for _ in range(k)]
+        design = [[rng.uniform(-1, 1) * s for s in scales] for _ in range(n)]
+        if rng.random() < 0.5:
+            for row in design:
+                row[0] = 1.0
+        for _ in range(rng.randint(0, 3)):
+            design[rng.randrange(n)][rng.randrange(k)] = rng.choice(POW_SQUARE_DIFFERS)
+        y_scale = 10 ** rng.uniform(-5, 5)
+        response = [rng.gauss(0, 1) * y_scale for _ in range(n)]
+        if rng.random() < 0.15:
+            # Exact fit: the response is a combination of the columns.
+            beta = [rng.uniform(-3, 3) for _ in range(k)]
+            response = [sum(b * v for b, v in zip(beta, row)) for row in design]
+    fault = rng.random()
+    if fault < 0.04 and k > 1:
+        # Rank deficient: a column that is a multiple of another, or all zero.
+        a, b = rng.sample(range(k), 2)
+        factor = rng.choice([0.0, 2.0, -0.5])
+        for row in design:
+            row[b] = factor * row[a]
+    elif fault < 0.07:
+        bad = rng.choice([math.nan, math.inf, -math.inf])
+        if rng.random() < 0.5:
+            design[rng.randrange(n)][rng.randrange(k)] = bad
+        else:
+            response[rng.randrange(n)] = bad
+    return design, response
+
+
+class TestOlsFitMatchesReference:
+    def test_ten_thousand_random_fits_match_bit_for_bit(self):
+        rng = random.Random(20240611)
+        outcomes = {"fit": 0, "error": 0}
+        for _ in range(10_000):
+            design, response = random_ols_case(rng)
+            want = ols_outcome(reference_ols_fit, design, response)
+            assert ols_outcome(ols_fit, design, response) == want, (design, response)
+            outcomes["fit" if isinstance(want, str) else "error"] += 1
+        # Both the fitting and the rejecting paths were exercised.
+        assert outcomes["fit"] > 8_000 and outcomes["error"] > 300
+
+    def test_pow_and_product_squares_differ_on_a_column(self):
+        # A column made of the values whose pow and product squares differ:
+        # a norm from v * v would change the scaled design's bits.
+        column = POW_SQUARE_DIFFERS * 3
+        design = [[1.0, v] for v in column]
+        response = [0.5 * v + 0.01 * i for i, v in enumerate(column)]
+        assert repr(ols_fit(design, response)) == repr(reference_ols_fit(design, response))
+
+    @pytest.mark.parametrize(
+        "design, response",
+        [
+            ([[1.0, 1.0], [1.0, math.nan], [1.0, math.inf]], [1.0, 2.0, 3.0]),
+            ([[1.0, 1.0], [1.0, 2.0], [1.0, 3.0]], [1.0, -math.inf, math.nan]),
+            ([[1.0, 2.0], [2.0, 4.0], [3.0, 6.0]], [1.0, 2.0, 3.0]),
+            ([[0.0, 1.0], [0.0, 2.0], [0.0, 3.0]], [1.0, 2.0, 3.0]),
+            ([[1.0, 2.0], [1.0]], [1.0, 2.0]),
+        ],
+    )
+    def test_invalid_inputs_raise_as_the_reference(self, design, response):
+        want = ols_outcome(reference_ols_fit, design, response)
+        assert not isinstance(want, str)
+        assert ols_outcome(ols_fit, design, response) == want
 
 
 class TestKsUniformTest:
