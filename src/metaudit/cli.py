@@ -18,7 +18,7 @@ from metaudit.effect_audit import (
     NoPlottableRecordsError,
     audit,
     build_pvalue_plot,
-    ratio_interval,
+    ratio_intervals,
 )
 from metaudit.fileio import ParseError
 from metaudit.hacksim import SimConfig, SimResult, run_simulation
@@ -178,7 +178,7 @@ def cmd_plot(args: argparse.Namespace) -> int:
 
 def _read_config_file(path: str) -> dict[str, str]:
     values: dict[str, str] = {}
-    with open(path, encoding="utf-8") as handle:
+    with open(path, encoding="utf-8-sig") as handle:
         for lineno, line in enumerate(handle, start=1):
             stripped = line.strip()
             if not stripped or stripped.startswith("#"):
@@ -233,33 +233,35 @@ def _build_sim_config(args: argparse.Namespace) -> SimConfig:
     return SimConfig(**values)
 
 
-def _emitted_effect_rows(config: SimConfig, result: SimResult) -> list[tuple]:
-    """(study_id, label, ratio, ci_low, ci_high) of each reported study.
+def _emitted_effects(config: SimConfig, result: SimResult) -> tuple:
+    """(study_ids, label, ratio, ci_low, ci_high) columns of the reported studies.
 
-    ``ratio_interval`` raises ValueError for a statistic whose interval
+    ``ratio_intervals`` raises ValueError for a statistic whose interval
     leaves the positive floating-point range, as EffectRecord would.
     """
-    label = f"simulated ({config.selection_rule})"
     reported = result.reported
-    rows = []
-    for replicate, study, estimate in zip(
-        result.replicate[reported].tolist(),
-        result.study[reported].tolist(),
-        result.estimate[reported].tolist(),
-    ):
-        study_id = f"k{config.tests_per_study}-r{replicate:06d}-s{study}"
-        rows.append(
-            (study_id, label, *ratio_interval(estimate, EMITTED_EFFECT_SE, EMITTED_EFFECT_LEVEL))
+    # "k<K>-r<replicate, 6 digits>-s<study>"; one % template formats faster
+    # than an f-string per row.
+    study_ids = list(
+        map(
+            f"k{config.tests_per_study}-r%06d-s%d".__mod__,
+            zip(result.replicate[reported].tolist(), result.study[reported].tolist()),
         )
-    return rows
+    )
+    intervals = ratio_intervals(
+        result.estimate[reported], EMITTED_EFFECT_SE, EMITTED_EFFECT_LEVEL
+    )
+    return (study_ids, f"simulated ({config.selection_rule})", *intervals)
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     config = _build_sim_config(args)
     result = run_simulation(config)
-    # Build the emitted rows first, so that a statistic off the ratio scale
-    # fails before any file is written.
-    emitted = _emitted_effect_rows(config, result) if args.emit_effects else None
+    # Build the emitted columns and the emit target's directory first, so
+    # that a statistic off the ratio scale fails before any file is written.
+    if args.emit_effects:
+        emitted = _emitted_effects(config, result)
+        Path(args.emit_effects).parent.mkdir(parents=True, exist_ok=True)
     outdir = _ensure_outdir(args.output)
     written = []
     if _wanted(args, "csv"):
@@ -271,7 +273,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         fileio.write_sim_summary_json(path, config, result)
         written.append(path)
     if args.emit_effects:
-        fileio.write_effect_rows_csv(args.emit_effects, emitted, EMITTED_EFFECT_LEVEL)
+        fileio.write_effect_rows_csv(args.emit_effects, *emitted, EMITTED_EFFECT_LEVEL)
         written.append(Path(args.emit_effects))
     _info(
         f"simulate: {result.n_published}/{result.n_total} published -> "

@@ -14,8 +14,10 @@ import dataclasses
 import functools
 import math
 from array import array
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
+
+import numpy as np
 
 from metaudit.searchspace import SpaceSummary
 from metaudit.statkernel import (
@@ -175,33 +177,64 @@ def p_from_ratio_ci(record: EffectRecord) -> float:
     return min(1.0, max(P_FLOOR, p))
 
 
-def ratio_interval(
-    statistic: float, standard_error: float, confidence_level: float = 0.95
-) -> tuple[float, float, float]:
-    """(ratio, ci_low, ci_high) of the ratio interval laid around a z statistic.
+def _exp_or_inf(x: float) -> float:
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.inf
+
+
+def ratio_intervals(
+    statistics: Sequence[float] | np.ndarray,
+    standard_error: float,
+    confidence_level: float = 0.95,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Columns (ratio, ci_low, ci_high) of the ratio intervals laid around z statistics.
 
     The ratio is exp(statistic * standard_error) and the bounds move the
-    statistic by the two-sided critical value.  Raises ValueError unless
-    all three are positive finite doubles with ci_low <= ratio <= ci_high,
-    the conditions ``EffectRecord`` places on them.
+    statistic by the two-sided critical value.  Raises ValueError, naming
+    the first offending statistic, unless all three values of every row
+    are positive finite doubles with ci_low <= ratio <= ci_high, the
+    conditions ``EffectRecord`` places on them.
     """
-    if not math.isfinite(statistic):
-        raise ValueError(f"statistic must be finite, got {statistic!r}")
     if not standard_error > 0:
         raise ValueError(f"standard_error must be positive, got {standard_error!r}")
+    statistics = np.asarray(statistics, dtype=float)
     z = _critical_value(confidence_level)
+    # NumPy forms the same IEEE products as scalar code would; the exponent
+    # is math.exp, because np.exp rounds differently for some arguments.
+    with np.errstate(over="ignore"):
+        logs = [
+            statistics * standard_error,
+            (statistics - z) * standard_error,
+            (statistics + z) * standard_error,
+        ]
     try:
-        ratio = math.exp(statistic * standard_error)
-        ci_low = math.exp((statistic - z) * standard_error)
-        ci_high = math.exp((statistic + z) * standard_error)
+        ratio, ci_low, ci_high = (
+            np.fromiter(map(math.exp, log.tolist()), float, len(log)) for log in logs
+        )
     except OverflowError:
-        ci_low = ratio = ci_high = math.inf  # rejected below
-    if not 0.0 < ci_low <= ratio <= ci_high < math.inf:
+        ratio, ci_low, ci_high = (
+            np.fromiter(map(_exp_or_inf, log.tolist()), float, len(log)) for log in logs
+        )
+    valid = (0.0 < ci_low) & (ci_low <= ratio) & (ratio <= ci_high) & (ci_high < math.inf)
+    if not valid.all():
+        statistic = statistics[valid.argmin()].item()
+        if not math.isfinite(statistic):
+            raise ValueError(f"statistic must be finite, got {statistic!r}")
         raise ValueError(
             f"statistic {statistic!r} with standard error {standard_error!r} gives a "
             "ratio interval outside the positive floating-point range"
         )
     return ratio, ci_low, ci_high
+
+
+def ratio_interval(
+    statistic: float, standard_error: float, confidence_level: float = 0.95
+) -> tuple[float, float, float]:
+    """(ratio, ci_low, ci_high) of one statistic: ``ratio_intervals`` for one row."""
+    columns = ratio_intervals([statistic], standard_error, confidence_level)
+    return tuple(column.item() for column in columns)
 
 
 def record_from_statistic(

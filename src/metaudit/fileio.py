@@ -19,11 +19,13 @@ import csv
 import hashlib
 import importlib.resources
 import math
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import asdict
 from json.encoder import encode_basestring
 from operator import itemgetter
 from pathlib import Path
+
+import numpy as np
 
 from metaudit.effect_audit import AuditReport, EffectRecord
 from metaudit.hacksim import SimConfig, SimResult
@@ -348,6 +350,21 @@ def _write_text(path: Path, text: str) -> None:
         handle.write(text)
 
 
+# Rows per write() of the streamed CSV writers, which hold one chunk's
+# lines at a time instead of the whole file's text.
+_CHUNK_ROWS = 4096
+
+
+def _write_chunked(
+    path: Path, header: str, n_rows: int, lines: Callable[[int, int], list[str]]
+) -> None:
+    """Write the header line, then ``lines(start, stop)`` for each chunk of rows."""
+    with open(path, "w", encoding="utf-8", newline="\n") as handle:
+        handle.write(header + "\n")
+        for start in range(0, n_rows, _CHUNK_ROWS):
+            handle.write("".join(lines(start, min(start + _CHUNK_ROWS, n_rows))))
+
+
 def file_digest(path: str | Path) -> dict:
     # Record the basename, not the full path, so reports stay byte-identical
     # when the same inputs are audited from a different working directory.
@@ -572,14 +589,14 @@ def write_report_markdown(path: str | Path, document: dict) -> None:
 def write_sim_csv(path: str | Path, result: SimResult) -> None:
     """One row per published study, in replicate order."""
     published = result.published
-    columns = (result.replicate, result.study, result.p, result.estimate)
-    # tolist() yields ints and Python floats, whose !r is format_csv_value's.
-    lines = ["replicate,study,p,estimate"]
-    lines += [
-        f"{replicate},{study},{p!r},{estimate!r}"
-        for replicate, study, p, estimate in zip(*(c[published].tolist() for c in columns))
-    ]
-    _write_text(Path(path), "\n".join(lines) + "\n")
+    columns = [c[published] for c in (result.replicate, result.study, result.p, result.estimate)]
+
+    def lines(start: int, stop: int) -> list[str]:
+        # tolist() yields ints and Python floats, whose !r is format_csv_value's.
+        rows = zip(*(column[start:stop].tolist() for column in columns))
+        return [f"{replicate},{study},{p!r},{estimate!r}\n" for replicate, study, p, estimate in rows]
+
+    _write_chunked(Path(path), "replicate,study,p,estimate", len(columns[0]), lines)
 
 
 def sim_summary_document(config: SimConfig, result: SimResult) -> dict:
@@ -632,22 +649,30 @@ def write_effects_csv(path: str | Path, records: list[EffectRecord]) -> None:
 
 
 def write_effect_rows_csv(
-    path: str | Path, rows: Sequence[tuple[str, str, float, float, float]], confidence_level: float
+    path: str | Path,
+    study_ids: Sequence[str],
+    label: str,
+    ratio: Sequence[float],
+    ci_low: Sequence[float],
+    ci_high: Sequence[float],
+    confidence_level: float,
 ) -> None:
-    """Effects CSV of numeric rows (study_id, label, ratio, ci_low, ci_high).
+    """Effects CSV of numeric columns: study ids, one label for every row, intervals.
 
     The same bytes as ``write_effects_csv`` for the equivalent records,
-    without building them: the values must be str and Python float, whose
-    !r is format_csv_value's.
+    without building them.
     """
-    # The emit step's ids and label never need quotes: scan each text column
-    # once, and quote cell by cell only when some cell does.
-    if any(_needs_quotes("".join(map(itemgetter(column), rows))) for column in (0, 1)):
-        rows = [(_csv_cell(study_id), _csv_cell(label), *numbers) for study_id, label, *numbers in rows]
-    tail = f",{confidence_level!r},0"
-    lines = [",".join(EFFECTS_HEADER)]
-    lines += [
-        f"{study_id},{label},{ratio!r},{ci_low!r},{ci_high!r}{tail}"
-        for study_id, label, ratio, ci_low, ci_high in rows
-    ]
-    _write_text(Path(path), "\n".join(lines) + "\n")
+    label = _csv_cell(label)
+    tail = f",{confidence_level!r},0\n"
+    columns = [np.asarray(column, dtype=float) for column in (ratio, ci_low, ci_high)]
+
+    def lines(start: int, stop: int) -> list[str]:
+        ids = study_ids[start:stop]
+        # The emit step's ids never need quotes: scan the chunk's text once,
+        # and quote cell by cell only when some cell does.
+        if _needs_quotes("".join(ids)):
+            ids = [_csv_cell(study_id) for study_id in ids]
+        rows = zip(ids, *(column[start:stop].tolist() for column in columns))
+        return [f"{study_id},{label},{r!r},{lo!r},{hi!r}{tail}" for study_id, r, lo, hi in rows]
+
+    _write_chunked(Path(path), ",".join(EFFECTS_HEADER), len(study_ids), lines)

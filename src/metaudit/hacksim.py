@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import islice
 
 import numpy as np
 
@@ -203,11 +204,14 @@ class _RekeyedPhilox:
     def __init__(self, seed: int) -> None:
         self.bit_generator = np.random.Philox(0)
         self.generator = np.random.Generator(self.bit_generator)
-        self._key = np.array([0, seed], dtype=np.uint64)
+        # Python ints, not uint64 arrays: the Philox.state setter reads each
+        # word by index, and indexing an ndarray builds a NumPy scalar per
+        # word, which made a re-key about three times as costly.
+        self._key = [0, seed]
         self._state = {
             "bit_generator": "Philox",
-            "state": {"counter": np.zeros(4, dtype=np.uint64), "key": self._key},
-            "buffer": np.zeros(4, dtype=np.uint64),
+            "state": {"counter": (0, 0, 0, 0), "key": self._key},
+            "buffer": (0, 0, 0, 0),
             "buffer_pos": 4,
             "has_uint32": 0,
             "uinteger": 0,
@@ -279,20 +283,22 @@ def run_simulation(config: SimConfig) -> SimResult:
     estimates = np.empty(n_total)
     per_block = max(1, _BLOCK_DRAWS // width)
     draws = np.empty((min(per_block, config.replicates), width))
-    picks = np.empty((len(draws), n_studies), dtype=np.int64)
     for start in range(0, config.replicates, per_block):
         stop = min(start + per_block, config.replicates)
         block = draws[: stop - start]
-        for row, replicate in zip(block, range(start, stop)):
-            stream = philox.rekey(replicate)
-            if rule == "report-random":
-                # Each study's normals, then its pick, as simulate_study draws them.
-                for study, normals in enumerate(row.reshape(n_studies, k + 1)):
-                    stream.standard_normal(out=normals)
-                    picks[replicate - start, study] = stream.integers(k)
-            else:
-                stream.standard_normal(out=row)
         studies = block.reshape(-1, k + 1)
+        if rule == "report-random":
+            # Each study's normals, then its pick, as simulate_study draws them.
+            study_rows = iter(studies)
+            picks = []
+            for replicate in range(start, stop):
+                stream = philox.rekey(replicate)
+                for normals in islice(study_rows, n_studies):
+                    stream.standard_normal(out=normals)
+                    picks.append(stream.integers(k))
+        else:
+            for row, replicate in zip(block, range(start, stop)):
+                philox.rekey(replicate).standard_normal(out=row)
         # simulate_study's (delta + load * g) + resid * e, in place; + and *
         # commute exactly, so the bits are the same.
         z = resid * studies[:, 1:]
@@ -304,7 +310,7 @@ def run_simulation(config: SimConfig) -> SimResult:
         elif rule == "report-first-significant":
             chosen = _first_significant_index(x, config.alpha)
         else:
-            chosen = picks[: stop - start].ravel()
+            chosen = np.array(picks)
         rows = np.arange(len(z))
         span = slice(start * n_studies, stop * n_studies)
         estimates[span] = z[rows, chosen]
@@ -314,8 +320,8 @@ def run_simulation(config: SimConfig) -> SimResult:
     reported = published if config.censor_at_alpha else slice(None)
     selected = estimates[reported]
     if len(selected):
-        mean_estimate = math.fsum(selected) / len(selected)
-        mean_abs = math.fsum(map(abs, selected)) / len(selected)
+        mean_estimate = math.fsum(selected.tolist()) / len(selected)
+        mean_abs = math.fsum(np.abs(selected).tolist()) / len(selected)
         bias = mean_estimate - config.true_effect
         abs_bias = mean_abs - abs(config.true_effect)
     else:

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from metaudit import fileio
 from metaudit.cli import main
 from metaudit.fileio import bundled_data_path, json_dumps
 from metaudit.hacksim import SimConfig, run_simulation
@@ -350,6 +351,59 @@ class TestCmdSimulate:
         assert len(err) == 1 and err[0].startswith("error:")
         assert "ratio interval" in err[0]
         assert not outdir.exists() and not effects.exists()
+
+    def test_config_file_with_byte_order_mark(self, tmp_path):
+        config_file = tmp_path / "sim.cfg"
+        config_file.write_text("\ufeffreplicates=40\nseed=3\n", encoding="utf-8")
+        outdir = tmp_path / "sim"
+        assert main(["simulate", "--config", str(config_file), "--output", str(outdir)]) == 0
+        summary = json.loads((outdir / "sim_summary.json").read_text(encoding="utf-8"))
+        assert summary["config"]["replicates"] == 40
+        assert summary["config"]["seed"] == 3
+
+    def test_emit_effects_into_a_new_nested_directory(self, tmp_path):
+        effects = tmp_path / "new" / "nested" / "sim_effects.csv"
+        code = main(
+            [
+                "simulate", "--replicates", "30", "--seed", "4",
+                "--output", str(tmp_path / "sim"), "--emit-effects", str(effects),
+            ]
+        )
+        assert code == 0
+        assert len(effects.read_text(encoding="utf-8").splitlines()) == 31
+
+
+# Golden directory -> simulate arguments.  Each directory holds the
+# sim_results.csv, sim_summary.json and --emit-effects CSV bytes that the
+# arguments must reproduce on every platform and NumPy version.
+SIMULATE_GOLDEN = {
+    "sim_k10_censor": ["--k", "10", "--replicates", "2000", "--seed", "42", "--censor"],
+    "sim_random_k4": [
+        "--n-studies", "3", "--k", "4", "--rule", "report-random",
+        "--replicates", "200", "--seed", "7",
+    ],
+}
+
+
+class TestSimulateGolden:
+    @staticmethod
+    def assert_golden(tmp_path, name):
+        outdir = tmp_path / name
+        effects = outdir / "sim_effects.csv"
+        argv = ["simulate", *SIMULATE_GOLDEN[name], "--output", str(outdir)]
+        assert main(argv + ["--emit-effects", str(effects)]) == 0
+        for file in ("sim_results.csv", "sim_summary.json", "sim_effects.csv"):
+            assert (outdir / file).read_bytes() == (GOLDEN_DIR / name / file).read_bytes(), file
+
+    @pytest.mark.parametrize("name", sorted(SIMULATE_GOLDEN))
+    def test_matches_golden_bytes(self, tmp_path, name):
+        self.assert_golden(tmp_path, name)
+
+    @pytest.mark.parametrize("chunk_rows", [1, 7])
+    def test_chunk_size_does_not_change_bytes(self, tmp_path, monkeypatch, chunk_rows):
+        monkeypatch.setattr(fileio, "_CHUNK_ROWS", chunk_rows)
+        for name in SIMULATE_GOLDEN:
+            self.assert_golden(tmp_path, name)
 
 
 class FakeTtyStream(io.StringIO):

@@ -7,9 +7,11 @@ equations, with tail probabilities from mpmath.
 
 import math
 import random
+import re
 from fractions import Fraction
 
 import mpmath
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -30,6 +32,8 @@ from metaudit.effect_audit import (
     hockey_stick_fit,
     multiplicity_report,
     p_from_ratio_ci,
+    ratio_interval,
+    ratio_intervals,
     record_from_statistic,
     uniformity_test,
 )
@@ -180,6 +184,130 @@ class TestPFromRatioCi:
         # exp overflows (OverflowError) or underflows to a zero bound.
         with pytest.raises(ValueError, match="ratio interval"):
             record_from_statistic("far", statistic, 0.1)
+
+
+def scalar_ratio_interval(statistic, standard_error, confidence_level=0.95):
+    """The per-row reference for ratio_intervals: scalar math.exp per bound."""
+    if not math.isfinite(statistic):
+        raise ValueError(f"statistic must be finite, got {statistic!r}")
+    if not standard_error > 0:
+        raise ValueError(f"standard_error must be positive, got {standard_error!r}")
+    z = std_normal_quantile(0.5 * (1.0 + confidence_level))
+    try:
+        ratio = math.exp(statistic * standard_error)
+        ci_low = math.exp((statistic - z) * standard_error)
+        ci_high = math.exp((statistic + z) * standard_error)
+    except OverflowError:
+        ci_low = ratio = ci_high = math.inf
+    if not 0.0 < ci_low <= ratio <= ci_high < math.inf:
+        raise ValueError(
+            f"statistic {statistic!r} with standard error {standard_error!r} gives a "
+            "ratio interval outside the positive floating-point range"
+        )
+    return ratio, ci_low, ci_high
+
+
+def exp_limit() -> float:
+    """The largest double whose math.exp is finite."""
+    lo, hi = 709.0, 710.0  # exp(709) is finite, exp(710) overflows
+    while True:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            return lo
+        try:
+            math.exp(mid)
+            lo = mid
+        except OverflowError:
+            hi = mid
+
+
+def overflow_straddle(shift: float, se: float) -> tuple[float, float]:
+    """Adjacent statistics s whose (s + shift) * se lies just under / just over exp's limit."""
+    limit = exp_limit()
+    s = limit / se - shift
+    while (s + shift) * se > limit:
+        s = math.nextafter(s, -math.inf)
+    while (math.nextafter(s, math.inf) + shift) * se <= limit:
+        s = math.nextafter(s, math.inf)
+    return s, math.nextafter(s, math.inf)
+
+
+def assert_intervals_match_scalar(statistics, se=0.1, level=0.95):
+    """ratio_intervals gives the scalar reference's values, or its first error."""
+    expected = []
+    # Python floats, as the emit step passes them to the scalar form.
+    for statistic in np.asarray(statistics, dtype=float).tolist():
+        try:
+            expected.append(tuple(map(repr, scalar_ratio_interval(statistic, se, level))))
+        except ValueError as exc:
+            with pytest.raises(ValueError) as caught:
+                ratio_intervals(statistics, se, level)
+            assert type(caught.value) is type(exc)
+            assert str(caught.value) == str(exc)
+            with pytest.raises(ValueError, match=re.escape(str(exc))):
+                ratio_interval(statistic, se, level)
+            return
+    columns = ratio_intervals(statistics, se, level)
+    assert list(zip(*(map(repr, column.tolist()) for column in columns))) == expected
+    one_row = [tuple(map(repr, ratio_interval(s, se, level))) for s in statistics]
+    assert one_row == expected
+
+
+class TestRatioIntervals:
+    @pytest.mark.parametrize("level", [0.95, 0.9, 0.99])
+    def test_random_statistics_match_the_scalar_reference(self, level):
+        rng = random.Random(11)
+        statistics = [rng.gauss(0.0, 3.0) for _ in range(500)]
+        statistics += [rng.uniform(-7000.0, 7000.0) for _ in range(500)]
+        assert_intervals_match_scalar(statistics, 0.1, level)
+        assert_intervals_match_scalar([rng.gauss(0.0, 30.0) for _ in range(200)], 0.37, level)
+
+    @pytest.mark.parametrize("se", [0.1, 1e-9])
+    @pytest.mark.parametrize("bound", ["ci_high", "ratio", "ci_low"])
+    def test_exp_overflow_threshold(self, se, bound):
+        # The bound's exponent just under, then just over the largest finite
+        # math.exp argument: past ci_high's only ci_high overflows, past
+        # ci_low's all three do.  At se = 1e-9 all three sit within 2e-9 of it.
+        z = effect_audit._critical_value(0.95)
+        shift = {"ci_high": z, "ratio": 0.0, "ci_low": -z}[bound]
+        under, over = overflow_straddle(shift, se)
+        assert_intervals_match_scalar([under], se)
+        assert_intervals_match_scalar([1.0, under, over, 2.0], se)
+        assert_intervals_match_scalar([1.0, over], se)
+        if bound == "ci_high":
+            ratio, ci_low, ci_high = ratio_interval(under, se)
+            assert ci_high == pytest.approx(1.7976931348623157e308, rel=1e-9)
+
+    def test_underflow_subnormal_and_signed_zero(self):
+        subnormal = [-7300.0, -7400.0, -7440.0, -7445.0]
+        assert_intervals_match_scalar([-0.0, 0.0, *subnormal])
+        ratio, ci_low, ci_high = ratio_interval(-7400.0, 0.1)
+        assert 0.0 < ci_low < ratio < ci_high < 2.2250738585072014e-308
+        assert ratio_interval(-0.0, 0.1)[0] == 1.0
+        for statistic in (-7460.0, -7452.0, -1e4):  # ci_low, or more, underflows to 0
+            assert_intervals_match_scalar([0.5, statistic])
+            with pytest.raises(ValueError, match="ratio interval outside"):
+                ratio_interval(statistic, 0.1)
+
+    @pytest.mark.parametrize(
+        "statistics",
+        [
+            [math.nan],
+            [math.inf],
+            [-math.inf],
+            [0.5, 1.0, math.nan],
+            [0.5, math.inf, math.nan],
+            [0.5, -math.inf, 1e4],
+            [0.5, 1e4, math.nan],
+            [0.5, -1e4, math.inf],
+        ],
+    )
+    def test_first_bad_statistic_raises_the_scalar_error(self, statistics):
+        assert_intervals_match_scalar(statistics)
+        assert_intervals_match_scalar(np.array(statistics))
+
+    def test_empty_column(self):
+        assert [len(column) for column in ratio_intervals([], 0.1)] == [0, 0, 0]
 
 
 class TestEffectRecordValidation:

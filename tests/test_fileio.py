@@ -8,6 +8,7 @@ output was valid.
 
 import csv
 import io
+import itertools
 import json
 import math
 
@@ -16,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from metaudit import fileio
 from metaudit.effect_audit import EffectRecord, audit, record_from_statistic
 from metaudit.fileio import (
     COUNTS_HEADER,
@@ -293,14 +295,16 @@ class TestWriters:
             assert float(line.split(",")[2]) < config.alpha
 
     def test_effect_rows_match_effect_records(self, tmp_path):
-        rows = [("a", "x", 1.5, 1.2, 1.9), ("b", "", 0.25, 0.125, 0.5)]
-        records = [
-            EffectRecord(study_id=s, label=l, ratio=r, ci_low=lo, ci_high=hi, confidence_level=0.9)
-            for s, l, r, lo, hi in rows
-        ]
-        write_effect_rows_csv(tmp_path / "rows.csv", rows, 0.9)
-        write_effects_csv(tmp_path / "records.csv", records)
-        assert (tmp_path / "rows.csv").read_bytes() == (tmp_path / "records.csv").read_bytes()
+        rows = [("a", 1.5, 1.2, 1.9), ("b", 0.25, 0.125, 0.5)]
+        ids, ratio, ci_low, ci_high = map(list, zip(*rows))
+        for label in ("x", ""):
+            records = [
+                EffectRecord(study_id=s, label=label, ratio=r, ci_low=lo, ci_high=hi, confidence_level=0.9)
+                for s, r, lo, hi in rows
+            ]
+            write_effect_rows_csv(tmp_path / "rows.csv", ids, label, ratio, ci_low, ci_high, 0.9)
+            write_effects_csv(tmp_path / "records.csv", records)
+            assert (tmp_path / "rows.csv").read_bytes() == (tmp_path / "records.csv").read_bytes()
 
     def test_csv_float_subclass_written_as_plain_float(self):
         value = -2.169971257049289
@@ -403,20 +407,26 @@ class TestCsvContract:
         ]
         assert read_effects_csv(path) == records
 
-    def test_effect_rows_writer_quotes_like_the_records_writer(self, tmp_path):
+    def test_effect_rows_writer_quotes_like_the_records_writer(self, tmp_path, monkeypatch):
         rows = [
-            ("a, b", "cohort A, men", 1.5, 1.2, 1.9),
-            ("c", "cohort A, men", 0.25, 0.125, 0.5),
-            ("d\ne", 'five "5"', 2.0, 1.0, 4.0),
+            ("c", 0.25, 0.125, 0.5),
+            ("e", 1.5, 1.25, 1.75),
+            ("a, b", 1.5, 1.2, 1.9),
+            ("d\ne", 2.0, 1.0, 4.0),
+            ('say "hi"', 2.0, 1.0, 4.0),
         ]
-        records = [
-            EffectRecord(study_id=s, label=l, ratio=r, ci_low=lo, ci_high=hi, confidence_level=0.9)
-            for s, l, r, lo, hi in rows
-        ]
-        write_effect_rows_csv(tmp_path / "rows.csv", rows, 0.9)
-        write_effects_csv(tmp_path / "records.csv", records)
-        assert (tmp_path / "rows.csv").read_bytes() == (tmp_path / "records.csv").read_bytes()
-        assert read_effects_csv(tmp_path / "rows.csv") == records
+        ids, ratio, ci_low, ci_high = map(list, zip(*rows))
+        # In chunks of 2 rows, only the first chunk has no id to quote.
+        for label, chunk_rows in itertools.product(("cohort A, men", 'five "5"', "plain"), (1, 2, 4096)):
+            monkeypatch.setattr(fileio, "_CHUNK_ROWS", chunk_rows)
+            records = [
+                EffectRecord(study_id=s, label=label, ratio=r, ci_low=lo, ci_high=hi, confidence_level=0.9)
+                for s, r, lo, hi in rows
+            ]
+            write_effect_rows_csv(tmp_path / "rows.csv", ids, label, ratio, ci_low, ci_high, 0.9)
+            write_effects_csv(tmp_path / "records.csv", records)
+            assert (tmp_path / "rows.csv").read_bytes() == (tmp_path / "records.csv").read_bytes()
+            assert read_effects_csv(tmp_path / "rows.csv") == records
 
     def test_spaces_csv_quotes_a_quoted_counts_id(self, tmp_path):
         counts = tmp_path / "counts.csv"

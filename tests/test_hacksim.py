@@ -11,6 +11,7 @@ import math
 import random
 
 import mpmath
+import numpy as np
 import pytest
 
 from metaudit import hacksim
@@ -42,6 +43,16 @@ def scalar_records(config):
 def k10_run():
     config = SimConfig(tests_per_study=10, replicates=100_000, seed=42)
     return config, run_simulation(config)
+
+
+def assert_same_state(state, expected):
+    """Equal Philox state dicts; their words are NumPy arrays or Python ints."""
+    assert state.keys() == expected.keys()
+    for name, value in expected.items():
+        if isinstance(value, dict):
+            assert_same_state(state[name], value)
+        else:
+            assert np.array_equal(state[name], value), name
 
 
 class TestSimConfigValidation:
@@ -311,6 +322,18 @@ class TestBatchedMatchesScalar:
         assert blocked.records == scalar_records(config)
         for name in ("publication_rate", "bias", "abs_bias", "mean_abs_estimate"):
             assert getattr(blocked, name) == getattr(whole, name)
+
+    @pytest.mark.parametrize("seed", [0, 7, 2**63, 2**64 - 1])
+    def test_rekey_leaves_the_substream_state(self, seed):
+        philox = hacksim._RekeyedPhilox(seed)
+        for replicate in (0, 1, 2**32, 2**63):
+            stream = philox.rekey(replicate)
+            reference = substream(seed, replicate)
+            assert_same_state(philox.bit_generator.state, reference.bit_generator.state)
+            # Draws, including the 32-bit buffer integers(k) uses, match too.
+            assert stream.standard_normal(5).tolist() == reference.standard_normal(5).tolist()
+            assert stream.integers(3, size=9).tolist() == reference.integers(3, size=9).tolist()
+            assert_same_state(philox.bit_generator.state, reference.bit_generator.state)
 
     def test_views_yield_python_values_from_read_only_columns(self):
         result = run_simulation(SimConfig(tests_per_study=3, replicates=20, seed=2))
