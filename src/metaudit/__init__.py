@@ -8,11 +8,11 @@ and bilinearity tests, and simulates selection-driven publication bias.
 from metaudit.effect_audit import (
     AuditReport,
     EffectRecord,
+    EffectsTable,
     HockeyStickFit,
     MultiplicityReport,
     NoPlottableRecordsError,
     PValuePlot,
-    PValueRecord,
     audit,
     bilinearity_test,
     build_pvalue_plot,
@@ -50,13 +50,13 @@ __version__ = "0.1.0"
 __all__ = [
     "AuditReport",
     "EffectRecord",
+    "EffectsTable",
     "HockeyStickFit",
     "MultiplicityReport",
     "NoPlottableRecordsError",
     "OlsFit",
     "ParseError",
     "PValuePlot",
-    "PValueRecord",
     "RankDeficiencyError",
     "SearchSpace",
     "SearchSpaceOverflowError",

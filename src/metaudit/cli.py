@@ -15,6 +15,7 @@ from pathlib import Path
 
 from metaudit import fileio
 from metaudit.effect_audit import (
+    EffectsTable,
     NoPlottableRecordsError,
     audit,
     build_pvalue_plot,
@@ -51,6 +52,30 @@ def _fail(message: str) -> None:
     if _use_color(sys.stderr):
         prefix = f"\x1b[31m{prefix}\x1b[0m"
     print(f"{prefix} {message}", file=sys.stderr)
+
+
+def _warn(message: str) -> None:
+    prefix = "warning:"
+    if _use_color(sys.stderr):
+        prefix = f"\x1b[33m{prefix}\x1b[0m"
+    print(f"{prefix} {message}", file=sys.stderr)
+
+
+def _warn_duplicate_ids(table: EffectsTable) -> None:
+    """Warn when rows share a study id; the audit still ranks every row."""
+    study_ids = table.study_ids
+    duplicates = len(study_ids) - len(set(study_ids))
+    if not duplicates:
+        return
+    first_line: dict[str, int] = {}
+    for line, study_id in zip(table.lines, study_ids):
+        if study_id in first_line:
+            _warn(
+                f"{duplicates} duplicate study ids (first: {study_id!r}, "
+                f"rows {first_line[study_id]} and {line})"
+            )
+            return
+        first_line[study_id] = line
 
 
 def _info(message: str) -> None:
@@ -127,7 +152,8 @@ def _write_spaces_markdown(path, studies, spaces, summary) -> None:
 
 
 def cmd_audit(args: argparse.Namespace) -> int:
-    records = fileio.read_effects_csv(args.input)
+    table = fileio.read_effects_csv(args.input)
+    _warn_duplicate_ids(table)
     digests = [fileio.file_digest(args.input)]
     studies = spaces = summary = None
     if args.counts:
@@ -135,7 +161,7 @@ def cmd_audit(args: argparse.Namespace) -> int:
         spaces = [compute_spaces(s) for s in studies]
         summary = summarize_spaces(spaces)
         digests.append(fileio.file_digest(args.counts))
-    report = audit(records, spaces=summary, alpha=args.alpha)
+    report = audit(table, spaces=summary, alpha=args.alpha)
     document = fileio.build_report_document(
         report, digests, studies=studies, spaces=spaces, summary=summary
     )
@@ -162,8 +188,9 @@ def cmd_audit(args: argparse.Namespace) -> int:
 
 
 def cmd_plot(args: argparse.Namespace) -> int:
-    records = fileio.read_effects_csv(args.input)
-    plot = build_pvalue_plot(records)
+    table = fileio.read_effects_csv(args.input)
+    _warn_duplicate_ids(table)
+    plot = build_pvalue_plot(table)
     svg = render_pvalue_plot(plot, alpha=args.alpha)
     target = Path(args.output)
     if target.suffix.lower() != ".svg":

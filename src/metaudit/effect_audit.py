@@ -12,7 +12,9 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import itertools
 import math
+import operator
 from array import array
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
@@ -23,7 +25,7 @@ from metaudit.searchspace import SpaceSummary
 from metaudit.statkernel import (
     TestResult,
     ks_uniform_test,
-    ols_fit,
+    ols_columns,
     std_normal_quantile,
 )
 
@@ -85,27 +87,108 @@ class EffectRecord:
             )
 
 
-@dataclass
-class PValueRecord:
-    study_id: str
-    p: float
-    rank: int
+@dataclass(eq=False)
+class EffectsTable(Sequence):
+    """Effect rows held as columns: a sequence of ``EffectRecord``s.
 
-    def __post_init__(self) -> None:
-        if not 0.0 < self.p <= 1.0:
-            raise ValueError(f"p must lie in (0, 1], got {self.p!r}")
-        if not isinstance(self.rank, int) or isinstance(self.rank, bool) or self.rank < 1:
-            raise ValueError(f"rank must be a positive integer, got {self.rank!r}")
+    ``study_ids`` and ``labels`` are lists of str; ``ratio``, ``ci_low``,
+    ``ci_high`` and ``level`` are float arrays, and ``ns`` a bool mask of
+    the not-significant rows, whose three numeric entries are NaN.
+    ``lines`` holds each row's line number in the file it was read from,
+    or is None.  The columns are taken as given: ``read_effects_csv`` and
+    ``from_records`` check every row against ``EffectRecord``'s contract.
+    Indexing builds the row's ``EffectRecord``, and a table equals any
+    sequence of equal records.
+    """
+
+    study_ids: list[str]
+    labels: list[str]
+    ratio: np.ndarray
+    ci_low: np.ndarray
+    ci_high: np.ndarray
+    level: np.ndarray
+    ns: np.ndarray
+    lines: list[int] | None = None
+
+    @classmethod
+    def from_records(cls, records: Iterable[EffectRecord]) -> EffectsTable:
+        records = list(records)
+
+        def column(name: str) -> np.ndarray:
+            return np.array([getattr(r, name) for r in records], dtype=float)
+
+        ns = np.array([r.not_significant_flag for r in records], dtype=bool)
+        numbers = [column(name) for name in ("ratio", "ci_low", "ci_high")]
+        for numbers_column in numbers:
+            numbers_column[ns] = math.nan  # None, or numbers an ns row need not carry
+        return cls(
+            [r.study_id for r in records], [r.label for r in records], *numbers,
+            level=column("confidence_level"), ns=ns,
+        )
+
+    def __len__(self) -> int:
+        return len(self.study_ids)
+
+    def __getitem__(self, index: int) -> EffectRecord:
+        index = operator.index(index)
+        ns = bool(self.ns[index])
+        numbers = {} if ns else {
+            name: getattr(self, name)[index].item() for name in ("ratio", "ci_low", "ci_high")
+        }
+        return EffectRecord(
+            self.study_ids[index], self.labels[index], **numbers,
+            confidence_level=self.level[index].item(), not_significant_flag=ns,
+        )
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, (EffectsTable, list, tuple)):
+            return NotImplemented
+        return len(self) == len(other) and all(map(operator.eq, self, other))
+
+    __hash__ = None
 
 
-@dataclass
 class PValuePlot:
-    """Rank-ordered p-values with the uniform reference line i/(n+1)."""
+    """Rank-ordered p-values with the uniform reference line i/(n+1).
 
-    points: list[tuple[int, float]]
-    reference_line: list[tuple[int, float]]
-    excluded_ns_count: int
-    n: int
+    A table in rank order: rank i = 1..n holds ``p[i - 1]`` (a float
+    array), the p-value of study ``study_ids[i - 1]``.  The reference
+    i/(n+1) is a function of n and is not stored.  A plot can also be
+    built from its (rank, p) ``points`` and its ``reference_line``, whose
+    ranks must run 1..n; it then has no study ids.
+    """
+
+    def __init__(
+        self,
+        excluded_ns_count: int,
+        n: int,
+        p: np.ndarray | None = None,
+        study_ids: list[str] | None = None,
+        *,
+        points: Iterable[tuple[int, float]] | None = None,
+        reference_line: Iterable[tuple[int, float]] | None = None,
+    ):
+        if points is not None:
+            if p is not None:
+                raise ValueError("give either p or points, not both")
+            ranks, values = zip(*points) if n else ((), ())
+            if list(ranks) != list(range(1, n + 1)):
+                raise ValueError("points must hold ranks 1..n in order")
+            p = np.array(values, dtype=float)
+        if reference_line is not None and list(map(tuple, reference_line)) != [
+            (i, i / (n + 1)) for i in range(1, n + 1)
+        ]:
+            raise ValueError("reference_line must be (i, i/(n+1)) for i = 1..n")
+        if p is None or len(p) != n:
+            raise ValueError(f"a plot of n = {n} needs n p-values")
+        self.p = p
+        self.study_ids = [] if study_ids is None else study_ids
+        self.excluded_ns_count = excluded_ns_count
+        self.n = n
+
+    def reference(self) -> np.ndarray:
+        """The uniform reference i/(n+1), i = 1..n: the same doubles as Python's i / (n + 1)."""
+        return np.arange(1, self.n + 1) / (self.n + 1)
 
 
 @dataclass
@@ -131,7 +214,6 @@ class MultiplicityReport:
 class AuditReport:
     """Full diagnostic bundle for one set of effect records."""
 
-    pvalues: list[PValueRecord]
     plot: PValuePlot
     uniformity: TestResult
     bilinearity: TestResult | None
@@ -147,34 +229,65 @@ def _critical_value(confidence_level: float) -> float:
     return std_normal_quantile(0.5 * (1.0 + confidence_level))
 
 
+def _interval_error(study_id: str, ratio: float, ci_low: float, ci_high: float) -> ValueError:
+    if ci_low != ci_high and not ci_low <= ratio <= ci_high:
+        return ValueError(f"study {study_id!r}: ratio {ratio} outside its interval")
+    # Equal bounds, or distinct bounds with one logarithm: se would be 0.
+    return ValueError(f"study {study_id!r}: degenerate interval [{ci_low}, {ci_high}]")
+
+
+def _logs(values: np.ndarray) -> np.ndarray:
+    # math.log, not np.log: the two need not round alike.
+    return np.fromiter(map(math.log, values.tolist()), float, len(values))
+
+
+def _pvalues(
+    study_ids: list[str],
+    ratio: np.ndarray,
+    ci_low: np.ndarray,
+    ci_high: np.ndarray,
+    level: np.ndarray,
+) -> np.ndarray:
+    """Column form of ``p_from_ratio_ci`` over rows that all carry an interval.
+
+    NumPy forms the IEEE basic operations that the scalar formula makes,
+    in its order, and ``math.log`` and ``math.erfc`` run through ``map``,
+    so every p-value has the scalar formula's bits.  Raises ValueError for
+    the first row, in input order, whose interval is degenerate or does
+    not hold its ratio.
+    """
+    log_low, log_high = _logs(ci_low), _logs(ci_high)
+    bad = (log_low == log_high) | ~((ci_low <= ratio) & (ratio <= ci_high))
+    if bad.any():
+        i = int(bad.argmax())
+        raise _interval_error(study_ids[i], ratio[i].item(), ci_low[i].item(), ci_high[i].item())
+    levels = level.tolist()
+    critical = {value: _critical_value(value) for value in set(levels)}
+    z = np.fromiter(map(critical.__getitem__, levels), float, len(levels))
+    se = (log_high - log_low) / (2.0 * z)
+    statistic = _logs(ratio) / se
+    # erfc(|s|/sqrt(2)) equals 2*(1 - cdf(|s|)) without cancellation.
+    scaled = (np.abs(statistic) * _SQRT_HALF).tolist()
+    p = np.fromiter(map(math.erfc, scaled), float, len(scaled))
+    return np.minimum(1.0, np.maximum(P_FLOOR, p))
+
+
 def p_from_ratio_ci(record: EffectRecord) -> float:
     """Two-sided p-value recovered from a ratio and its confidence interval.
 
     Works on the log scale, where ratio statistics are treated as normal:
     the standard error is the log-interval half-width over the critical
     value z for the record's confidence level, and the p-value is
-    2 * (1 - cdf(|log ratio| / se)), clamped to [1e-300, 1].
+    2 * (1 - cdf(|log ratio| / se)), clamped to [1e-300, 1].  This is
+    ``audit``'s column conversion for one row.
     """
     if record.not_significant_flag:
         raise ValueError(
             f"study {record.study_id!r} is flagged not-significant; it has no "
             "numeric interval to convert"
         )
-    if record.ci_low == record.ci_high:
-        raise ValueError(
-            f"study {record.study_id!r}: degenerate interval "
-            f"[{record.ci_low}, {record.ci_high}]"
-        )
-    if not record.ci_low <= record.ratio <= record.ci_high:
-        raise ValueError(
-            f"study {record.study_id!r}: ratio {record.ratio} outside its interval"
-        )
-    z = _critical_value(record.confidence_level)
-    se = (math.log(record.ci_high) - math.log(record.ci_low)) / (2.0 * z)
-    statistic = math.log(record.ratio) / se
-    # erfc(|s|/sqrt(2)) equals 2*(1 - cdf(|s|)) without cancellation.
-    p = math.erfc(abs(statistic) * _SQRT_HALF)
-    return min(1.0, max(P_FLOOR, p))
+    columns = (record.ratio, record.ci_low, record.ci_high, record.confidence_level)
+    return _pvalues([record.study_id], *(np.array([v], dtype=float) for v in columns)).item()
 
 
 def _exp_or_inf(x: float) -> float:
@@ -261,43 +374,53 @@ def record_from_statistic(
     )
 
 
-def _ranked_pvalues(records: list[EffectRecord]) -> tuple[list[PValueRecord], int]:
-    numeric = [r for r in records if not r.not_significant_flag]
-    excluded = len(records) - len(numeric)
-    converted = sorted(
-        ((p_from_ratio_ci(r), r.study_id) for r in numeric),
-        key=lambda pair: (pair[0], pair[1]),
-    )
-    ranked = [
-        PValueRecord(study_id=sid, p=p, rank=i)
-        for i, (p, sid) in enumerate(converted, start=1)
-    ]
-    return ranked, excluded
+def _rank(p: np.ndarray, study_ids: list[str]) -> tuple[np.ndarray, list[str]]:
+    """Sort p ascending, ties broken by study id: the order of sorted((p, id)).
+
+    A stable argsort keeps tied p-values in input order; each run of equal
+    p is then sorted by id with Python's str ordering (NumPy's fixed-width
+    str arrays would drop trailing NULs).
+    """
+    order = np.argsort(p, kind="stable")
+    ranked = p[order]
+    tied = np.flatnonzero(ranked[1:] == ranked[:-1])
+    order = order.tolist()
+    if len(tied):
+        # A run of equal p spans positions start..stop-1; tied holds each
+        # position but the run's last, so runs break where tied jumps.
+        breaks = np.flatnonzero(np.diff(tied) > 1)
+        starts = tied[np.concatenate(([0], breaks + 1))].tolist()
+        stops = (tied[np.concatenate((breaks, [len(tied) - 1]))] + 2).tolist()
+        for start, stop in zip(starts, stops):
+            order[start:stop] = sorted(order[start:stop], key=study_ids.__getitem__)
+    return ranked, list(map(study_ids.__getitem__, order))
 
 
-def build_pvalue_plot(records: list[EffectRecord]) -> PValuePlot:
+def build_pvalue_plot(records: Sequence[EffectRecord]) -> PValuePlot:
     """Rank the convertible records and pair them with the uniform reference.
 
+    ``records`` may be an ``EffectsTable``; a list of records becomes one.
     Not-significant records are excluded from the plot but counted in
     ``excluded_ns_count``.  Ties in p are broken by study id so output is
     reproducible across runs and platforms.
     """
     if not records:
         raise NoPlottableRecordsError("no effect records given")
-    return _plot_from_ranked(*_ranked_pvalues(records))
-
-
-def _plot_from_ranked(ranked: list[PValueRecord], excluded: int) -> PValuePlot:
-    if not ranked:
+    table = records if isinstance(records, EffectsTable) else EffectsTable.from_records(records)
+    numeric = ~table.ns
+    n = int(np.count_nonzero(numeric))
+    if not n:
         raise NoPlottableRecordsError(
             "every record is flagged not-significant; nothing to plot"
         )
-    n = len(ranked)
+    study_ids = table.study_ids
+    columns = (table.ratio, table.ci_low, table.ci_high, table.level)
+    if n < len(table):
+        study_ids = list(itertools.compress(study_ids, numeric.tolist()))
+        columns = tuple(column[numeric] for column in columns)
+    p, ranked_ids = _rank(_pvalues(study_ids, *columns), study_ids)
     return PValuePlot(
-        points=[(r.rank, r.p) for r in ranked],
-        reference_line=[(i, i / (n + 1)) for i in range(1, n + 1)],
-        excluded_ns_count=excluded,
-        n=n,
+        p=p, study_ids=ranked_ids, excluded_ns_count=len(table) - n, n=n
     )
 
 
@@ -308,8 +431,7 @@ def uniformity_test(plot: PValuePlot) -> TestResult:
     signature of no underlying effect.  With fewer than 5 points the result
     carries the verdict "insufficient data".
     """
-    values = [p for _, p in plot.points]
-    result = ks_uniform_test(values)
+    result = ks_uniform_test(plot.p.tolist())
     if plot.n < MIN_POINTS_UNIFORMITY:
         return dataclasses.replace(result, verdict=INSUFFICIENT_DATA)
     return result
@@ -324,13 +446,15 @@ def bilinearity_test(plot: PValuePlot) -> TestResult:
     shape left behind when selected small p-values are mixed with null
     results.
     """
-    if plot.n < MIN_POINTS_BILINEARITY:
+    n = plot.n
+    if n < MIN_POINTS_BILINEARITY:
         raise ValueError(
-            f"bilinearity test needs at least {MIN_POINTS_BILINEARITY} points, got {plot.n}"
+            f"bilinearity test needs at least {MIN_POINTS_BILINEARITY} points, got {n}"
         )
-    design = [[1.0, float(i), float(i * i)] for i, _ in plot.points]
-    response = [p for _, p in plot.points]
-    fit = ols_fit(design, response)
+    ranks = np.arange(1, n + 1, dtype=np.int64)
+    # float(i * i): the integer square, exact in int64, then rounded once.
+    design = [[1.0] * n, ranks.astype(float).tolist(), (ranks * ranks).astype(float).tolist()]
+    fit = ols_columns(design, plot.p.tolist())
     return TestResult(
         statistic=fit.t_statistics[2],
         p_value=fit.p_values[2],
@@ -339,17 +463,27 @@ def bilinearity_test(plot: PValuePlot) -> TestResult:
     )
 
 
-def _line_fit(xs: list[float], ys: list[float]) -> tuple[float, float, float]:
+def _squares(values: np.ndarray) -> list[float]:
+    # Python's float ** 2 (libm pow), which is not always v * v.
+    return list(map(pow, values.tolist(), itertools.repeat(2)))
+
+
+def _line_fit(xs: Sequence[float], ys: Sequence[float]) -> tuple[float, float, float]:
     # Closed-form simple regression; handles the 2-point segments the
-    # breakpoint scan produces (exact fit, zero SSE).
+    # breakpoint scan produces (exact fit, zero SSE).  NumPy forms each
+    # term and math.fsum adds them exactly, so the bits do not depend on
+    # a summation order.
+    xs = np.asarray(xs, dtype=float)
+    ys = np.asarray(ys, dtype=float)
     n = len(xs)
-    x_mean = math.fsum(xs) / n
-    y_mean = math.fsum(ys) / n
-    sxx = math.fsum((x - x_mean) ** 2 for x in xs)
-    sxy = math.fsum((x - x_mean) * (y - y_mean) for x, y in zip(xs, ys))
+    x_mean = math.fsum(xs.tolist()) / n
+    y_mean = math.fsum(ys.tolist()) / n
+    dx = xs - x_mean
+    sxx = math.fsum(_squares(dx))
+    sxy = math.fsum((dx * (ys - y_mean)).tolist())
     slope = sxy / sxx
     intercept = y_mean - slope * x_mean
-    sse = math.fsum((y - intercept - slope * x) ** 2 for x, y in zip(xs, ys))
+    sse = math.fsum(_squares(ys - intercept - slope * xs))
     return intercept, slope, sse
 
 
@@ -408,8 +542,10 @@ def hockey_stick_fit(plot: PValuePlot) -> HockeyStickFit:
             f"insufficient points for a hockey-stick fit: need at least "
             f"{MIN_POINTS_HOCKEY_STICK}, got {n}"
         )
-    xs = [float(i) for i, _ in plot.points]
-    ys = [p for _, p in plot.points]
+    x_column = np.arange(1, n + 1, dtype=float)
+    y_column = plot.p
+    xs = x_column.tolist()
+    ys = y_column.tolist()
     prefix_sse, prefix_syy = _running_line_scores(zip(xs, ys), n)
     suffix_sse, suffix_syy = _running_line_scores(zip(reversed(xs), reversed(ys)), n)
     # The winner is chosen on _line_fit's totals, so a k may be skipped only
@@ -445,8 +581,8 @@ def hockey_stick_fit(plot: PValuePlot) -> HockeyStickFit:
     for k in range(2, n - 1):
         if lower[k] > cutoff:
             continue
-        _, left_slope, left_sse = _line_fit(xs[:k], ys[:k])
-        _, right_slope, right_sse = _line_fit(xs[k:], ys[k:])
+        _, left_slope, left_sse = _line_fit(x_column[:k], y_column[:k])
+        _, right_slope, right_sse = _line_fit(x_column[k:], y_column[k:])
         total = left_sse + right_sse
         if best is None or total < best.sse:
             best = HockeyStickFit(
@@ -460,7 +596,7 @@ def hockey_stick_fit(plot: PValuePlot) -> HockeyStickFit:
 
 
 def multiplicity_report(
-    pvalues: list[float], alpha: float, m: float
+    pvalues: Sequence[float], alpha: float, m: float
 ) -> MultiplicityReport:
     """Counts of significant p-values before and after threshold division.
 
@@ -472,32 +608,31 @@ def multiplicity_report(
     if m < 1:
         raise ValueError(f"m must be at least 1, got {m!r}")
     adjusted = alpha / m
+    pvalues = np.asarray(pvalues, dtype=float)
     return MultiplicityReport(
         alpha=alpha,
         m=float(m),
         adjusted_alpha=adjusted,
-        n_significant_raw=sum(1 for p in pvalues if p < alpha),
-        n_significant_adjusted=sum(1 for p in pvalues if p < adjusted),
+        n_significant_raw=int(np.count_nonzero(pvalues < alpha)),
+        n_significant_adjusted=int(np.count_nonzero(pvalues < adjusted)),
     )
 
 
 def audit(
-    records: list[EffectRecord],
+    records: Sequence[EffectRecord],
     spaces: SpaceSummary | None = None,
     alpha: float = 0.05,
 ) -> AuditReport:
     """Run the full diagnostic pipeline over a set of effect records.
 
-    Converts every non-flagged record to a p-value, builds the plot, and
-    runs the uniformity, bilinearity and hockey-stick diagnostics that the
-    plot supports at its size.  When a cross-study space summary is given,
-    its median total-analyses count becomes the correction factor of the
-    multiplicity report.
+    ``records`` may be an ``EffectsTable``.  Converts every non-flagged
+    record to a p-value, builds the plot, and runs the uniformity,
+    bilinearity and hockey-stick diagnostics that the plot supports at its
+    size.  When a cross-study space summary is given, its median
+    total-analyses count becomes the correction factor of the multiplicity
+    report.
     """
-    if not records:
-        raise NoPlottableRecordsError("no effect records given")
-    ranked, excluded = _ranked_pvalues(records)
-    plot = _plot_from_ranked(ranked, excluded)
+    plot = build_pvalue_plot(records)
     uniformity = uniformity_test(plot)
     bilinearity = (
         bilinearity_test(plot) if plot.n >= MIN_POINTS_BILINEARITY else None
@@ -505,11 +640,8 @@ def audit(
     hockey = hockey_stick_fit(plot) if plot.n >= MIN_POINTS_HOCKEY_STICK else None
     multiplicity = None
     if spaces is not None:
-        multiplicity = multiplicity_report(
-            [r.p for r in ranked], alpha, spaces.space3.median
-        )
+        multiplicity = multiplicity_report(plot.p, alpha, spaces.space3.median)
     return AuditReport(
-        pvalues=ranked,
         plot=plot,
         uniformity=uniformity,
         bilinearity=bilinearity,

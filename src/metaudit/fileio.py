@@ -18,16 +18,16 @@ from __future__ import annotations
 import csv
 import hashlib
 import importlib.resources
+import itertools
 import math
 from collections.abc import Callable, Sequence
 from dataclasses import asdict
 from json.encoder import encode_basestring
-from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
 
-from metaudit.effect_audit import AuditReport, EffectRecord
+from metaudit.effect_audit import AuditReport, EffectRecord, EffectsTable
 from metaudit.hacksim import SimConfig, SimResult
 from metaudit.searchspace import SearchSpace, SpaceSummary, StudyCounts
 
@@ -59,13 +59,14 @@ class ParseError(ValueError):
         super().__init__(f"{message}{suffix}")
 
 
-def _data_rows(path: Path):
-    """Yield (line_number, cells) for each CSV record of ``path``.
+def _data_rows(path: Path, lines: list[int]):
+    """Yield the cells of each CSV record of ``path``, appending its line number to ``lines``.
 
     One ``csv.reader`` reads the whole file, so quoted cells may hold
     commas, quotes and line breaks.  Blank and '#' lines are skipped
     between records, never inside a quoted cell, and a record's line
-    number is that of its first physical line.
+    number is that of its first physical line.  A record that the
+    reader cannot parse raises ParseError.
     """
     first_line = 0  # of the record being read; 0 between records
 
@@ -80,9 +81,14 @@ def _data_rows(path: Path):
             yield line
 
     with open(path, encoding="utf-8-sig", newline="") as handle:
-        for cells in csv.reader(record_lines(handle)):
-            row, first_line = first_line, 0
-            yield row, cells
+        try:
+            for cells in csv.reader(record_lines(handle)):
+                lines.append(first_line)
+                first_line = 0
+                yield cells
+        except csv.Error as exc:
+            # Such as a cell over csv.field_size_limit(): a malformed row.
+            raise ParseError(f"{path}: {exc}", row=first_line or None) from None
 
 
 def _match_header(cells: list[str], accepted: list[list[str]], path: Path) -> list[str]:
@@ -122,9 +128,10 @@ def read_counts_csv(path: str | Path) -> list[StudyCounts]:
     distinguish it from malformed input.
     """
     path = Path(path)
-    rows = _data_rows(path)
+    lines: list[int] = []
+    rows = _data_rows(path, lines)
     try:
-        _, header_cells = next(rows)
+        header_cells = next(rows)
     except StopIteration:
         raise ParseError(
             f"{path}: empty file; expected header {','.join(COUNTS_HEADER)}"
@@ -133,7 +140,8 @@ def read_counts_csv(path: str | Path) -> list[StudyCounts]:
 
     has_names = header is COUNTS_HEADER_NAMED
     studies = []
-    for lineno, cells in rows:
+    for cells in rows:
+        lineno = lines[-1]
         if len(cells) != len(header):
             raise ParseError(
                 f"expected {len(header)} fields, got {len(cells)}", row=lineno
@@ -162,67 +170,130 @@ def read_counts_csv(path: str | Path) -> list[StudyCounts]:
     return studies
 
 
-def read_effects_csv(path: str | Path) -> list[EffectRecord]:
-    """Parse an effects CSV into EffectRecord rows.
+def _effect_record(lineno: int, cells: list[str], width: int) -> EffectRecord:
+    """The row check: one effects row as an EffectRecord, or its ParseError."""
+    if len(cells) != width:
+        raise ParseError(f"expected {width} fields, got {len(cells)}", row=lineno)
+    if width == len(EFFECTS_HEADER):
+        study_id, label, ratio, ci_low, ci_high, level_cell, ns_cell = cells
+    else:
+        study_id, label, ratio, ci_low, ci_high, ns_cell = cells
+        level_cell = ""
+    ns_cell = ns_cell.strip()
+    if ns_cell not in ("0", "1", ""):
+        raise ParseError(f"ns must be 0 or 1, got {ns_cell!r}", row=lineno, column="ns")
+    level_cell = level_cell.strip()
+    level = _parse_float(level_cell, lineno, "level") if level_cell else 0.95
+    try:
+        if ns_cell == "1":
+            return EffectRecord(
+                study_id=study_id.strip(),
+                label=label.strip(),
+                confidence_level=level,
+                not_significant_flag=True,
+            )
+        return EffectRecord(
+            study_id=study_id.strip(),
+            label=label.strip(),
+            ratio=_parse_float(ratio, lineno, "ratio"),
+            ci_low=_parse_float(ci_low, lineno, "ci_low"),
+            ci_high=_parse_float(ci_high, lineno, "ci_high"),
+            confidence_level=level,
+        )
+    except ParseError:
+        raise
+    except ValueError as exc:
+        raise ParseError(str(exc), row=lineno) from exc
+
+
+class _BadRow(Exception):
+    """Some row breaks the effects contract; the row check names it."""
+
+
+def _floats(cells) -> np.ndarray:
+    # float(cell.strip()), as the row check parses: float() alone does not
+    # strip \x1c-\x1f.
+    try:
+        return np.array(list(map(float, map(str.strip, cells))), dtype=float)
+    except ValueError:
+        raise _BadRow from None
+
+
+def _effects_columns(lines: list[int], cells: list[list[str]], width: int) -> EffectsTable:
+    """The effects table of the rows, checked in bulk; raises _BadRow."""
+    if set(map(len, cells)) != {width}:
+        raise _BadRow
+    columns = list(zip(*cells))
+    if width == len(EFFECTS_HEADER):
+        study_ids, labels, ratio, ci_low, ci_high, level_cells, ns_cells = columns
+        # A file holds a few distinct levels: parse each once.
+        distinct = list(set(level_cells))
+        parsed = _floats([cell.strip() or "0.95" for cell in distinct]).tolist()
+        level = np.array(list(map(dict(zip(distinct, parsed)).__getitem__, level_cells)))
+    else:
+        study_ids, labels, ratio, ci_low, ci_high, ns_cells = columns
+        level = np.full(len(cells), 0.95)
+    ns_cells = list(map(str.strip, ns_cells))
+    if not set(ns_cells) <= {"0", "1", ""}:
+        raise _BadRow
+    ns = np.array([cell == "1" for cell in ns_cells], dtype=bool)
+    study_ids = list(map(str.strip, study_ids))
+    if "" in study_ids or not ((0.5 < level) & (level < 1.0)).all():
+        raise _BadRow
+    # Not-significant rows carry no numbers, whatever their cells hold.
+    numeric = ~ns
+    flags = numeric.tolist()
+    numbers = [_floats(itertools.compress(column, flags)) for column in (ratio, ci_low, ci_high)]
+    ratio, ci_low, ci_high = numbers
+    positive = all(np.isfinite(column).all() and (column > 0.0).all() for column in numbers)
+    if not (positive and ((ci_low <= ratio) & (ratio <= ci_high)).all()):
+        raise _BadRow
+    if not all(flags):
+        numbers = [np.full(len(cells), math.nan) for _ in numbers]
+        for full, column in zip(numbers, (ratio, ci_low, ci_high)):
+            full[numeric] = column
+    return EffectsTable(
+        study_ids, list(map(str.strip, labels)), *numbers, level=level, ns=ns, lines=lines
+    )
+
+
+def read_effects_csv(path: str | Path) -> EffectsTable:
+    """Parse an effects CSV into an EffectsTable, a sequence of EffectRecords.
 
     The level column is optional (default 0.95) and may be left empty per
-    row; rows with ns=1 may leave all numeric fields empty.
+    row; rows with ns=1 may leave all numeric fields empty.  The rows are
+    checked in bulk; a row that breaks the contract raises the ParseError
+    of the first such row in file order.
     """
     path = Path(path)
-    rows = _data_rows(path)
+    lines: list[int] = []
+    rows = _data_rows(path, lines)
     try:
-        _, header_cells = next(rows)
+        header_cells = next(rows)
     except StopIteration:
         raise ParseError(
             f"{path}: empty file; expected header {','.join(EFFECTS_HEADER)}"
         ) from None
-    header = _match_header(header_cells, [EFFECTS_HEADER, EFFECTS_HEADER_NO_LEVEL], path)
+    width = len(_match_header(header_cells, [EFFECTS_HEADER, EFFECTS_HEADER_NO_LEVEL], path))
+    lines.clear()  # of the header
+    cells: list[list[str]] = []
 
-    has_level = header is EFFECTS_HEADER
-    records = []
-    for lineno, cells in rows:
-        if len(cells) != len(header):
-            raise ParseError(
-                f"expected {len(header)} fields, got {len(cells)}", row=lineno
-            )
-        if has_level:
-            study_id, label, ratio, ci_low, ci_high, level_cell, ns_cell = cells
-        else:
-            study_id, label, ratio, ci_low, ci_high, ns_cell = cells
-            level_cell = ""
-        ns_cell = ns_cell.strip()
-        if ns_cell not in ("0", "1", ""):
-            raise ParseError(f"ns must be 0 or 1, got {ns_cell!r}", row=lineno, column="ns")
-        level_cell = level_cell.strip()
-        level = _parse_float(level_cell, lineno, "level") if level_cell else 0.95
-        try:
-            if ns_cell == "1":
-                records.append(
-                    EffectRecord(
-                        study_id=study_id.strip(),
-                        label=label.strip(),
-                        confidence_level=level,
-                        not_significant_flag=True,
-                    )
-                )
-            else:
-                records.append(
-                    EffectRecord(
-                        study_id=study_id.strip(),
-                        label=label.strip(),
-                        ratio=_parse_float(ratio, lineno, "ratio"),
-                        ci_low=_parse_float(ci_low, lineno, "ci_low"),
-                        ci_high=_parse_float(ci_high, lineno, "ci_high"),
-                        confidence_level=level,
-                    )
-                )
-        except ParseError:
-            raise
-        except ValueError as exc:
-            raise ParseError(str(exc), row=lineno) from exc
-    if not records:
+    def check_rows() -> None:
+        for lineno, row in zip(lines, cells):
+            _effect_record(lineno, row, width)
+
+    try:
+        cells.extend(rows)  # keeps the rows read before an unreadable record
+    except ParseError:
+        check_rows()  # a bad row before that record comes first
+        raise
+    if not cells:
         raise ParseError(f"{path}: no effect rows after the header")
-    return records
+    try:
+        return _effects_columns(lines, cells, width)
+    except _BadRow:
+        check_rows()
+        raise AssertionError("the column checks rejected rows that the row check accepts")
 
 
 def _format_json_float(value: float) -> str:
@@ -251,21 +322,68 @@ _JSON_SCALARS = {
 }
 
 
-def _json_text(value, pad: str) -> str:
-    """JSON text of ``value`` whose closing bracket is indented by ``pad``."""
+class JsonTable:
+    """Rows of one layout held as columns, which ``json_dumps`` writes as a list.
+
+    Each row is an object with ``keys`` or, when ``keys`` is None, an
+    array.  A column is a sequence of exact-type scalars (see
+    _JSON_SCALARS) or a float64 array.  A column object that several tables
+    share is formatted once per ``json_dumps`` call.
+    """
+
+    def __init__(self, columns: tuple[Sequence, ...], keys: tuple[str, ...] | None = None):
+        self.columns = columns
+        self.keys = keys
+
+    def __len__(self) -> int:
+        return len(self.columns[0])
+
+
+def _json_column(column) -> list[str]:
+    if isinstance(column, np.ndarray):
+        values = column.tolist()
+        if np.isfinite(column).all():  # _format_json_float's text, without its check
+            return list(map(format, values, itertools.repeat(".17g")))
+    else:
+        values = column
+    texts = _json_scalar_texts(values)
+    if texts is None:
+        raise TypeError("a JsonTable column must hold exact-type JSON scalars")
+    return texts
+
+
+def _json_text(value, pad: str, column_texts: dict) -> str:
+    """JSON text of ``value`` whose closing bracket is indented by ``pad``.
+
+    ``column_texts`` maps the id of each JsonTable column formatted so far
+    to its texts.
+    """
     scalar = _JSON_SCALARS.get(type(value))
     if scalar is not None:
         return scalar(value)
     if isinstance(value, dict):
         if not value:
             return "{}"
-        texts = _json_member_texts(value.values(), pad + "  ")
+        texts = _json_member_texts(value.values(), pad + "  ", column_texts)
         return _json_dict_layout(tuple(value), pad) % tuple(texts)
     if isinstance(value, (list, tuple)):
         if not value:
             return "[]"
-        texts = _json_member_texts(value, pad + "  ")
+        texts = _json_member_texts(value, pad + "  ", column_texts)
         return _json_list_layout(len(value), pad) % tuple(texts)
+    if isinstance(value, JsonTable):
+        if not len(value):
+            return "[]"
+        for column in value.columns:
+            if id(column) not in column_texts:
+                column_texts[id(column)] = _json_column(column)
+        inner = pad + "  "
+        if value.keys is None:
+            layout = _json_list_layout(len(value.columns), inner)
+        else:
+            layout = _json_dict_layout(value.keys, inner)
+        rows = map(layout.__mod__, zip(*[column_texts[id(c)] for c in value.columns]))
+        return "[\n" + inner + (",\n" + inner).join(rows) + "\n" + pad + "]"
     if isinstance(value, float):
         return _format_json_float(value)
     if isinstance(value, int):
@@ -286,12 +404,10 @@ def _json_list_layout(size: int, pad: str) -> str:
     return "[\n" + ",\n".join([inner + "%s"] * size) + "\n" + pad + "]"
 
 
-def _json_member_texts(members, pad: str) -> list[str]:
+def _json_member_texts(members, pad: str, column_texts: dict) -> list[str]:
     texts = _json_scalar_texts(members)
     if texts is None:
-        texts = _json_table_texts(members, pad)
-    if texts is None:
-        texts = [_json_text(member, pad) for member in members]
+        texts = [_json_text(member, pad, column_texts) for member in members]
     return texts
 
 
@@ -306,35 +422,6 @@ def _json_scalar_texts(values) -> list[str] | None:
     return [_JSON_SCALARS[type(value)](value) for value in values]
 
 
-def _json_table_texts(rows, pad: str) -> list[str] | None:
-    """Texts of ``rows`` if all are flat containers of one layout, else None.
-
-    A flat container holds only exact-type scalars.  Such a table (each of
-    the pvalues, plot.points and reference_line lists of a report) is
-    formatted a column at a time and filled into one layout per row.
-    """
-    kinds = set(map(type, rows))
-    if kinds == {dict}:
-        shapes = set(map(tuple, rows))
-        if len(shapes) != 1 or () in shapes:
-            return None
-        keys = shapes.pop()
-        layout = _json_dict_layout(keys, pad)
-    elif kinds and kinds <= {list, tuple}:
-        shapes = set(map(len, rows))
-        if len(shapes) != 1 or 0 in shapes:
-            return None
-        keys = range(shapes.pop())
-        layout = _json_list_layout(len(keys), pad)
-    else:
-        return None
-    # itemgetter, not zip(*rows): zip would hold an iterator per row.
-    texts = [_json_scalar_texts(list(map(itemgetter(key), rows))) for key in keys]
-    if None in texts:
-        return None
-    return list(map(layout.__mod__, zip(*texts)))
-
-
 def json_dumps(document) -> str:
     """Serialize to deterministic JSON: 17-significant-digit floats,
     insertion-ordered keys, two-space indent, trailing newline.
@@ -342,7 +429,7 @@ def json_dumps(document) -> str:
     Strings and keys are escaped as the stdlib ``json`` module escapes them
     (control characters included), so the output is always valid JSON.
     """
-    return _json_text(document, "") + "\n"
+    return _json_text(document, "", {}) + "\n"
 
 
 def _write_text(path: Path, text: str) -> None:
@@ -454,7 +541,12 @@ def build_report_document(
     spaces: list[SearchSpace] | None = None,
     summary: SpaceSummary | None = None,
 ) -> dict:
-    """Assemble the schema-versioned report JSON document."""
+    """Assemble the schema-versioned report JSON document.
+
+    The ranked tables are JsonTables over the plot's columns.
+    """
+    plot = report.plot
+    ranks = range(1, plot.n + 1)
     notes = [
         "p-values derive from reported ratio confidence intervals via the "
         "log-scale normal approximation.",
@@ -462,9 +554,9 @@ def build_report_document(
         "squares of sorted p-values on rank and rank squared, with a t test "
         "on the quadratic term.",
     ]
-    if report.plot.excluded_ns_count:
+    if plot.excluded_ns_count:
         notes.append(
-            f"{report.plot.excluded_ns_count} records flagged not-significant "
+            f"{plot.excluded_ns_count} records flagged not-significant "
             "were excluded from the plot and all diagnostics."
         )
     document = {
@@ -472,15 +564,12 @@ def build_report_document(
         "inputs_digest": digests,
         "spaces": None,
         "space_summary": space_summary_document(summary) if summary else None,
-        "pvalues": [
-            {"study_id": rec.study_id, "p": rec.p, "rank": rec.rank}
-            for rec in report.pvalues
-        ],
+        "pvalues": JsonTable((plot.study_ids, plot.p, ranks), ("study_id", "p", "rank")),
         "plot": {
-            "n": report.plot.n,
-            "excluded_ns_count": report.plot.excluded_ns_count,
-            "points": [[rank, p] for rank, p in report.plot.points],
-            "reference_line": [[rank, r] for rank, r in report.plot.reference_line],
+            "n": plot.n,
+            "excluded_ns_count": plot.excluded_ns_count,
+            "points": JsonTable((ranks, plot.p)),
+            "reference_line": JsonTable((ranks, plot.reference())),
         },
         "tests": {
             "uniformity": _test_result_section(report.uniformity),
@@ -527,14 +616,11 @@ def write_report_json(path: str | Path, document: dict) -> None:
 
 
 def write_plot_csv(path: str | Path, report: AuditReport) -> None:
-    # audit computes p and the reference with math on Python floats, whose
-    # !r is format_csv_value's; ranks are ints.
-    lines = ["rank,p,reference"]
-    lines += [
-        f"{rank},{p!r},{ref!r}"
-        for (rank, p), (_, ref) in zip(report.plot.points, report.plot.reference_line)
-    ]
-    _write_text(Path(path), "\n".join(lines) + "\n")
+    plot = report.plot
+    # tolist() yields Python floats, whose !r is format_csv_value's.
+    rows = zip(range(1, plot.n + 1), plot.p.tolist(), plot.reference().tolist())
+    lines = ["rank,p,reference\n"] + [f"{rank},{p!r},{ref!r}\n" for rank, p, ref in rows]
+    _write_text(Path(path), "".join(lines))
 
 
 def _fmt(value: float) -> str:
@@ -550,8 +636,9 @@ def write_report_markdown(path: str | Path, document: dict) -> None:
         "not-significant records excluded."
     )
     lines += ["", "## Ranked p-values", "", "| rank | study | p |", "| --- | --- | --- |"]
-    for rec in document["pvalues"]:
-        lines.append(f"| {rec['rank']} | {rec['study_id']} | {_fmt(rec['p'])} |")
+    study_ids, p, ranks = document["pvalues"].columns
+    p_texts = map(format, p.tolist(), itertools.repeat(".6g"))
+    lines += map("| %d | %s | %s |".__mod__, zip(ranks, study_ids, p_texts))
     lines += ["", "## Diagnostics", ""]
     for name in ("uniformity", "bilinearity", "hockey_stick"):
         section = document["tests"][name]

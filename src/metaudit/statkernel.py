@@ -203,13 +203,25 @@ def ols_fit(design: Sequence[Sequence[float]], response: Sequence[float]) -> Ols
         raise ValueError("design matrix has no columns")
     if any(len(row) != k for row in design):
         raise ValueError("design matrix rows have inconsistent lengths")
+    return ols_columns([[row[j] for row in design] for j in range(k)], response)
+
+
+def ols_columns(columns: Sequence[Sequence[float]], response: Sequence[float]) -> OlsFit:
+    """``ols_fit`` of the design whose j-th column is ``columns[j]``.
+
+    The columns must be of equal length n; their entries are used as
+    given, so pass Python numbers (NumPy scalars square differently).
+    """
+    k = len(columns)
+    n = len(columns[0])
     if len(response) != n:
         raise ValueError(f"response length {len(response)} != row count {n}")
     if n <= k:
         raise ValueError(f"need more observations than regressors (n={n}, k={k})")
-    x = np.asarray(design, dtype=np.float64)
+    x = np.asarray(columns, dtype=np.float64)
     y = np.asarray(response, dtype=np.float64)
-    bad = np.argwhere(~np.isfinite(x))
+    # The transposed view lists entries row by row, as the design does.
+    bad = np.argwhere(~np.isfinite(x.T))
     if len(bad):
         i, j = bad[0].tolist()
         raise ValueError(f"non-finite design entry at row {i}, column {j}")
@@ -224,17 +236,17 @@ def ols_fit(design: Sequence[Sequence[float]], response: Sequence[float]) -> Ols
     # int squares are exact.
     col_norms: list[float] = []
     for j in range(k):
-        norm = math.sqrt(math.fsum([row[j] ** 2 for row in design]))
+        norm = math.sqrt(math.fsum([v ** 2 for v in columns[j]]))
         if norm == 0.0:
             raise RankDeficiencyError(j)
         col_norms.append(norm)
-    xs = x / np.array(col_norms)
+    xs = x / np.array(col_norms)[:, None]
 
     gram = [[0.0] * k for _ in range(k)]
     for a in range(k):
         for b in range(a + 1):
-            gram[a][b] = gram[b][a] = math.fsum((xs[:, a] * xs[:, b]).tolist())
-    xty = [math.fsum((xs[:, a] * y).tolist()) for a in range(k)]
+            gram[a][b] = gram[b][a] = math.fsum((xs[a] * xs[b]).tolist())
+    xty = [math.fsum((xs[a] * y).tolist()) for a in range(k)]
 
     # Cholesky on the unit-diagonal Gram matrix; pivots near zero flag the
     # first column explained by its predecessors.
@@ -264,7 +276,7 @@ def ols_fit(design: Sequence[Sequence[float]], response: Sequence[float]) -> Ols
     coefficients = [scaled_coefs[j] / col_norms[j] for j in range(k)]
 
     # zip reuses its row tuple, so the n k-term sums allocate no containers.
-    fitted = list(map(math.fsum, zip(*(x * np.array(coefficients)).T.tolist())))
+    fitted = list(map(math.fsum, zip(*(x * np.array(coefficients)[:, None]).tolist())))
     residuals = y - np.array(fitted)
     rss = math.fsum((residuals * residuals).tolist())
     df = n - k
@@ -337,8 +349,10 @@ def ks_uniform_test(values: Sequence[float]) -> TestResult:
     The statistic is the exact sup-norm distance between the empirical CDF
     and U(0, 1), max over order statistics of max(i/n - v(i), v(i) - (i-1)/n).
     The p-value applies the asymptotic Kolmogorov tail to the small-sample
-    rescaling (sqrt(n) + 0.12 + 0.11/sqrt(n)) * D; for n >= 10 it is within
-    about 0.01 of the exact finite-n value.
+    rescaling (sqrt(n) + 0.12 + 0.11/sqrt(n)) * D.  It is an approximation:
+    against the exact finite-n CDF (Marsaglia, Tsang & Wang 2003, in
+    rational arithmetic on a grid of D with step 1/60) its largest absolute
+    error was 0.019 at n = 5, 0.022 at n = 10 and 0.019 at n = 20.
     """
     n = len(values)
     if n == 0:

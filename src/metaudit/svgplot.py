@@ -7,6 +7,8 @@ toolchain.
 
 from __future__ import annotations
 
+import numpy as np
+
 from metaudit.effect_audit import PValuePlot
 
 WIDTH = 800
@@ -109,19 +111,17 @@ def render_pvalue_plot(plot: PValuePlot, alpha: float = 0.05) -> str:
     )
 
     # Uniform reference, dashed from (1, 1/(n+1)) to (n, n/(n+1)).
-    ref_start = plot.reference_line[0]
-    ref_end = plot.reference_line[-1]
     parts.append(
-        f'<line x1="{_fmt(px(ref_start[0]))}" y1="{_fmt(py(ref_start[1]))}" '
-        f'x2="{_fmt(px(ref_end[0]))}" y2="{_fmt(py(ref_end[1]))}" '
+        f'<line x1="{_fmt(px(1))}" y1="{_fmt(py(1 / (n + 1)))}" '
+        f'x2="{_fmt(px(n))}" y2="{_fmt(py(n / (n + 1)))}" '
         f'stroke="{_REFERENCE_COLOR}" stroke-width="1.5" stroke-dasharray="6 4"/>'
     )
 
-    for rank, p in plot.points:
-        parts.append(
-            f'<circle cx="{_fmt(px(rank))}" cy="{_fmt(py(p))}" r="{POINT_RADIUS}" '
-            f'fill="{_POINT_COLOR}"/>'
-        )
+    # px and py over the columns: NumPy makes the same IEEE operations.
+    cx = x0 + (np.arange(1, n + 1) - 0.5) / n * (x1 - x0)
+    cy = y0 + plot.p * (y1 - y0)
+    circle = f'<circle cx="%.2f" cy="%.2f" r="{POINT_RADIUS}" fill="{_POINT_COLOR}"/>'
+    parts += map(circle.__mod__, zip(cx.tolist(), cy.tolist()))
 
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

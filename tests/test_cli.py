@@ -11,7 +11,7 @@ import pytest
 
 from metaudit import fileio
 from metaudit.cli import main
-from metaudit.fileio import bundled_data_path, json_dumps
+from metaudit.fileio import COUNTS_HEADER, EFFECTS_HEADER, bundled_data_path, json_dumps
 from metaudit.hacksim import SimConfig, run_simulation
 from tests.conftest import CORPUS_ROWS, CORPUS_SUMMARY
 
@@ -139,6 +139,37 @@ class TestCmdAudit:
         assert document["tests"]["bilinearity"] is None
         assert document["tests"]["hockey_stick"] is None
 
+    @pytest.mark.parametrize("command", ["audit", "space"])
+    def test_oversized_cell_exits_2(self, tmp_path, capsys, command):
+        header = EFFECTS_HEADER if command == "audit" else COUNTS_HEADER
+        path = tmp_path / "big.csv"
+        path.write_text(
+            ",".join(header) + '\n"' + "x" * (csv.field_size_limit() + 1) + '",1\n',
+            encoding="utf-8",
+        )
+        assert main([command, "--input", str(path), "--output", str(tmp_path / "o")]) == 2
+        assert "field larger than field limit" in capsys.readouterr().err
+
+    def test_duplicate_ids_warn_and_keep_the_bytes(self, tmp_path, capsys):
+        rows = ["a,x,1.1,1.0,1.21,0.95,0", "b,x,1.2,1.0,1.44,0.95,0", "c,x,,,,0.95,1"]
+        clean = tmp_path / "clean.csv"
+        clean.write_text("\n".join([",".join(EFFECTS_HEADER), *rows]) + "\n", encoding="utf-8")
+        dup = tmp_path / "dup.csv"
+        dup.write_text(
+            "\n".join([",".join(EFFECTS_HEADER), "# note", *rows, rows[0], "b,x,,,,0.95,1"]) + "\n",
+            encoding="utf-8",
+        )
+        assert main(["audit", "--input", str(clean), "--output", str(tmp_path / "clean")]) == 0
+        assert "warning" not in capsys.readouterr().err
+        for command, out in (("audit", "dup"), ("plot", "dup.svg")):
+            assert main([command, "--input", str(dup), "--output", str(tmp_path / out)]) == 0
+            err = capsys.readouterr().err
+            assert "warning: 2 duplicate study ids (first: 'a', rows 3 and 6)" in err
+        # Every row is still ranked.
+        document = json.loads((tmp_path / "dup" / "report.json").read_text(encoding="utf-8"))
+        assert sorted(rec["study_id"] for rec in document["pvalues"]) == ["a", "a", "b"]
+        assert document["plot"]["excluded_ns_count"] == 2
+
     def test_all_ns_exits_4(self, tmp_path, capsys):
         effects = tmp_path / "ns.csv"
         effects.write_text(
@@ -163,6 +194,23 @@ class TestCmdAudit:
         outdir = tmp_path / "audit"
         main(["audit", "--input", EFFECTS, "--counts", COUNTS, "--output", str(outdir)])
         assert (outdir / name).read_bytes() == (GOLDEN_DIR / f"example_{name}").read_bytes()
+
+    @pytest.mark.parametrize("name", ["report.json", "plot_data.csv", "report.md"])
+    def test_tie_heavy_input_matches_golden_bytes(self, tmp_path, name):
+        # P_FLOOR clamps, p = 1.0 rows and exact ties whose ids sort against
+        # file order, every level form, ns rows and a multi-line label.
+        outdir = tmp_path / "audit"
+        effects = GOLDEN_DIR / "ties" / "effects.csv"
+        assert main(["audit", "--input", str(effects), "--counts", COUNTS, "--output", str(outdir)]) == 0
+        assert (outdir / name).read_bytes() == (GOLDEN_DIR / "ties" / name).read_bytes()
+
+    @pytest.mark.parametrize("name", ["report.json", "plot_data.csv", "report.md"])
+    def test_simulated_effects_match_golden_bytes(self, tmp_path, name):
+        # The README pipeline's shape: simulate --emit-effects, then audit.
+        outdir = tmp_path / "audit"
+        effects = GOLDEN_DIR / "sim_k10_censor" / "sim_effects.csv"
+        assert main(["audit", "--input", str(effects), "--output", str(outdir)]) == 0
+        assert (outdir / name).read_bytes() == (GOLDEN_DIR / "sim_k10_censor" / "audit" / name).read_bytes()
 
     def test_control_character_in_study_id_gives_valid_json(self, tmp_path):
         effects = tmp_path / "tab.csv"
@@ -197,6 +245,11 @@ class TestCmdPlot:
         code = main(["plot", "--input", EFFECTS, "--output", str(target)])
         assert code == 0
         assert target.read_bytes() == (GOLDEN_DIR / "pvalue_plot.svg").read_bytes()
+
+    def test_tie_heavy_input_matches_golden_bytes(self, tmp_path):
+        target = tmp_path / "plot.svg"
+        assert main(["plot", "--input", str(GOLDEN_DIR / "ties" / "effects.csv"), "--output", str(target)]) == 0
+        assert target.read_bytes() == (GOLDEN_DIR / "ties" / "pvalue_plot.svg").read_bytes()
 
     def test_directory_output_gets_default_name(self, tmp_path):
         outdir = tmp_path / "figs"

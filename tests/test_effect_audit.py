@@ -5,10 +5,12 @@ rational (Fraction) least-squares oracles solved from the normal
 equations, with tail probabilities from mpmath.
 """
 
+import dataclasses
 import math
 import random
 import re
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -16,15 +18,15 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from metaudit import effect_audit
+from metaudit import effect_audit, fileio
 from metaudit.effect_audit import (
     INSUFFICIENT_DATA,
     P_FLOOR,
     EffectRecord,
+    EffectsTable,
     HockeyStickFit,
     NoPlottableRecordsError,
     PValuePlot,
-    PValueRecord,
     _line_fit,
     audit,
     bilinearity_test,
@@ -41,6 +43,8 @@ from metaudit.searchspace import StudyCounts, compute_spaces, summarize_spaces
 from metaudit.statkernel import std_normal_quantile
 
 mpmath.mp.dps = 40
+
+GOLDEN = Path(__file__).parent / "golden"
 
 HOCKEY_PVALUES = [
     0.001, 0.002, 0.003, 0.004, 0.005, 0.006, 0.007,
@@ -341,12 +345,24 @@ class TestBuildPValuePlot:
             record_with_p("c", 0.6),
         ]
         plot = build_pvalue_plot(records)
-        assert [r for r, _ in plot.points] == [1, 2, 3]
-        assert [p for _, p in plot.points] == pytest.approx([0.2, 0.6, 0.9], rel=1e-9)
+        assert plot.n == 3
+        assert plot.p.tolist() == pytest.approx([0.2, 0.6, 0.9], rel=1e-9)
+        assert plot.study_ids == ["b", "c", "a"]
 
     def test_reference_line_n3(self):
         plot = build_pvalue_plot([record_with_p(s, 0.5) for s in "abc"])
-        assert plot.reference_line == [(1, 0.25), (2, 0.5), (3, 0.75)]
+        assert plot.reference().tolist() == [0.25, 0.5, 0.75]
+
+    def test_points_constructor_checks_ranks_and_reference(self):
+        reference = [(1, 0.25), (2, 0.5), (3, 0.75)]
+        plot = PValuePlot(points=[(1, 0.1), (2, 0.2), (3, 0.4)], reference_line=reference, excluded_ns_count=0, n=3)
+        assert plot.p.tolist() == [0.1, 0.2, 0.4] and plot.study_ids == []
+        with pytest.raises(ValueError, match="ranks 1..n"):
+            PValuePlot(points=[(2, 0.1), (1, 0.2), (3, 0.4)], excluded_ns_count=0, n=3)
+        with pytest.raises(ValueError, match="reference_line"):
+            PValuePlot(points=[(1, 0.1), (2, 0.2), (3, 0.4)], reference_line=reference[:2], excluded_ns_count=0, n=3)
+        with pytest.raises(ValueError, match="needs n p-values"):
+            PValuePlot(p=np.array([0.1, 0.2]), excluded_ns_count=0, n=3)
 
     def test_ns_records_excluded_and_counted(self):
         records = [record_with_p(f"s{i:02d}", (i + 1) / 15) for i in range(12)]
@@ -357,12 +373,12 @@ class TestBuildPValuePlot:
         plot = build_pvalue_plot(records)
         assert plot.n == 12
         assert plot.excluded_ns_count == 2
-        assert len(plot.points) == 12
+        assert len(plot.p) == len(plot.study_ids) == 12
 
     def test_tie_break_by_study_id(self):
         records = [record_with_p("zz", 0.4), record_with_p("aa", 0.4)]
         report = audit(records + [record_with_p("mm", 0.1)])
-        assert [r.study_id for r in report.pvalues] == ["mm", "aa", "zz"]
+        assert report.plot.study_ids == ["mm", "aa", "zz"]
 
     def test_all_ns_raises(self):
         records = [EffectRecord(study_id="ns", not_significant_flag=True)]
@@ -377,9 +393,9 @@ class TestBuildPValuePlot:
     def test_pvalues_nondecreasing_ranks_complete(self, pvalues):
         records = [record_with_p(f"s{i:03d}", p) for i, p in enumerate(pvalues)]
         plot = build_pvalue_plot(records)
-        ps = [p for _, p in plot.points]
+        ps = plot.p.tolist()
         assert ps == sorted(ps)
-        assert [r for r, _ in plot.points] == list(range(1, len(pvalues) + 1))
+        assert plot.n == len(ps) == len(pvalues)
 
 
 class TestUniformityTest:
@@ -534,14 +550,27 @@ class TestHockeyStickFit:
             hockey_stick_fit(plot_from_pvalues([0.1, 0.2, 0.3, 0.4, 0.5]))
 
 
+def reference_line_fit(xs, ys):
+    """The generator form of _line_fit that the NumPy terms replaced, kept as its reference."""
+    n = len(xs)
+    x_mean = math.fsum(xs) / n
+    y_mean = math.fsum(ys) / n
+    sxx = math.fsum((x - x_mean) ** 2 for x in xs)
+    sxy = math.fsum((x - x_mean) * (y - y_mean) for x, y in zip(xs, ys))
+    slope = sxy / sxx
+    intercept = y_mean - slope * x_mean
+    sse = math.fsum((y - intercept - slope * x) ** 2 for x, y in zip(xs, ys))
+    return intercept, slope, sse
+
+
 def full_scan_hockey_stick(plot: PValuePlot) -> HockeyStickFit:
-    """Reference: fit both segments with _line_fit at every breakpoint, O(n^2)."""
-    xs = [float(i) for i, _ in plot.points]
-    ys = [p for _, p in plot.points]
+    """Reference: fit both segments with the reference line fit at every breakpoint, O(n^2)."""
+    xs = [float(i) for i in range(1, plot.n + 1)]
+    ys = plot.p.tolist()
     best = None
     for k in range(2, plot.n - 1):
-        _, left_slope, left_sse = _line_fit(xs[:k], ys[:k])
-        _, right_slope, right_sse = _line_fit(xs[k:], ys[k:])
+        _, left_slope, left_sse = reference_line_fit(xs[:k], ys[:k])
+        _, right_slope, right_sse = reference_line_fit(xs[k:], ys[k:])
         total = left_sse + right_sse
         if best is None or total < best.sse:
             best = HockeyStickFit(k, left_slope, right_slope, total)
@@ -565,6 +594,19 @@ PLOT_SHAPES = {
     "squares-underflow": lambda rng, n: [1e-160 * rng.random() + P_FLOOR for _ in range(n)],
     "ulps-below-one": lambda rng, n: [1.0 - rng.randint(0, 50) * 2.0**-53 for _ in range(n)],
 }
+
+
+@pytest.mark.parametrize("shape", sorted(PLOT_SHAPES))
+def test_line_fit_equals_generator_form(shape):
+    # Every segment of a few plots of each shape, bit for bit.
+    rng = random.Random(f"line-fit-{shape}")
+    for n in (6, 9, 40, 301):
+        ys = sorted(PLOT_SHAPES[shape](rng, n))
+        xs = [float(i) for i in range(1, n + 1)]
+        for k in range(2, n - 1):
+            for segment in (slice(None, k), slice(k, None)):
+                got = _line_fit(np.array(xs[segment]), np.array(ys[segment]))
+                assert list(map(repr, got)) == list(map(repr, reference_line_fit(xs[segment], ys[segment])))
 
 
 @pytest.mark.parametrize("shape", sorted(PLOT_SHAPES))
@@ -593,7 +635,7 @@ def test_hockey_stick_fit_at_scale(monkeypatch):
     # A non-degenerate plot re-scores a handful of breakpoints, not all n.
     assert len(calls) <= 50
     xs = [float(i) for i in range(1, n + 1)]
-    ys = [p for _, p in plot.points]
+    ys = plot.p.tolist()
 
     def two_segment(k):
         _, left_slope, left_sse = _line_fit(xs[:k], ys[:k])
@@ -646,7 +688,7 @@ class TestAudit:
         assert report.uniformity.p_value > 0.05
         assert report.bilinearity.p_value > 0.05
         assert report.multiplicity is None
-        assert len(report.pvalues) == 14
+        assert report.plot.n == len(report.plot.study_ids) == 14
 
     def test_mixed_regime_flags_bilinearity(self):
         records = [
@@ -674,9 +716,11 @@ class TestAudit:
     def test_ranks_are_consistent(self):
         records = [record_with_p(f"s{i:02d}", (14 - i) / 20) for i in range(10)]
         report = audit(records)
-        assert [r.rank for r in report.pvalues] == list(range(1, 11))
-        ps = [r.p for r in report.pvalues]
+        ps = report.plot.p.tolist()
         assert ps == sorted(ps)
+        assert [ps[report.plot.study_ids.index(r.study_id)] for r in records] == [
+            p_from_ratio_ci(r) for r in records
+        ]
 
     def test_empty_raises(self):
         with pytest.raises(NoPlottableRecordsError):
@@ -684,17 +728,18 @@ class TestAudit:
 
     def test_converts_each_record_once(self, monkeypatch):
         calls = []
+        convert = effect_audit._pvalues
 
-        def counted(record):
-            calls.append(record.study_id)
-            return p_from_ratio_ci(record)
+        def counted(study_ids, *columns):
+            calls.append(list(study_ids))
+            return convert(study_ids, *columns)
 
-        monkeypatch.setattr(effect_audit, "p_from_ratio_ci", counted)
+        monkeypatch.setattr(effect_audit, "_pvalues", counted)
         records = [record_with_p(f"s{i:02d}", (i + 1) / 12) for i in range(10)]
         records.append(EffectRecord(study_id="ns", not_significant_flag=True))
         report = audit(records)
-        assert sorted(calls) == sorted(r.study_id for r in records[:10])
-        assert report.plot.points == [(r.rank, r.p) for r in report.pvalues]
+        assert calls == [[r.study_id for r in records[:10]]]
+        assert report.plot.study_ids == [r.study_id for r in records[:10]]
         assert report.plot.excluded_ns_count == 1
 
     def test_one_critical_value_per_confidence_level(self, monkeypatch):
@@ -716,8 +761,111 @@ class TestAudit:
         assert sorted(levels) == [0.95, 0.975, 0.995]
 
 
-def test_pvalue_record_validation():
-    with pytest.raises(ValueError):
-        PValueRecord(study_id="s", p=0.0, rank=1)
-    with pytest.raises(ValueError):
-        PValueRecord(study_id="s", p=0.5, rank=0)
+
+# --- The columnar conversion and ranking against the record path ----------------
+
+
+def reference_p_from_ratio_ci(record: EffectRecord) -> float:
+    """The scalar conversion that the column form replaced, kept as its oracle."""
+    if record.ci_low == record.ci_high:
+        raise ValueError(
+            f"study {record.study_id!r}: degenerate interval [{record.ci_low}, {record.ci_high}]"
+        )
+    if not record.ci_low <= record.ratio <= record.ci_high:
+        raise ValueError(f"study {record.study_id!r}: ratio {record.ratio} outside its interval")
+    z = std_normal_quantile(0.5 * (1.0 + record.confidence_level))
+    se = (math.log(record.ci_high) - math.log(record.ci_low)) / (2.0 * z)
+    statistic = math.log(record.ratio) / se
+    p = math.erfc(abs(statistic) * math.sqrt(0.5))
+    return min(1.0, max(P_FLOOR, p))
+
+
+def reference_ranked_pvalues(records):
+    """The record path: one conversion per record, then a sort on (p, study id).
+
+    Returns the ranked ids, the reprs of the ranked p-values and the ns count.
+    """
+    numeric = [r for r in records if not r.not_significant_flag]
+    ranked = sorted((reference_p_from_ratio_ci(r), r.study_id) for r in numeric)
+    return [sid for _, sid in ranked], [repr(p) for p, _ in ranked], len(records) - len(numeric)
+
+
+def columnar_ranked_pvalues(records):
+    plot = build_pvalue_plot(records)
+    return plot.study_ids, list(map(repr, plot.p.tolist())), plot.excluded_ns_count
+
+
+# Ids that tie and sort apart from file order, including trailing NULs,
+# which a NumPy fixed-width str array would drop.
+TIE_IDS = ["b", "a", "a\x00", "a\x00\x00", "B", "é", "s10", "s9", "s1", "a"]
+
+
+def random_records(rng: random.Random, n: int) -> list[EffectRecord]:
+    records = []
+    for i in range(n):
+        study_id = rng.choice(TIE_IDS) if rng.random() < 0.3 else f"r{rng.randrange(10**6)}"
+        level = rng.choice([0.9, 0.95, 0.99, 0.5 + rng.random() * 0.4999])
+        kind = rng.random()
+        if kind < 0.1:
+            records.append(EffectRecord(study_id=study_id, confidence_level=level, not_significant_flag=True))
+        elif kind < 0.2:  # p = 1.0
+            spread = 1.0 + rng.random()
+            records.append(record(study_id, 1.0, 1 / spread, spread, confidence_level=level))
+        elif kind < 0.3:  # clamped at P_FLOOR
+            ratio = math.exp(rng.uniform(5, 50))
+            records.append(record(study_id, ratio, ratio * 0.9999, ratio * 1.0001, confidence_level=level))
+        elif kind < 0.45 and records:  # an exact copy of an earlier row's numbers
+            twin = rng.choice(records)
+            records.append(dataclasses.replace(twin, study_id=study_id))
+        else:
+            ratio = math.exp(rng.gauss(0, 1))
+            low, high = ratio / math.exp(rng.uniform(0.01, 2)), ratio * math.exp(rng.uniform(0.01, 2))
+            records.append(record(study_id, ratio, low, high, confidence_level=level))
+    return records
+
+
+class TestColumnarPathMatchesRecordPath:
+    @pytest.mark.parametrize("seed", range(12))
+    def test_seeded_inputs(self, seed):
+        rng = random.Random(f"columnar-{seed}")
+        for n in (1, 2, 3, 17, rng.randrange(50, 600)):
+            records = random_records(rng, n)
+            if all(r.not_significant_flag for r in records):
+                continue
+            assert columnar_ranked_pvalues(records) == reference_ranked_pvalues(records)
+            table = EffectsTable.from_records(records)
+            assert columnar_ranked_pvalues(table) == reference_ranked_pvalues(records)
+
+    def test_tie_runs(self):
+        floor = [record(sid, 1e10, 9.99e9, 1.001e10) for sid in TIE_IDS]
+        null = [record(sid, 1.0, 0.5, 2.0, confidence_level=0.99) for sid in reversed(TIE_IDS)]
+        twins = [record(sid, 1.5, 1.2, 1.875) for sid in TIE_IDS[::2]]
+        for records in (floor, null, twins, twins + null[:3] + floor, floor + null + twins):
+            ids, ps, _ = columnar_ranked_pvalues(records)
+            assert (ids, ps, 0) == reference_ranked_pvalues(records)
+        assert set(ps[: len(floor)]) == {repr(P_FLOOR)}
+        assert set(ps[-len(null) :]) == {"1.0"}
+        assert ids[: len(floor)] == sorted(TIE_IDS)
+
+    def test_tie_heavy_golden_input(self):
+        records = list(fileio.read_effects_csv(GOLDEN / "ties" / "effects.csv"))
+        assert columnar_ranked_pvalues(records) == reference_ranked_pvalues(records)
+
+    def test_degenerate_interval_names_the_first_row_in_input_order(self):
+        records = [
+            record_with_p("ok", 0.3),
+            record("late", 1.2, 1.2, 1.2),  # its p would rank last
+            record("later", 0.5, 0.5, 0.5),
+        ]
+        with pytest.raises(ValueError) as expected:
+            reference_ranked_pvalues(records)
+        with pytest.raises(ValueError, match="degenerate") as got:
+            audit(records)
+        assert str(got.value) == str(expected.value)
+
+    def test_zero_width_log_interval_is_degenerate(self):
+        low = 1e300
+        high = math.nextafter(low, math.inf)
+        assert math.log(low) == math.log(high)
+        with pytest.raises(ValueError, match="'flat': degenerate interval"):
+            audit([record_with_p("ok", 0.3), record("flat", low, low, high)])

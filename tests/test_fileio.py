@@ -280,7 +280,7 @@ class TestWriters:
         assert len(lines) == 6
         rank, p, ref = lines[1].split(",")
         assert int(rank) == 1
-        assert float(p) == report.pvalues[0].p
+        assert float(p) == report.plot.p[0]
         assert float(ref) == 1 / 6
 
     def test_sim_csv_contains_only_published_rows(self, tmp_path):
@@ -428,6 +428,26 @@ class TestCsvContract:
             assert (tmp_path / "rows.csv").read_bytes() == (tmp_path / "records.csv").read_bytes()
             assert read_effects_csv(tmp_path / "rows.csv") == records
 
+    @pytest.mark.parametrize("reader", [read_effects_csv, read_counts_csv])
+    def test_oversized_cell_is_a_parse_error(self, tmp_path, reader):
+        header = EFFECTS_HEADER if reader is read_effects_csv else COUNTS_HEADER
+        path = tmp_path / "big.csv"
+        big = '"' + "x" * (csv.field_size_limit() + 1) + '"'
+        path.write_text(",".join(header) + f"\n\n# c\n{big},1\n", encoding="utf-8")
+        with pytest.raises(ParseError, match="field larger than field limit") as excinfo:
+            reader(path)
+        assert excinfo.value.row == 4
+
+    def test_bad_row_before_an_unreadable_record_comes_first(self, tmp_path):
+        path = tmp_path / "effects.csv"
+        big = '"' + "x" * (csv.field_size_limit() + 1) + '"'
+        path.write_text(
+            ",".join(EFFECTS_HEADER) + f"\na,x,1.5,1.25,2.0,0.95,2\n{big},1\n", encoding="utf-8"
+        )
+        with pytest.raises(ParseError) as excinfo:
+            read_effects_csv(path)
+        assert (excinfo.value.row, excinfo.value.column) == (2, "ns")
+
     def test_spaces_csv_quotes_a_quoted_counts_id(self, tmp_path):
         counts = tmp_path / "counts.csv"
         counts.write_text(
@@ -505,6 +525,20 @@ def reference_json_dumps(document) -> str:
     return out.getvalue()
 
 
+def per_row_document(value):
+    """``value`` with each JsonTable written out as the list of rows it stands for."""
+    if isinstance(value, fileio.JsonTable):
+        columns = [c.tolist() if isinstance(c, np.ndarray) else list(c) for c in value.columns]
+        if value.keys is None:
+            return [list(row) for row in zip(*columns)]
+        return [dict(zip(value.keys, row)) for row in zip(*columns)]
+    if isinstance(value, dict):
+        return {key: per_row_document(item) for key, item in value.items()}
+    if isinstance(value, list):
+        return [per_row_document(item) for item in value]
+    return value
+
+
 # Control characters are the one intended difference: the reference wrote
 # them raw, which is invalid JSON.  Keys were never escaped at all.
 JSON_TEXT = st.text(
@@ -575,7 +609,7 @@ class TestJsonMatchesReference:
     def test_report_document_same_text(self):
         records = [record_from_statistic(f"s{i:02d}", 0.3 * i, 0.1) for i in range(1, 40)]
         document = build_report_document(audit(records), digests=[])
-        assert json_dumps(document) == reference_json_dumps(document)
+        assert json_dumps(document) == reference_json_dumps(per_row_document(document))
 
     def test_control_characters_are_escaped(self):
         text = json_dumps({"study\tid": ["tab\there", "nul\x00", "line\nbreak", "\x1f"]})
@@ -753,6 +787,34 @@ class TestReadersMatchReference:
                 read_counts_csv(path)
             return
         assert read_outcome(read_counts_csv, path) == want
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            ["a,x,1.5,1.25,2.0,0.95,0", "b,x,oops,1.25,2.0,0.95,0", "c,x,1.5,1.25,2.0,0.95,0"],
+            ["a,x,1.5,1.25,2.0,0.95,0", "b,x,1.5,1.25,bad,0.95,0", "c,x,1.5,1.25,2.0,0.95"],
+            ["a,x,1.5,1.25,2.0,0.95,0", "b,x,1.5,1.25,2.0,0.95", "c,x,1.5,1.25,bad,0.95,0"],
+            ["a,x,1.5,1.25,2.0,0.95,0", "b,x,1.5,1.25,2.0,0.5,0"],
+            ["a,x,1.5,1.25,2.0,0.95,0", "b,x,1.5,1.25,2.0,1.0,0"],
+            ["a,x,1.5,1.25,2.0,0.95,0", "b,x,,,,1.0,1"],
+            ["a,x,1.5,1.25,2.0,0.95,0", " ,x,1.5,1.25,2.0,0.95,0"],
+            ["a,x,1.5,1.25,2.0,0.95,0", ",x,,,,0.95,1"],
+            ["a,x,1.5,1.25,2.0,0.95,0", "b,x,inf,1.25,inf,0.95,0"],
+            ["a,x,1.5,1.25,2.0,0.95,0", "b,x,1.5,1.25,nan,0.95,0"],
+            ["a,x,1.5,1.25,2.0,0.95,0", "b,x,1.5,1.25,2.0,nan,0"],
+            ["a,x,1.5,1.25,2.0,0.95,0", "b,x,1.5,-1.25,2.0,0.95,0"],
+            ["a,x,1.5,1.25,2.0,0.95,0", "b,x,2.5,1.25,2.0,0.95,0", "c,x,0,1,2,0.95,0"],
+            ["a,x,1.5,1.25,2.0,0.95,0", "b,x,1.5,1.25,2.0,0.95,2", "c,,1.5,1.25,2.0,0.95"],
+            ["a,x,1.5,1.25,2.0,0.95,0", "b,x,1.5,1.25,2.0,\x1c0.9\x1c,0", "c,x,\x1f1.5,1.25,2.0,,0"],
+        ],
+    )
+    def test_first_bad_row_names_the_same_error(self, tmp_path, rows):
+        # The columnar reader checks rows in bulk; the error must still be
+        # the record reader's for the first bad row in file order.
+        path = tmp_path / "effects.csv"
+        path.write_text("\n".join([",".join(EFFECTS_HEADER), *rows]) + "\n", encoding="utf-8")
+        got = read_outcome(read_effects_csv, path)
+        assert got == read_outcome(reference_read_effects_csv, path)
 
     def test_bundled_files(self):
         for reader, reference, name in (
