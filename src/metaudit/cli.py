@@ -25,6 +25,7 @@ from metaudit.fileio import ParseError
 from metaudit.hacksim import SimConfig, SimResult, run_simulation
 from metaudit.searchspace import (
     SearchSpaceOverflowError,
+    StudyCounts,
     compute_spaces,
     summarize_spaces,
 )
@@ -61,21 +62,33 @@ def _warn(message: str) -> None:
     print(f"{prefix} {message}", file=sys.stderr)
 
 
-def _warn_duplicate_ids(table: EffectsTable) -> None:
-    """Warn when rows share a study id; the audit still ranks every row."""
-    study_ids = table.study_ids
+def _warn_duplicate_ids(study_ids: list[str], lines: list[int], source: str = "") -> None:
+    """Warn when rows share a study id; every row is still used."""
     duplicates = len(study_ids) - len(set(study_ids))
     if not duplicates:
         return
     first_line: dict[str, int] = {}
-    for line, study_id in zip(table.lines, study_ids):
+    for line, study_id in zip(lines, study_ids):
         if study_id in first_line:
             _warn(
-                f"{duplicates} duplicate study ids (first: {study_id!r}, "
+                f"{source}{duplicates} duplicate study ids (first: {study_id!r}, "
                 f"rows {first_line[study_id]} and {line})"
             )
             return
         first_line[study_id] = line
+
+
+def _read_effects(path: str) -> EffectsTable:
+    table = fileio.read_effects_csv(path)
+    _warn_duplicate_ids(table.study_ids, table.lines)
+    return table
+
+
+def _read_counts(path: str) -> list[StudyCounts]:
+    lines: list[int] = []
+    studies = fileio.read_counts_csv(path, lines)
+    _warn_duplicate_ids([s.study_id for s in studies], lines, f"{path}: ")
+    return studies
 
 
 def _info(message: str) -> None:
@@ -95,7 +108,7 @@ def _wanted(args, kind: str) -> bool:
 
 
 def cmd_space(args: argparse.Namespace) -> int:
-    studies = fileio.read_counts_csv(args.input)
+    studies = _read_counts(args.input)
     spaces = [compute_spaces(s) for s in studies]
     summary = summarize_spaces(spaces)
     outdir = _ensure_outdir(args.output)
@@ -110,54 +123,18 @@ def cmd_space(args: argparse.Namespace) -> int:
         written.append(path)
     if _wanted(args, "md"):
         path = outdir / "spaces.md"
-        _write_spaces_markdown(path, studies, spaces, summary)
+        fileio.write_spaces_markdown(path, studies, spaces, summary)
         written.append(path)
     _info(f"space: {len(studies)} studies -> " + ", ".join(str(p) for p in written))
     return EXIT_OK
 
 
-def _write_spaces_markdown(path, studies, spaces, summary) -> None:
-    lines = [
-        "# Analysis search spaces",
-        "",
-        "| study | outcomes | predictors | lags | covariates | space1 | space2 | space3 |",
-        "| --- | --- | --- | --- | --- | --- | --- | --- |",
-    ]
-    for s, sp in zip(studies, spaces):
-        lines.append(
-            f"| {s.study_id} | {s.outcomes} | {s.predictors} | {s.lags} "
-            f"| {s.covariates} | {sp.space1} | {sp.space2} | {sp.space3} |"
-        )
-    lines += [
-        "",
-        "## Summary",
-        "",
-        "| statistic | space1 | space2 | space3 |",
-        "| --- | --- | --- | --- |",
-    ]
-    for label, attr in (
-        ("minimum", "minimum"),
-        ("lower quartile", "lower_quartile"),
-        ("median", "median"),
-        ("upper quartile", "upper_quartile"),
-        ("maximum", "maximum"),
-    ):
-        cells = [
-            format(getattr(getattr(summary, col), attr), ".6g")
-            for col in ("space1", "space2", "space3")
-        ]
-        lines.append(f"| {label} | {cells[0]} | {cells[1]} | {cells[2]} |")
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write("\n".join(lines) + "\n")
-
-
 def cmd_audit(args: argparse.Namespace) -> int:
-    table = fileio.read_effects_csv(args.input)
-    _warn_duplicate_ids(table)
+    table = _read_effects(args.input)
     digests = [fileio.file_digest(args.input)]
     studies = spaces = summary = None
     if args.counts:
-        studies = fileio.read_counts_csv(args.counts)
+        studies = _read_counts(args.counts)
         spaces = [compute_spaces(s) for s in studies]
         summary = summarize_spaces(spaces)
         digests.append(fileio.file_digest(args.counts))
@@ -188,8 +165,7 @@ def cmd_audit(args: argparse.Namespace) -> int:
 
 
 def cmd_plot(args: argparse.Namespace) -> int:
-    table = fileio.read_effects_csv(args.input)
-    _warn_duplicate_ids(table)
+    table = _read_effects(args.input)
     plot = build_pvalue_plot(table)
     svg = render_pvalue_plot(plot, alpha=args.alpha)
     target = Path(args.output)
@@ -319,20 +295,14 @@ def _alpha(text: str) -> float:
     return value
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="metaudit",
-        description="Reliability auditing for meta-analyses of observational studies.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    space = sub.add_parser("space", help="count per-study analysis search spaces")
+def _space_arguments(space: argparse.ArgumentParser) -> None:
     space.add_argument("--input", required=True, help="counts CSV path")
     space.add_argument("--output", required=True, help="output directory")
     space.add_argument("--format", choices=["json", "csv", "md"], default=None)
     space.set_defaults(func=cmd_space)
 
-    audit_cmd = sub.add_parser("audit", help="convert effects to p-values and run diagnostics")
+
+def _audit_arguments(audit_cmd: argparse.ArgumentParser) -> None:
     audit_cmd.add_argument("--input", required=True, help="effects CSV path")
     audit_cmd.add_argument("--counts", default=None, help="optional counts CSV for multiplicity")
     audit_cmd.add_argument("--alpha", type=_alpha, default=0.05)
@@ -340,13 +310,15 @@ def build_parser() -> argparse.ArgumentParser:
     audit_cmd.add_argument("--format", choices=["json", "csv", "md"], default=None)
     audit_cmd.set_defaults(func=cmd_audit)
 
-    plot = sub.add_parser("plot", help="render the p-value plot as SVG")
+
+def _plot_arguments(plot: argparse.ArgumentParser) -> None:
     plot.add_argument("--input", required=True, help="effects CSV path")
     plot.add_argument("--output", required=True, help="SVG path or output directory")
     plot.add_argument("--alpha", type=_alpha, default=0.05)
     plot.set_defaults(func=cmd_plot)
 
-    simulate = sub.add_parser("simulate", help="run the selection-bias Monte Carlo")
+
+def _simulate_arguments(simulate: argparse.ArgumentParser) -> None:
     simulate.add_argument("--output", required=True, help="output directory")
     simulate.add_argument("--config", default=None, help="key=value config file")
     simulate.add_argument("--k", "--tests-per-study", dest="k", type=int, default=None)
@@ -365,12 +337,43 @@ def build_parser() -> argparse.ArgumentParser:
         help="also write reported studies as an effects CSV for the audit pipeline",
     )
     simulate.set_defaults(func=cmd_simulate)
+
+
+# Subcommand name -> (help text, function that adds its arguments).
+_SUBCOMMANDS = {
+    "space": ("count per-study analysis search spaces", _space_arguments),
+    "audit": ("convert effects to p-values and run diagnostics", _audit_arguments),
+    "plot": ("render the p-value plot as SVG", _plot_arguments),
+    "simulate": ("run the selection-bias Monte Carlo", _simulate_arguments),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The CLI parser; with ``command``, only that subcommand gets its arguments.
+
+    Every subcommand is registered with its help text either way, so
+    ``-h`` and errors about the command itself read the same.  With no
+    ``command``, every subcommand is built in full.
+    """
+    parser = argparse.ArgumentParser(
+        prog="metaudit",
+        description="Reliability auditing for meta-analyses of observational studies.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, add_arguments) in _SUBCOMMANDS.items():
+        subparser = sub.add_parser(name, help=help_text)
+        if command is None or command == name:
+            add_arguments(subparser)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    # The top-level parser has no option that takes a value, so its first
+    # argument not starting with '-' is the command (or an invalid choice,
+    # which fails before any subcommand's arguments are read).
+    command = next((arg for arg in argv if not arg.startswith("-")), None)
+    args = build_parser(command).parse_args(argv)
     try:
         return args.func(args)
     except SearchSpaceOverflowError as exc:

@@ -118,17 +118,18 @@ def _parse_float(cell: str, row: int, column: str) -> float:
         raise ParseError(f"expected a number, got {cell!r}", row=row, column=column) from None
 
 
-def read_counts_csv(path: str | Path) -> list[StudyCounts]:
+def read_counts_csv(path: str | Path, lines: list[int] | None = None) -> list[StudyCounts]:
     """Parse a study-counts CSV into StudyCounts rows.
 
     Header is matched case-insensitively; the trailing covariate_names
     column is optional and holds a semicolon-separated name list.  Lines
     starting with '#' are comments.  Overflow (covariates beyond the
     64-bit guard) propagates as SearchSpaceOverflowError so callers can
-    distinguish it from malformed input.
+    distinguish it from malformed input.  When ``lines`` is given, the
+    file line of each study row is appended to it.
     """
     path = Path(path)
-    lines: list[int] = []
+    lines = [] if lines is None else lines
     rows = _data_rows(path, lines)
     try:
         header_cells = next(rows)
@@ -137,6 +138,7 @@ def read_counts_csv(path: str | Path) -> list[StudyCounts]:
             f"{path}: empty file; expected header {','.join(COUNTS_HEADER)}"
         ) from None
     header = _match_header(header_cells, [COUNTS_HEADER_NAMED, COUNTS_HEADER], path)
+    lines.pop()  # of the header
 
     has_names = header is COUNTS_HEADER_NAMED
     studies = []
@@ -365,12 +367,12 @@ def _json_text(value, pad: str, column_texts: dict) -> str:
         if not value:
             return "{}"
         texts = _json_member_texts(value.values(), pad + "  ", column_texts)
-        return _json_dict_layout(tuple(value), pad) % tuple(texts)
+        return _json_rows(tuple(value), [[text] for text in texts], pad)
     if isinstance(value, (list, tuple)):
         if not value:
             return "[]"
         texts = _json_member_texts(value, pad + "  ", column_texts)
-        return _json_list_layout(len(value), pad) % tuple(texts)
+        return _json_rows(None, [[text] for text in texts], pad)
     if isinstance(value, JsonTable):
         if not len(value):
             return "[]"
@@ -378,12 +380,8 @@ def _json_text(value, pad: str, column_texts: dict) -> str:
             if id(column) not in column_texts:
                 column_texts[id(column)] = _json_column(column)
         inner = pad + "  "
-        if value.keys is None:
-            layout = _json_list_layout(len(value.columns), inner)
-        else:
-            layout = _json_dict_layout(value.keys, inner)
-        rows = map(layout.__mod__, zip(*[column_texts[id(c)] for c in value.columns]))
-        return "[\n" + inner + (",\n" + inner).join(rows) + "\n" + pad + "]"
+        rows = _json_rows(value.keys, [column_texts[id(c)] for c in value.columns], inner)
+        return "[\n" + inner + rows + "\n" + pad + "]"
     if isinstance(value, float):
         return _format_json_float(value)
     if isinstance(value, int):
@@ -391,17 +389,39 @@ def _json_text(value, pad: str, column_texts: dict) -> str:
     return encode_basestring(str(value))
 
 
-def _json_dict_layout(keys: tuple, pad: str) -> str:
-    """%-template of a non-empty dict with these keys, one %s per value."""
-    inner = pad + "  "
-    items = [f"{inner}{encode_basestring(f'{key}')}: ".replace("%", "%%") + "%s" for key in keys]
-    return "{\n" + ",\n".join(items) + "\n" + pad + "}"
+def _interleave(fixed: list[str], columns: list) -> list[str]:
+    """Row by row: fixed[0], columns[0][i], fixed[1], ..., columns[-1][i], fixed[-1].
+
+    Slice assignment places each piece and each column at its stride, so
+    no per-row Python step runs.
+    """
+    rows = len(columns[0])
+    stride = len(fixed) + len(columns)
+    parts = [""] * (rows * stride)
+    for j, piece in enumerate(fixed):
+        parts[2 * j :: stride] = [piece] * rows
+    for j, texts in enumerate(columns):
+        parts[2 * j + 1 :: stride] = texts
+    return parts
 
 
-def _json_list_layout(size: int, pad: str) -> str:
-    """%-template of a non-empty list of ``size`` members."""
+def _json_rows(keys: tuple | None, columns: list, pad: str) -> str:
+    """Rows of non-empty column texts as objects with ``keys`` (arrays when None).
+
+    Each row's closing bracket is indented by ``pad``, and rows are
+    separated by a comma and a new line indented by ``pad``.
+    """
     inner = pad + "  "
-    return "[\n" + ",\n".join([inner + "%s"] * size) + "\n" + pad + "]"
+    if keys is None:
+        openers = ["[\n" + inner] + [",\n" + inner] * (len(columns) - 1)
+        close = "\n" + pad + "]"
+    else:
+        names = [encode_basestring(f"{key}") + ": " for key in keys]
+        openers = ["{\n" + inner + names[0]] + [",\n" + inner + name for name in names[1:]]
+        close = "\n" + pad + "}"
+    parts = _interleave(openers + [close + ",\n" + pad], columns)
+    parts[-1] = close
+    return "".join(parts)
 
 
 def _json_member_texts(members, pad: str, column_texts: dict) -> list[str]:
@@ -507,6 +527,35 @@ def write_spaces_csv(
          "space1", "space2", "space3"],
         rows,
     )
+
+
+def write_spaces_markdown(
+    path: str | Path, studies: list[StudyCounts], spaces: list[SearchSpace], summary: SpaceSummary
+) -> None:
+    """The per-study spaces and their cross-study summary as markdown tables."""
+    lines = [
+        "# Analysis search spaces",
+        "",
+        "| study | outcomes | predictors | lags | covariates | space1 | space2 | space3 |",
+        "| --- | --- | --- | --- | --- | --- | --- | --- |",
+    ]
+    for s, sp in zip(studies, spaces):
+        lines.append(
+            f"| {s.study_id} | {s.outcomes} | {s.predictors} | {s.lags} "
+            f"| {s.covariates} | {sp.space1} | {sp.space2} | {sp.space3} |"
+        )
+    lines += [
+        "",
+        "## Summary",
+        "",
+        "| statistic | space1 | space2 | space3 |",
+        "| --- | --- | --- | --- |",
+    ]
+    for attr in ("minimum", "lower_quartile", "median", "upper_quartile", "maximum"):
+        columns = (summary.space1, summary.space2, summary.space3)
+        cells = [format(getattr(column, attr), ".6g") for column in columns]
+        lines.append(f"| {attr.replace('_', ' ')} | {cells[0]} | {cells[1]} | {cells[2]} |")
+    _write_text(Path(path), "\n".join(lines) + "\n")
 
 
 def space_summary_document(summary: SpaceSummary) -> dict:
@@ -638,7 +687,9 @@ def write_report_markdown(path: str | Path, document: dict) -> None:
     lines += ["", "## Ranked p-values", "", "| rank | study | p |", "| --- | --- | --- |"]
     study_ids, p, ranks = document["pvalues"].columns
     p_texts = map(format, p.tolist(), itertools.repeat(".6g"))
-    lines += map("| %d | %s | %s |".__mod__, zip(ranks, study_ids, p_texts))
+    rows = _interleave(["| ", " | ", " | ", " |\n"], [list(map(str, ranks)), study_ids, p_texts])
+    rows[-1] = " |"
+    lines.append("".join(rows))
     lines += ["", "## Diagnostics", ""]
     for name in ("uniformity", "bilinearity", "hockey_stick"):
         section = document["tests"][name]

@@ -11,7 +11,7 @@ usage by name.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from metaudit.statkernel import quantile_type6
 
@@ -96,9 +96,9 @@ class FiveNumberSummary:
 class SpaceSummary:
     """Cross-study five-number summaries, one per space column."""
 
-    space1: FiveNumberSummary = field(default_factory=lambda: FiveNumberSummary(0, 0, 0, 0, 0))
-    space2: FiveNumberSummary = field(default_factory=lambda: FiveNumberSummary(0, 0, 0, 0, 0))
-    space3: FiveNumberSummary = field(default_factory=lambda: FiveNumberSummary(0, 0, 0, 0, 0))
+    space1: FiveNumberSummary
+    space2: FiveNumberSummary
+    space3: FiveNumberSummary
 
 
 def compute_spaces(counts: StudyCounts) -> SearchSpace:

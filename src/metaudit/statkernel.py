@@ -357,13 +357,22 @@ def ks_uniform_test(values: Sequence[float]) -> TestResult:
     n = len(values)
     if n == 0:
         raise ValueError("ks_uniform_test needs at least one value")
-    for v in values:
-        if not (isinstance(v, (int, float)) and 0.0 <= v <= 1.0):
-            raise ValueError(f"values must lie in [0, 1], got {v!r}")
-    ordered = sorted(values)
-    d = 0.0
-    for i, v in enumerate(ordered, start=1):
-        d = max(d, i / n - v, v - (i - 1) / n)
+    v = None
+    if isinstance(values, np.ndarray) and values.dtype == np.float64:
+        v = values
+    elif set(map(type, values)) == {float}:
+        v = np.array(values, dtype=float)
+    if v is None or not ((0.0 <= v) & (v <= 1.0)).all():
+        # Names the first bad value; ints, bools and float subclasses pass.
+        for value in values:
+            if not (isinstance(value, (int, float)) and 0.0 <= value <= 1.0):
+                raise ValueError(f"values must lie in [0, 1], got {value!r}")
+        v = np.array(values, dtype=float)
+    # i/n, (i-1)/n and the differences are single IEEE operations, as in
+    # the scalar formula, and max is exact, so D has the scalar bits.
+    v = np.sort(v)
+    i = np.arange(1, n + 1)
+    d = max(0.0, (i / n - v).max().item(), (v - (i - 1) / n).max().item())
     sqrt_n = math.sqrt(n)
     lam = (sqrt_n + 0.12 + 0.11 / sqrt_n) * d
     return TestResult(statistic=d, p_value=kolmogorov_sf(lam), method="ks-uniform")

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from metaudit import fileio
+from metaudit import cli, fileio
 from metaudit.cli import main
 from metaudit.fileio import COUNTS_HEADER, EFFECTS_HEADER, bundled_data_path, json_dumps
 from metaudit.hacksim import SimConfig, run_simulation
@@ -71,6 +71,11 @@ class TestCmdSpace:
         code = main(["space", "--input", str(tmp_path / "nope.csv"), "--output", str(tmp_path)])
         assert code == 2
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", ["spaces.csv", "space_summary.json", "spaces.md"])
+    def test_matches_golden_bytes(self, tmp_path, name):
+        _, outdir = run_space(tmp_path)
+        assert (outdir / name).read_bytes() == (GOLDEN_DIR / "space_nawrot" / name).read_bytes()
 
     def test_overflow_exits_3(self, tmp_path, capsys):
         bad = tmp_path / "wide.csv"
@@ -169,6 +174,31 @@ class TestCmdAudit:
         document = json.loads((tmp_path / "dup" / "report.json").read_text(encoding="utf-8"))
         assert sorted(rec["study_id"] for rec in document["pvalues"]) == ["a", "a", "b"]
         assert document["plot"]["excluded_ns_count"] == 2
+
+    @pytest.mark.parametrize("command", ["space", "audit"])
+    def test_duplicate_counts_ids_warn_and_keep_every_row(self, tmp_path, capsys, command):
+        rows = ["a,1,2,1,3", "b,2,2,1,0", "c,1,1,1,1"]
+        counts = tmp_path / "counts.csv"
+        counts.write_text(
+            "\n".join([",".join(COUNTS_HEADER), *rows, rows[1], "c,3,1,1,2"]) + "\n",
+            encoding="utf-8",
+        )
+        argv = ["space", "--input", str(counts)]
+        if command == "audit":
+            argv = ["audit", "--input", EFFECTS, "--counts", str(counts)]
+        assert main([*argv, "--output", str(tmp_path / "o")]) == 0
+        err = capsys.readouterr().err
+        assert f"warning: {counts}: 2 duplicate study ids (first: 'b', rows 3 and 5)" in err
+        if command == "space":
+            lines = (tmp_path / "o" / "spaces.csv").read_text(encoding="utf-8").splitlines()
+            assert [line.split(",")[0] for line in lines[1:]] == ["a", "b", "c", "b", "c"]
+        else:
+            document = json.loads((tmp_path / "o" / "report.json").read_text(encoding="utf-8"))
+            assert [s["study_id"] for s in document["spaces"]] == ["a", "b", "c", "b", "c"]
+
+    def test_unique_counts_ids_do_not_warn(self, tmp_path, capsys):
+        assert main(["audit", "--input", EFFECTS, "--counts", COUNTS, "--output", str(tmp_path)]) == 0
+        assert "warning" not in capsys.readouterr().err
 
     def test_all_ns_exits_4(self, tmp_path, capsys):
         effects = tmp_path / "ns.csv"
@@ -478,6 +508,50 @@ class TestStyling:
         monkeypatch.setattr(sys, "stderr", stream)
         main(["space", "--input", str(tmp_path / "nope.csv"), "--output", str(tmp_path)])
         assert "\x1b[31m" in stream.getvalue()
+
+
+PARSER_ARGVS = [
+    [], ["-h"], ["--help"], ["-h", "audit"], ["nope"], ["--foo", "audit"], ["-1", "audit"],
+    ["-", "audit"], ["--", "audit"],
+    *([command, "-h"] for command in ("space", "audit", "plot", "simulate")),
+    ["space", "--output", "o"], ["space", "--input", "a", "--output", "b", "--format", "xml"],
+    ["audit"], ["audit", "--input", "x"], ["audit", "--input", "x", "--output", "o", "--alpha", "2"],
+    ["audit", "--input", "x", "--output", "o", "--bogus"],
+    ["plot", "--input", "x"], ["simulate"], ["simulate", "--output", "o", "--rule", "bad"],
+]
+
+
+def parse_outcome(argv, capsys):
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("argv", PARSER_ARGVS, ids=" ".join)
+def test_per_command_parser_reads_as_the_full_parser(argv, capsys, monkeypatch):
+    # main builds only the named command's arguments; help, usage errors
+    # and exit codes must be those of the parser with every command built.
+    monkeypatch.setenv("COLUMNS", "80")
+    got = parse_outcome(argv, capsys)
+    full_parser = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda command=None: full_parser())
+    assert got == parse_outcome(argv, capsys)
+    assert got[0] in (0, 2)
+
+
+def test_build_parser_without_a_command_builds_every_command():
+    parser = cli.build_parser()
+    for argv in (
+        ["space", "--input", "c.csv", "--output", "o"],
+        ["audit", "--input", "e.csv", "--output", "o", "--counts", "c.csv", "--alpha", "0.1"],
+        ["plot", "--input", "e.csv", "--output", "p.svg"],
+        ["simulate", "--output", "o", "--k", "3", "--censor", "--emit-effects", "e.csv"],
+    ):
+        args = parser.parse_args(argv)
+        assert args.func is getattr(cli, f"cmd_{argv[0]}")
 
 
 def test_module_entry_point():

@@ -11,6 +11,7 @@ import io
 import itertools
 import json
 import math
+from json.encoder import encode_basestring
 
 import numpy as np
 import pytest
@@ -619,6 +620,59 @@ class TestJsonMatchesReference:
     def test_quotes_in_keys_are_escaped(self):
         document = {'a "key"': 1, "back\\slash": [{"x": 'y"'}]}
         assert json.loads(json_dumps(document)) == document
+
+
+def reference_table_document(value):
+    """per_row_document(value), with each JsonTable key escaped as JSON escapes it.
+
+    The reference writer puts keys between quotes as given, so escaping
+    them first gives the text a correct writer must produce.
+    """
+    if isinstance(value, fileio.JsonTable) and value.keys is not None:
+        keys = tuple(encode_basestring(key)[1:-1] for key in value.keys)
+        value = fileio.JsonTable(value.columns, keys)
+    if isinstance(value, dict):
+        return {key: reference_table_document(item) for key, item in value.items()}
+    return per_row_document(value)
+
+
+class TestJsonTableMatchesReference:
+    COLUMNS = (
+        [3, -1, 0],
+        np.array([0.1, -2.5e-300, math.inf]),
+        ["s1", 'say "hi"', "back\\slash"],
+        [True, False, None],
+    )
+
+    @pytest.mark.parametrize(
+        "keys",
+        [
+            ("a%b", "%s", "%(x)s %%", "100%"),
+            ('q"uote', "tab\there", "nul\x00", "\x1f"),
+            None,
+        ],
+    )
+    def test_keys_and_layouts(self, keys):
+        document = {"table": fileio.JsonTable(self.COLUMNS, keys), "after": 1}
+        expected = reference_json_dumps(reference_table_document(document))
+        assert json_dumps(document) == expected
+        assert json.loads(json_dumps(document))["after"] == 1
+
+    @pytest.mark.parametrize("rows", [0, 1])
+    def test_short_tables(self, rows):
+        columns = tuple(column[:rows] for column in self.COLUMNS)
+        for keys in (("a", "b", "c", "d"), None):
+            document = [fileio.JsonTable(columns, keys), {"x": fileio.JsonTable(columns, keys)}]
+            assert json_dumps(document) == reference_json_dumps(reference_table_document(document))
+
+    def test_column_shared_by_two_tables(self):
+        ranks = range(1, 4)
+        p = np.array([0.25, 0.5, 0.75])
+        document = {
+            "rows": fileio.JsonTable((["a", "b", "c"], p, ranks), ("id", "p", "rank")),
+            "points": fileio.JsonTable((ranks, p)),
+        }
+        assert json_dumps(document) == reference_json_dumps(reference_table_document(document))
 
 
 # --- The one-pass readers against the former per-line readers -------------------

@@ -13,10 +13,12 @@ import random
 from fractions import Fraction
 
 import mpmath
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from metaudit.effect_audit import P_FLOOR
 from metaudit.statkernel import (
     _EXACT_FIT_FACTOR,
     OlsFit,
@@ -497,6 +499,61 @@ class TestKsUniformTest:
     def test_rejects_out_of_range(self, bad):
         with pytest.raises(ValueError):
             ks_uniform_test([0.5, bad])
+
+
+def reference_ks_uniform_test(values):
+    """The per-point loop that ks_uniform_test's NumPy statistic replaced, kept as its reference."""
+    n = len(values)
+    if n == 0:
+        raise ValueError("ks_uniform_test needs at least one value")
+    for v in values:
+        if not (isinstance(v, (int, float)) and 0.0 <= v <= 1.0):
+            raise ValueError(f"values must lie in [0, 1], got {v!r}")
+    ordered = sorted(values)
+    d = 0.0
+    for i, v in enumerate(ordered, start=1):
+        d = max(d, i / n - v, v - (i - 1) / n)
+    sqrt_n = math.sqrt(n)
+    lam = (sqrt_n + 0.12 + 0.11 / sqrt_n) * d
+    return StatTestResult(statistic=d, p_value=kolmogorov_sf(lam), method="ks-uniform")
+
+
+KS_INPUTS = {
+    "random": lambda rng, n: [rng.random() for _ in range(n)],
+    "tied": lambda rng, n: [rng.choice((0.1, 0.25, 0.5, 0.75)) for _ in range(n)],
+    "grid": lambda rng, n: [i / n for i in range(1, n + 1)],
+    "zeros": lambda rng, n: [0.0] * n,
+    "ones": lambda rng, n: [1.0] * n,
+    "floor": lambda rng, n: [P_FLOOR if rng.random() < 0.5 else rng.random() for _ in range(n)],
+}
+
+
+class TestKsUniformMatchesReference:
+    @pytest.mark.parametrize("kind", sorted(KS_INPUTS))
+    @pytest.mark.parametrize("n", [1, 2, 5, 12, 2000])
+    def test_same_bits(self, kind, n):
+        values = KS_INPUTS[kind](random.Random(f"ks-{kind}-{n}"), n)
+        expected = reference_ks_uniform_test(values)
+        for given_values in (values, np.array(values)):
+            result = ks_uniform_test(given_values)
+            assert type(result.statistic) is float
+            assert (repr(result.statistic), repr(result.p_value)) == (
+                repr(expected.statistic), repr(expected.p_value)
+            )
+
+    def test_ints_and_float_subclasses_are_accepted(self):
+        values = [0, 1, True, np.float64(0.5), 0.25]
+        assert ks_uniform_test(values) == reference_ks_uniform_test(values)
+
+    @pytest.mark.parametrize("bad", ["0.5", math.nan, -0.1, 1.5])
+    def test_same_error(self, bad):
+        values = [0.2, 0.7, bad, 0.9]
+        for given_values in (values, np.array(values, dtype=object), np.array(values)):
+            with pytest.raises(ValueError) as expected:
+                reference_ks_uniform_test(given_values)
+            with pytest.raises(ValueError) as got:
+                ks_uniform_test(given_values)
+            assert str(got.value) == str(expected.value)
 
 
 SPACE1_COLUMN = [28, 24, 95, 156, 40, 10, 300, 80, 588, 14, 14, 48, 200, 40]
