@@ -23,7 +23,7 @@ from metaudit.effect_audit import (
     uniformity_test,
 )
 from metaudit.fileio import ParseError, bundled_data_path
-from metaudit.hacksim import SimConfig, SimResult, run_simulation, simulate_study, substream
+from metaudit.hacksim import SimConfig, SimResult, run_simulation
 from metaudit.searchspace import (
     SearchSpace,
     SearchSpaceOverflowError,
@@ -79,11 +79,9 @@ __all__ = [
     "quantile_type6",
     "record_from_statistic",
     "run_simulation",
-    "simulate_study",
     "std_normal_cdf",
     "std_normal_quantile",
     "student_t_sf",
-    "substream",
     "summarize_spaces",
     "uniformity_test",
 ]

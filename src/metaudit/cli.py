@@ -13,6 +13,8 @@ import os
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from metaudit import fileio
 from metaudit.effect_audit import (
     EffectsTable,
@@ -179,8 +181,24 @@ def cmd_plot(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _read_config_file(path: str) -> dict[str, str]:
-    values: dict[str, str] = {}
+_BOOLEANS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
+
+_CONFIG_FIELDS = {
+    "n_studies": int,
+    "tests_per_study": int,
+    "correlation": float,
+    "true_effect": float,
+    "selection_rule": str,
+    "alpha": float,
+    "censor_at_alpha": lambda v: _BOOLEANS[v.lower()],
+    "replicates": int,
+    "seed": int,
+}
+
+
+def _read_config_file(path: str) -> dict:
+    """The SimConfig fields of a key=value file; a ParseError names the line at fault."""
+    values: dict = {}
     with open(path, encoding="utf-8-sig") as handle:
         for lineno, line in enumerate(handle, start=1):
             stripped = line.strip()
@@ -190,36 +208,21 @@ def _read_config_file(path: str) -> dict[str, str]:
                 raise ParseError(
                     f"{path}: expected key=value, got {stripped!r}", row=lineno
                 )
-            key, _, value = stripped.partition("=")
-            values[key.strip()] = value.strip()
+            key, _, raw = stripped.partition("=")
+            key, raw = key.strip(), raw.strip()
+            if key not in _CONFIG_FIELDS:
+                raise ParseError(f"{path}: unknown config key {key!r}", row=lineno)
+            if key in values:
+                raise ParseError(f"{path}: repeated config key {key!r}", row=lineno)
+            try:
+                values[key] = _CONFIG_FIELDS[key](raw)
+            except (KeyError, ValueError):
+                raise ParseError(f"{path}: bad value for {key}: {raw!r}", row=lineno) from None
     return values
 
 
-_CONFIG_FIELDS = {
-    "n_studies": int,
-    "tests_per_study": int,
-    "correlation": float,
-    "true_effect": float,
-    "selection_rule": str,
-    "alpha": float,
-    "censor_at_alpha": lambda v: v.strip().lower() in ("1", "true", "yes"),
-    "replicates": int,
-    "seed": int,
-}
-
-
 def _build_sim_config(args: argparse.Namespace) -> SimConfig:
-    values: dict = {}
-    if args.config:
-        for key, raw in _read_config_file(args.config).items():
-            if key not in _CONFIG_FIELDS:
-                raise ParseError(f"{args.config}: unknown config key {key!r}")
-            try:
-                values[key] = _CONFIG_FIELDS[key](raw)
-            except ValueError:
-                raise ParseError(
-                    f"{args.config}: bad value for {key}: {raw!r}"
-                ) from None
+    values = _read_config_file(args.config) if args.config else {}
     overrides = {
         "n_studies": args.n_studies,
         "tests_per_study": args.k,
@@ -236,8 +239,8 @@ def _build_sim_config(args: argparse.Namespace) -> SimConfig:
     return SimConfig(**values)
 
 
-def _emitted_effects(config: SimConfig, result: SimResult) -> tuple:
-    """(study_ids, label, ratio, ci_low, ci_high) columns of the reported studies.
+def _emitted_effects(config: SimConfig, result: SimResult) -> EffectsTable:
+    """The effects table of the reported studies.
 
     ``ratio_intervals`` raises ValueError for a statistic whose interval
     leaves the positive floating-point range, as EffectRecord would.
@@ -254,7 +257,11 @@ def _emitted_effects(config: SimConfig, result: SimResult) -> tuple:
     intervals = ratio_intervals(
         result.estimate[reported], EMITTED_EFFECT_SE, EMITTED_EFFECT_LEVEL
     )
-    return (study_ids, f"simulated ({config.selection_rule})", *intervals)
+    n = len(study_ids)
+    return EffectsTable(
+        study_ids, [f"simulated ({config.selection_rule})"] * n, *intervals,
+        level=np.full(n, EMITTED_EFFECT_LEVEL), ns=np.zeros(n, dtype=bool),
+    )
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
@@ -276,7 +283,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         fileio.write_sim_summary_json(path, config, result)
         written.append(path)
     if args.emit_effects:
-        fileio.write_effect_rows_csv(args.emit_effects, *emitted, EMITTED_EFFECT_LEVEL)
+        fileio.write_effects_csv(args.emit_effects, emitted)
         written.append(Path(args.emit_effects))
     _info(
         f"simulate: {result.n_published}/{result.n_total} published -> "

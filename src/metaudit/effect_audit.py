@@ -341,14 +341,6 @@ def ratio_intervals(
     return ratio, ci_low, ci_high
 
 
-def ratio_interval(
-    statistic: float, standard_error: float, confidence_level: float = 0.95
-) -> tuple[float, float, float]:
-    """(ratio, ci_low, ci_high) of one statistic: ``ratio_intervals`` for one row."""
-    columns = ratio_intervals([statistic], standard_error, confidence_level)
-    return tuple(column.item() for column in columns)
-
-
 def record_from_statistic(
     study_id: str,
     statistic: float,
@@ -360,9 +352,10 @@ def record_from_statistic(
 
     Useful for feeding simulated test statistics into the audit pipeline;
     p_from_ratio_ci recovers exactly 2 * (1 - cdf(|statistic|)) from the
-    returned record.  The interval is ``ratio_interval``'s.
+    returned record.  The interval is ``ratio_intervals``' for one row.
     """
-    ratio, ci_low, ci_high = ratio_interval(statistic, standard_error, confidence_level)
+    columns = ratio_intervals([statistic], standard_error, confidence_level)
+    ratio, ci_low, ci_high = (column.item() for column in columns)
     return EffectRecord(
         study_id=study_id,
         label=label,

@@ -490,43 +490,23 @@ def _csv_cell(text: str) -> str:
     return text
 
 
-def format_csv_value(value) -> str:
-    if isinstance(value, bool):
-        return "1" if value else "0"
-    if isinstance(value, float):
-        # float.__repr__, not repr: NumPy 2 scalars repr as "np.float64(...)".
-        return float.__repr__(value)
-    return _csv_cell(str(value))
-
-
-def write_csv(path: Path, header: list[str], rows: list[tuple]) -> None:
-    lines = [",".join(header)]
-    lines += [",".join(format_csv_value(v) for v in row) for row in rows]
-    _write_text(path, "\n".join(lines) + "\n")
+def _csv_cells(texts: list[str]) -> list[str]:
+    """``_csv_cell`` of each text; one scan of their joined text when none needs quotes."""
+    if _needs_quotes("".join(texts)):
+        return list(map(_csv_cell, texts))
+    return texts
 
 
 def write_spaces_csv(
     path: str | Path, studies: list[StudyCounts], spaces: list[SearchSpace]
 ) -> None:
-    rows = [
-        (
-            s.study_id,
-            s.outcomes,
-            s.predictors,
-            s.lags,
-            s.covariates,
-            sp.space1,
-            sp.space2,
-            sp.space3,
-        )
+    lines = ["study_id,outcomes,predictors,lags,covariates,space1,space2,space3\n"]
+    lines += [
+        f"{_csv_cell(s.study_id)},{s.outcomes},{s.predictors},{s.lags},{s.covariates},"
+        f"{sp.space1},{sp.space2},{sp.space3}\n"
         for s, sp in zip(studies, spaces)
     ]
-    write_csv(
-        Path(path),
-        ["study_id", "outcomes", "predictors", "lags", "covariates",
-         "space1", "space2", "space3"],
-        rows,
-    )
+    _write_text(Path(path), "".join(lines))
 
 
 def write_spaces_markdown(
@@ -571,16 +551,9 @@ def write_space_summary_json(path: str | Path, summary: SpaceSummary) -> None:
     _write_text(Path(path), json_dumps(space_summary_document(summary)))
 
 
-def _test_result_section(result) -> dict | None:
-    if result is None:
-        return None
-    return {
-        "statistic": result.statistic,
-        "p_value": result.p_value,
-        "df": result.df,
-        "method": result.method,
-        "verdict": result.verdict,
-    }
+def _section(result) -> dict | None:
+    """A report section: the dataclass's fields in their declared order, or None."""
+    return None if result is None else asdict(result)
 
 
 def build_report_document(
@@ -621,30 +594,11 @@ def build_report_document(
             "reference_line": JsonTable((ranks, plot.reference())),
         },
         "tests": {
-            "uniformity": _test_result_section(report.uniformity),
-            "bilinearity": _test_result_section(report.bilinearity),
-            "hockey_stick": (
-                None
-                if report.hockey_stick is None
-                else {
-                    "breakpoint": report.hockey_stick.breakpoint,
-                    "left_slope": report.hockey_stick.left_slope,
-                    "right_slope": report.hockey_stick.right_slope,
-                    "sse": report.hockey_stick.sse,
-                }
-            ),
+            "uniformity": _section(report.uniformity),
+            "bilinearity": _section(report.bilinearity),
+            "hockey_stick": _section(report.hockey_stick),
         },
-        "multiplicity": (
-            None
-            if report.multiplicity is None
-            else {
-                "alpha": report.multiplicity.alpha,
-                "m": report.multiplicity.m,
-                "adjusted_alpha": report.multiplicity.adjusted_alpha,
-                "n_significant_raw": report.multiplicity.n_significant_raw,
-                "n_significant_adjusted": report.multiplicity.n_significant_adjusted,
-            }
-        ),
+        "multiplicity": _section(report.multiplicity),
         "notes": notes,
     }
     if studies is not None and spaces is not None:
@@ -666,7 +620,7 @@ def write_report_json(path: str | Path, document: dict) -> None:
 
 def write_plot_csv(path: str | Path, report: AuditReport) -> None:
     plot = report.plot
-    # tolist() yields Python floats, whose !r is format_csv_value's.
+    # tolist() yields Python floats, whose !r is their shortest round-trip text.
     rows = zip(range(1, plot.n + 1), plot.p.tolist(), plot.reference().tolist())
     lines = ["rank,p,reference\n"] + [f"{rank},{p!r},{ref!r}\n" for rank, p, ref in rows]
     _write_text(Path(path), "".join(lines))
@@ -730,7 +684,7 @@ def write_sim_csv(path: str | Path, result: SimResult) -> None:
     columns = [c[published] for c in (result.replicate, result.study, result.p, result.estimate)]
 
     def lines(start: int, stop: int) -> list[str]:
-        # tolist() yields ints and Python floats, whose !r is format_csv_value's.
+        # tolist() yields ints and Python floats, whose !r is their shortest round-trip text.
         rows = zip(*(column[start:stop].tolist() for column in columns))
         return [f"{replicate},{study},{p!r},{estimate!r}\n" for replicate, study, p, estimate in rows]
 
@@ -740,24 +694,14 @@ def write_sim_csv(path: str | Path, result: SimResult) -> None:
 def sim_summary_document(config: SimConfig, result: SimResult) -> dict:
     return {
         "schema": REPORT_SCHEMA,
-        "config": {
-            "n_studies": config.n_studies,
-            "tests_per_study": config.tests_per_study,
-            "correlation": config.correlation,
-            "true_effect": config.true_effect,
-            "selection_rule": config.selection_rule,
-            "alpha": config.alpha,
-            "censor_at_alpha": config.censor_at_alpha,
-            "replicates": config.replicates,
-            "seed": config.seed,
-        },
+        "config": asdict(config),
         "publication_rate": result.publication_rate,
         "bias": result.bias,
         "abs_bias": result.abs_bias,
         "mean_abs_estimate": result.mean_abs_estimate,
         "n_total": result.n_total,
         "n_published": result.n_published,
-        "n_reported": len(result.reported_pvalues),
+        "n_reported": int(np.count_nonzero(result.reported)),
     }
 
 
@@ -765,52 +709,30 @@ def write_sim_summary_json(path: str | Path, config: SimConfig, result: SimResul
     _write_text(Path(path), json_dumps(sim_summary_document(config, result)))
 
 
-def write_effects_csv(path: str | Path, records: list[EffectRecord]) -> None:
-    """Serialize effect records in the effects CSV format."""
-    rows = []
-    for rec in records:
-        if rec.not_significant_flag:
-            rows.append((rec.study_id, rec.label, "", "", "", rec.confidence_level, 1))
-        else:
-            rows.append(
-                (
-                    rec.study_id,
-                    rec.label,
-                    rec.ratio,
-                    rec.ci_low,
-                    rec.ci_high,
-                    rec.confidence_level,
-                    0,
-                )
-            )
-    write_csv(Path(path), EFFECTS_HEADER, rows)
+def write_effects_csv(path: str | Path, records: Sequence[EffectRecord]) -> None:
+    """Write effect records in the effects CSV format, streamed in chunks of rows.
 
-
-def write_effect_rows_csv(
-    path: str | Path,
-    study_ids: Sequence[str],
-    label: str,
-    ratio: Sequence[float],
-    ci_low: Sequence[float],
-    ci_high: Sequence[float],
-    confidence_level: float,
-) -> None:
-    """Effects CSV of numeric columns: study ids, one label for every row, intervals.
-
-    The same bytes as ``write_effects_csv`` for the equivalent records,
-    without building them.
+    ``records`` may be an ``EffectsTable``; a list of records becomes one.
+    Rows with ns=1 leave their three numbers empty.
     """
-    label = _csv_cell(label)
-    tail = f",{confidence_level!r},0\n"
-    columns = [np.asarray(column, dtype=float) for column in (ratio, ci_low, ci_high)]
+    table = records if isinstance(records, EffectsTable) else EffectsTable.from_records(records)
+    numbers = (table.ratio, table.ci_low, table.ci_high)
 
     def lines(start: int, stop: int) -> list[str]:
-        ids = study_ids[start:stop]
-        # The emit step's ids never need quotes: scan the chunk's text once,
-        # and quote cell by cell only when some cell does.
-        if _needs_quotes("".join(ids)):
-            ids = [_csv_cell(study_id) for study_id in ids]
-        rows = zip(ids, *(column[start:stop].tolist() for column in columns))
-        return [f"{study_id},{label},{r!r},{lo!r},{hi!r}{tail}" for study_id, r, lo, hi in rows]
+        ids = _csv_cells(table.study_ids[start:stop])
+        labels = _csv_cells(table.labels[start:stop])
+        # A table holds a few distinct levels: format each once.
+        levels = table.level[start:stop].tolist()
+        level_texts = {level: repr(level) for level in set(levels)}
+        levels = list(map(level_texts.__getitem__, levels))
+        # tolist() yields Python floats, whose !r is their shortest round-trip text.
+        rows = zip(ids, labels, *(column[start:stop].tolist() for column in numbers), levels)
+        texts = [
+            f"{study_id},{label},{r!r},{lo!r},{hi!r},{level},0\n"
+            for study_id, label, r, lo, hi, level in rows
+        ]
+        for row in np.flatnonzero(table.ns[start:stop]).tolist():
+            texts[row] = f"{ids[row]},{labels[row]},,,,{levels[row]},1\n"
+        return texts
 
-    _write_chunked(Path(path), ",".join(EFFECTS_HEADER), len(study_ids), lines)
+    _write_chunked(Path(path), ",".join(EFFECTS_HEADER), len(table), lines)

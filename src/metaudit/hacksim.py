@@ -6,18 +6,24 @@ the best draw produces small p-values whose attached estimates are biased
 away from the true effect, and mixtures of selected and honest studies
 reproduce the bent p-value plots the audit diagnostics look for.
 
+Each study draws a shared factor g and K noise terms e_j (standard
+normal), forms z_j = delta + sqrt(rho) * g + sqrt(1 - rho) * e_j and
+p_j = erfc(|z_j| / sqrt(2)), and reports one (p_j, z_j): the smallest p
+(report-min-p), the first p below alpha or else the first test's
+(report-first-significant), or a test picked by one integers(K) draw after
+the study's normals (report-random).
+
 Reproducibility contract: every replicate draws from its own
-counter-based Philox substream keyed by (seed, replicate index), so
+counter-based Philox stream keyed by (seed, replicate index), so
 identical configs give bit-identical results regardless of execution
 order, and aggregation always reduces in replicate order.
 
 ``run_simulation`` keeps one Philox generator and re-keys it in place for
-each replicate, which yields exactly the stream ``substream`` builds.  It
-draws a block of replicates, selects across the whole block with NumPy,
-and stores the selected studies as columns; a block holds about 2**16
-draws, so memory grows with the number of studies, not with the draws.
-``simulate_study`` and ``substream`` remain the scalar reference that the
-tests compare the batched path against.
+each replicate.  It draws a block of replicates, selects across the whole
+block with NumPy, and stores the selected studies as columns; a block
+holds about 2**16 draws, so memory grows with the number of studies, not
+with the draws.  The tests keep a scalar, study-by-study simulator as its
+reference.
 """
 
 from __future__ import annotations
@@ -109,9 +115,9 @@ class SimResult:
     One entry per simulated study in replicate order, stored as read-only
     columns: ``replicate``, ``study``, ``p`` (selected p-value),
     ``estimate`` (selected z statistic) and ``published`` (p < alpha).
-    ``records``, ``reported_pvalues`` and ``selected_estimates`` are Python
-    lists derived from the columns on each access.  The reported studies
-    are the published ones when censoring is on, all studies otherwise.
+    ``reported`` masks the reported studies: the published ones when
+    censoring is on, all studies otherwise; ``reported_pvalues`` is their
+    p-values as a Python list, derived from the columns on each access.
     ``bias`` is the signed mean estimate minus the true effect;
     ``mean_abs_estimate`` exposes the magnitude summary that the signed
     mean hides under the null.
@@ -142,63 +148,16 @@ class SimResult:
         return self.published if self.censored else np.ones(self.n_total, dtype=bool)
 
     @property
-    def records(self) -> list[tuple[int, int, float, float, bool]]:
-        """(replicate, study, p, estimate, published) per study."""
-        columns = (self.replicate, self.study, self.p, self.estimate, self.published)
-        return list(zip(*(column.tolist() for column in columns)))
-
-    @property
     def reported_pvalues(self) -> list[float]:
         return self.p[self.reported].tolist()
-
-    @property
-    def selected_estimates(self) -> list[float]:
-        return self.estimate[self.reported].tolist()
-
-
-def substream(seed: int, replicate: int) -> np.random.Generator:
-    """Independent counter-based random stream for one replicate.
-
-    Philox streams with distinct 128-bit keys never overlap, so deriving
-    the key from (seed, replicate) makes every replicate reproducible in
-    isolation and in any execution order.
-    """
-    return np.random.Generator(np.random.Philox(key=(seed << 64) | replicate))
-
-
-def simulate_study(config: SimConfig, stream: np.random.Generator) -> tuple[float, float]:
-    """Simulate one study's search and report the selected (p, estimate).
-
-    Draws K equicorrelated z statistics through a shared factor,
-    z_j = delta + sqrt(rho) * g + sqrt(1 - rho) * e_j, converts each to a
-    two-sided p-value, and applies the configured selection rule.
-    report-first-significant falls back to the first (pre-planned) test
-    when no draw clears alpha.  This is the scalar reference for
-    ``run_simulation``.
-    """
-    k = config.tests_per_study
-    shared = stream.standard_normal()
-    noise = stream.standard_normal(k)
-    load = math.sqrt(config.correlation)
-    resid = math.sqrt(1.0 - config.correlation)
-    z = [config.true_effect + load * shared + resid * e for e in noise]
-    p = [math.erfc(abs(v) * _SQRT_HALF) for v in z]
-
-    if config.selection_rule == "report-min-p":
-        idx = min(range(k), key=p.__getitem__)
-    elif config.selection_rule == "report-first-significant":
-        idx = next((j for j in range(k) if p[j] < config.alpha), 0)
-    else:
-        idx = int(stream.integers(k))
-    return p[idx], z[idx]
-
 
 class _RekeyedPhilox:
     """One Philox generator whose key is reset in place per replicate.
 
-    ``rekey(r)`` puts the generator in the state ``substream(seed, r)``
-    starts in: key words (r, seed), counter 0, empty output and 32-bit
-    buffers.  That is several times cheaper than building a new generator.
+    ``rekey(r)`` puts the generator in the state of a new
+    ``Philox(key=(seed << 64) | r)``: key words (r, seed), counter 0, empty
+    output and 32-bit buffers.  That is several times cheaper than building
+    a new generator.
     """
 
     def __init__(self, seed: int) -> None:
@@ -262,9 +221,9 @@ def run_simulation(config: SimConfig) -> SimResult:
     """Run the configured number of independent replicates.
 
     Identical configs produce bit-identical results: each replicate uses
-    its keyed substream and all floating-point reductions run in replicate
-    order.  The results equal those of ``simulate_study`` applied to
-    ``substream(seed, replicate)`` for every replicate in turn.
+    its keyed stream and all floating-point reductions run in replicate
+    order, so the results equal those of simulating the studies one by one
+    in replicate order.
     """
     if config.total_draws() > MAX_TOTAL_DRAWS:
         raise ValueError(
@@ -288,7 +247,7 @@ def run_simulation(config: SimConfig) -> SimResult:
         block = draws[: stop - start]
         studies = block.reshape(-1, k + 1)
         if rule == "report-random":
-            # Each study's normals, then its pick, as simulate_study draws them.
+            # Each study's normals, then its pick.
             study_rows = iter(studies)
             picks = []
             for replicate in range(start, stop):
@@ -299,8 +258,8 @@ def run_simulation(config: SimConfig) -> SimResult:
         else:
             for row, replicate in zip(block, range(start, stop)):
                 philox.rekey(replicate).standard_normal(out=row)
-        # simulate_study's (delta + load * g) + resid * e, in place; + and *
-        # commute exactly, so the bits are the same.
+        # (delta + load * g) + resid * e, in place; + and * commute exactly,
+        # so the bits are those of the per-study formula.
         z = resid * studies[:, 1:]
         z += config.true_effect + load * studies[:, :1]
         x = np.abs(z)

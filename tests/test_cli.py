@@ -281,6 +281,13 @@ class TestCmdPlot:
         assert main(["plot", "--input", str(GOLDEN_DIR / "ties" / "effects.csv"), "--output", str(target)]) == 0
         assert target.read_bytes() == (GOLDEN_DIR / "ties" / "pvalue_plot.svg").read_bytes()
 
+    def test_simulated_effects_match_golden_bytes(self, tmp_path):
+        # The README pipeline's plot of simulate --emit-effects.
+        golden = GOLDEN_DIR / "sim_k10_censor"
+        target = tmp_path / "plot.svg"
+        assert main(["plot", "--input", str(golden / "sim_effects.csv"), "--output", str(target)]) == 0
+        assert target.read_bytes() == (golden / "pvalue_plot.svg").read_bytes()
+
     def test_directory_output_gets_default_name(self, tmp_path):
         outdir = tmp_path / "figs"
         code = main(["plot", "--input", EFFECTS, "--output", str(outdir)])
@@ -372,6 +379,38 @@ class TestCmdSimulate:
         code = main(["simulate", "--config", str(config_file), "--output", str(tmp_path / "o")])
         assert code == 2
         assert "unknown config key" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "text,expected",
+        [("1", True), ("TRUE", True), ("Yes", True), ("0", False), ("false", False), ("NO", False)],
+    )
+    def test_config_booleans(self, tmp_path, text, expected):
+        config_file = tmp_path / "sim.cfg"
+        config_file.write_text(f"replicates=20\ncensor_at_alpha={text}\n", encoding="utf-8")
+        outdir = tmp_path / "sim"
+        assert main(["simulate", "--config", str(config_file), "--output", str(outdir)]) == 0
+        summary = json.loads((outdir / "sim_summary.json").read_text(encoding="utf-8"))
+        assert summary["config"]["censor_at_alpha"] is expected
+
+    @pytest.mark.parametrize("text", ["ture", "on", "2", ""])
+    def test_bad_config_boolean_exits_2(self, tmp_path, capsys, text):
+        # Any other text once ran uncensored and exited 0.
+        config_file = tmp_path / "sim.cfg"
+        config_file.write_text(f"replicates=20\ncensor_at_alpha={text}\n", encoding="utf-8")
+        outdir = tmp_path / "sim"
+        assert main(["simulate", "--config", str(config_file), "--output", str(outdir)]) == 2
+        err = capsys.readouterr().err
+        assert f"{config_file}: bad value for censor_at_alpha: {text!r} (row 2)" in err
+        assert not outdir.exists()
+
+    def test_repeated_config_key_exits_2(self, tmp_path, capsys):
+        # The last value once won silently.
+        config_file = tmp_path / "sim.cfg"
+        config_file.write_text("seed=1\n# again\nreplicates=20\n seed = 2\n", encoding="utf-8")
+        outdir = tmp_path / "sim"
+        assert main(["simulate", "--config", str(config_file), "--output", str(outdir)]) == 2
+        assert f"{config_file}: repeated config key 'seed' (row 4)" in capsys.readouterr().err
+        assert not outdir.exists()
 
     def test_correlation_bound_exits_2(self, tmp_path, capsys):
         code = main(

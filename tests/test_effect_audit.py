@@ -34,7 +34,6 @@ from metaudit.effect_audit import (
     hockey_stick_fit,
     multiplicity_report,
     p_from_ratio_ci,
-    ratio_interval,
     ratio_intervals,
     record_from_statistic,
     uniformity_test,
@@ -209,6 +208,12 @@ def scalar_ratio_interval(statistic, standard_error, confidence_level=0.95):
             "ratio interval outside the positive floating-point range"
         )
     return ratio, ci_low, ci_high
+
+
+def ratio_interval(statistic, standard_error, confidence_level=0.95):
+    """(ratio, ci_low, ci_high) of one statistic: ratio_intervals for one row."""
+    columns = ratio_intervals([statistic], standard_error, confidence_level)
+    return tuple(column.item() for column in columns)
 
 
 def exp_limit() -> float:

@@ -1,25 +1,25 @@
 """Tests for CSV parsing and deterministic report serialization.
 
-The per-line CSV readers and the recursive JSON writer that the one-pass
-readers and the flat writer replaced are kept below as references: the new
-code must give the same records, errors and bytes wherever the old code's
-output was valid.
+The per-line CSV readers, the record-by-record effects writer and the
+recursive JSON writer that the one-pass readers and the column writers
+replaced are kept below as references: the new code must give the same
+records, errors and bytes wherever the old code's output was valid.
 """
 
 import csv
 import io
-import itertools
 import json
 import math
 from json.encoder import encode_basestring
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from metaudit import fileio
-from metaudit.effect_audit import EffectRecord, audit, record_from_statistic
+from metaudit import cli, fileio
+from metaudit.effect_audit import EffectRecord, EffectsTable, audit, record_from_statistic
 from metaudit.fileio import (
     COUNTS_HEADER,
     COUNTS_HEADER_NAMED,
@@ -32,11 +32,9 @@ from metaudit.fileio import (
     build_report_document,
     bundled_data_path,
     file_digest,
-    format_csv_value,
     json_dumps,
     read_counts_csv,
     read_effects_csv,
-    write_effect_rows_csv,
     write_effects_csv,
     write_plot_csv,
     write_report_markdown,
@@ -46,6 +44,8 @@ from metaudit.fileio import (
 from metaudit.hacksim import SimConfig, run_simulation
 from metaudit.searchspace import SearchSpaceOverflowError, StudyCounts, compute_spaces
 from tests.conftest import CORPUS_NAMES, CORPUS_ROWS
+
+GOLDEN_DIR = Path(__file__).parent / "golden"
 
 # Text that survives the effects CSV round trip: the reader strips each
 # cell and the writer does not protect surrounding whitespace, so values
@@ -295,21 +295,15 @@ class TestWriters:
         for line in lines[1:]:
             assert float(line.split(",")[2]) < config.alpha
 
-    def test_effect_rows_match_effect_records(self, tmp_path):
-        rows = [("a", 1.5, 1.2, 1.9), ("b", 0.25, 0.125, 0.5)]
-        ids, ratio, ci_low, ci_high = map(list, zip(*rows))
-        for label in ("x", ""):
-            records = [
-                EffectRecord(study_id=s, label=label, ratio=r, ci_low=lo, ci_high=hi, confidence_level=0.9)
-                for s, r, lo, hi in rows
-            ]
-            write_effect_rows_csv(tmp_path / "rows.csv", ids, label, ratio, ci_low, ci_high, 0.9)
-            write_effects_csv(tmp_path / "records.csv", records)
-            assert (tmp_path / "rows.csv").read_bytes() == (tmp_path / "records.csv").read_bytes()
-
-    def test_csv_float_subclass_written_as_plain_float(self):
-        value = -2.169971257049289
-        assert format_csv_value(np.float64(value)) == repr(value)
+    def test_csv_float_subclass_written_as_plain_float(self, tmp_path):
+        value = 2.169971257049289
+        record = EffectRecord(
+            study_id="a", ratio=np.float64(value), ci_low=np.float64(1.5), ci_high=3.0
+        )
+        path = tmp_path / "effects.csv"
+        write_effects_csv(path, [record])
+        row = path.read_text(encoding="utf-8").splitlines()[1]
+        assert row == f"a,,{value!r},1.5,3.0,0.95,0"
 
     def test_markdown_report_sections(self, tmp_path):
         records = [record_from_statistic(f"s{i:02d}", 0.4 * i, 0.1) for i in range(1, 8)]
@@ -408,27 +402,6 @@ class TestCsvContract:
         ]
         assert read_effects_csv(path) == records
 
-    def test_effect_rows_writer_quotes_like_the_records_writer(self, tmp_path, monkeypatch):
-        rows = [
-            ("c", 0.25, 0.125, 0.5),
-            ("e", 1.5, 1.25, 1.75),
-            ("a, b", 1.5, 1.2, 1.9),
-            ("d\ne", 2.0, 1.0, 4.0),
-            ('say "hi"', 2.0, 1.0, 4.0),
-        ]
-        ids, ratio, ci_low, ci_high = map(list, zip(*rows))
-        # In chunks of 2 rows, only the first chunk has no id to quote.
-        for label, chunk_rows in itertools.product(("cohort A, men", 'five "5"', "plain"), (1, 2, 4096)):
-            monkeypatch.setattr(fileio, "_CHUNK_ROWS", chunk_rows)
-            records = [
-                EffectRecord(study_id=s, label=label, ratio=r, ci_low=lo, ci_high=hi, confidence_level=0.9)
-                for s, r, lo, hi in rows
-            ]
-            write_effect_rows_csv(tmp_path / "rows.csv", ids, label, ratio, ci_low, ci_high, 0.9)
-            write_effects_csv(tmp_path / "records.csv", records)
-            assert (tmp_path / "rows.csv").read_bytes() == (tmp_path / "records.csv").read_bytes()
-            assert read_effects_csv(tmp_path / "rows.csv") == records
-
     @pytest.mark.parametrize("reader", [read_effects_csv, read_counts_csv])
     def test_oversized_cell_is_a_parse_error(self, tmp_path, reader):
         header = EFFECTS_HEADER if reader is read_effects_csv else COUNTS_HEADER
@@ -479,6 +452,83 @@ class TestCsvContract:
         path = tmp_path_factory.mktemp("round") / "effects.csv"
         write_effects_csv(path, records)
         assert read_effects_csv(path) == records
+
+
+# --- The effects writer against its former record-by-record form ---------------
+
+
+def reference_csv_value(value) -> str:
+    if isinstance(value, bool):
+        return "1" if value else "0"
+    if isinstance(value, float):
+        return float.__repr__(value)
+    text = str(value)
+    if any(char in text for char in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
+def reference_write_effects_csv(path, records):
+    """The record-by-record writer the column writer replaced, kept as its reference."""
+    rows = []
+    for rec in records:
+        if rec.not_significant_flag:
+            rows.append((rec.study_id, rec.label, "", "", "", rec.confidence_level, 1))
+        else:
+            rows.append(
+                (rec.study_id, rec.label, rec.ratio, rec.ci_low, rec.ci_high, rec.confidence_level, 0)
+            )
+    lines = [",".join(EFFECTS_HEADER)] + [",".join(map(reference_csv_value, row)) for row in rows]
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+
+
+class TestEffectsWriterMatchesReference:
+    @staticmethod
+    def assert_matches_reference(tmp_path, monkeypatch, table):
+        """write_effects_csv of the table and of its records gives the reference's
+        bytes at every chunk size, and the file reads back as the table."""
+        records = list(table)
+        reference = tmp_path / "reference.csv"
+        reference_write_effects_csv(reference, records)
+        for chunk_rows in (1, 2, 4096):
+            monkeypatch.setattr(fileio, "_CHUNK_ROWS", chunk_rows)
+            for source in (table, records):
+                path = tmp_path / "written.csv"
+                write_effects_csv(path, source)
+                assert path.read_bytes() == reference.read_bytes(), chunk_rows
+        assert read_effects_csv(reference) == table
+
+    @pytest.mark.parametrize("rule", ["report-min-p", "report-random"])
+    def test_emit_shaped_tables(self, tmp_path, monkeypatch, rule):
+        config = SimConfig(
+            n_studies=2, tests_per_study=10, selection_rule=rule, replicates=300,
+            censor_at_alpha=True, seed=5,
+        )
+        table = cli._emitted_effects(config, run_simulation(config))
+        assert len(table) > 2
+        self.assert_matches_reference(tmp_path, monkeypatch, table)
+
+    def test_ids_and_labels_that_need_quoting(self, tmp_path, monkeypatch):
+        rows = [
+            ("c", "plain", 0.25, 0.125, 0.5),
+            ("e", "plain", 1.5, 1.25, 1.75),
+            ("a, b", "cohort A, men", 1.5, 1.2, 1.9),
+            ("d\ne", "plain", 2.0, 1.0, 4.0),
+            ('say "hi"', 'five "5"', 2.0, 1.0, 4.0),
+            ("f", "line\r\nbreak", 1.0, 0.5, 2.0),
+        ]
+        # In chunks of 2 rows, only the first chunk has no cell to quote.
+        table = EffectsTable.from_records(
+            EffectRecord(study_id=s, label=label, ratio=r, ci_low=lo, ci_high=hi, confidence_level=0.9)
+            for s, label, r, lo, hi in rows
+        )
+        self.assert_matches_reference(tmp_path, monkeypatch, table)
+
+    def test_golden_ties_table(self, tmp_path, monkeypatch):
+        # ns rows (one with numbers), a multi-line label and mixed levels.
+        table = read_effects_csv(GOLDEN_DIR / "ties" / "effects.csv")
+        assert table.ns.any() and len(set(table.level.tolist())) == 3
+        self.assert_matches_reference(tmp_path, monkeypatch, table)
 
 
 # --- The JSON writer against its former recursive form --------------------------
