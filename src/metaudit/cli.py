@@ -8,6 +8,7 @@ disable terminal styling.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -24,9 +25,11 @@ from metaudit.effect_audit import (
     ratio_intervals,
 )
 from metaudit.fileio import ParseError
-from metaudit.hacksim import SimConfig, SimResult, run_simulation
+from metaudit.hacksim import SELECTION_RULES, SimConfig, SimResult, run_simulation
 from metaudit.searchspace import (
+    SearchSpace,
     SearchSpaceOverflowError,
+    SpaceSummary,
     StudyCounts,
     compute_spaces,
     summarize_spaces,
@@ -44,24 +47,24 @@ EMITTED_EFFECT_SE = 0.1
 EMITTED_EFFECT_LEVEL = 0.95
 
 
-def _use_color(stream) -> bool:
-    if os.environ.get("METAUDIT_NO_COLOR"):
-        return False
-    return hasattr(stream, "isatty") and stream.isatty()
+def _styled(stream, text: str, code: int) -> str:
+    """``text`` in ANSI style ``code`` when ``stream`` is a terminal and colour is on."""
+    tty = hasattr(stream, "isatty") and stream.isatty()
+    if os.environ.get("METAUDIT_NO_COLOR") or not tty:
+        return text
+    return f"\x1b[{code}m{text}\x1b[0m"
 
 
 def _fail(message: str) -> None:
-    prefix = "error:"
-    if _use_color(sys.stderr):
-        prefix = f"\x1b[31m{prefix}\x1b[0m"
-    print(f"{prefix} {message}", file=sys.stderr)
+    print(_styled(sys.stderr, "error:", 31), message, file=sys.stderr)
 
 
 def _warn(message: str) -> None:
-    prefix = "warning:"
-    if _use_color(sys.stderr):
-        prefix = f"\x1b[33m{prefix}\x1b[0m"
-    print(f"{prefix} {message}", file=sys.stderr)
+    print(_styled(sys.stderr, "warning:", 33), message, file=sys.stderr)
+
+
+def _info(message: str) -> None:
+    print(_styled(sys.stdout, message, 1))
 
 
 def _warn_duplicate_ids(study_ids: list[str], lines: list[int], source: str = "") -> None:
@@ -86,48 +89,39 @@ def _read_effects(path: str) -> EffectsTable:
     return table
 
 
-def _read_counts(path: str) -> list[StudyCounts]:
+def _read_spaces(path: str) -> tuple[list[StudyCounts], list[SearchSpace], SpaceSummary]:
+    """The studies of a counts CSV, their search spaces and the spaces' summary."""
     lines: list[int] = []
     studies = fileio.read_counts_csv(path, lines)
     _warn_duplicate_ids([s.study_id for s in studies], lines, f"{path}: ")
-    return studies
+    spaces = [compute_spaces(s) for s in studies]
+    return studies, spaces, summarize_spaces(spaces)
 
 
-def _info(message: str) -> None:
-    if _use_color(sys.stdout):
-        message = f"\x1b[1m{message}\x1b[0m"
-    print(message)
+def _write_outputs(args: argparse.Namespace, outputs: list[tuple]) -> list[str]:
+    """Make the output directory, then call ``writer(path, *data)`` for each
+    ``(format, file name, writer, *data)`` that ``--format`` selects, in order.
 
-
-def _ensure_outdir(path: str) -> Path:
-    outdir = Path(path)
+    Returns the paths written.
+    """
+    outdir = Path(args.output)
     outdir.mkdir(parents=True, exist_ok=True)
-    return outdir
-
-
-def _wanted(args, kind: str) -> bool:
-    return args.format is None or args.format == kind
+    written = []
+    for kind, name, writer, *data in outputs:
+        if args.format in (None, kind):
+            writer(outdir / name, *data)
+            written.append(str(outdir / name))
+    return written
 
 
 def cmd_space(args: argparse.Namespace) -> int:
-    studies = _read_counts(args.input)
-    spaces = [compute_spaces(s) for s in studies]
-    summary = summarize_spaces(spaces)
-    outdir = _ensure_outdir(args.output)
-    written = []
-    if _wanted(args, "csv"):
-        path = outdir / "spaces.csv"
-        fileio.write_spaces_csv(path, studies, spaces)
-        written.append(path)
-    if _wanted(args, "json"):
-        path = outdir / "space_summary.json"
-        fileio.write_space_summary_json(path, summary)
-        written.append(path)
-    if _wanted(args, "md"):
-        path = outdir / "spaces.md"
-        fileio.write_spaces_markdown(path, studies, spaces, summary)
-        written.append(path)
-    _info(f"space: {len(studies)} studies -> " + ", ".join(str(p) for p in written))
+    studies, spaces, summary = _read_spaces(args.input)
+    written = _write_outputs(args, [
+        ("csv", "spaces.csv", fileio.write_spaces_csv, studies, spaces),
+        ("json", "space_summary.json", fileio.write_space_summary_json, summary),
+        ("md", "spaces.md", fileio.write_spaces_markdown, studies, spaces, summary),
+    ])
+    _info(f"space: {len(studies)} studies -> " + ", ".join(written))
     return EXIT_OK
 
 
@@ -136,32 +130,20 @@ def cmd_audit(args: argparse.Namespace) -> int:
     digests = [fileio.file_digest(args.input)]
     studies = spaces = summary = None
     if args.counts:
-        studies = _read_counts(args.counts)
-        spaces = [compute_spaces(s) for s in studies]
-        summary = summarize_spaces(spaces)
+        studies, spaces, summary = _read_spaces(args.counts)
         digests.append(fileio.file_digest(args.counts))
     report = audit(table, spaces=summary, alpha=args.alpha)
     document = fileio.build_report_document(
         report, digests, studies=studies, spaces=spaces, summary=summary
     )
-    outdir = _ensure_outdir(args.output)
-    written = []
-    if _wanted(args, "json"):
-        path = outdir / "report.json"
-        fileio.write_report_json(path, document)
-        written.append(path)
-    if _wanted(args, "csv"):
-        path = outdir / "plot_data.csv"
-        fileio.write_plot_csv(path, report)
-        written.append(path)
-    if _wanted(args, "md"):
-        path = outdir / "report.md"
-        fileio.write_report_markdown(path, document)
-        written.append(path)
+    written = _write_outputs(args, [
+        ("json", "report.json", fileio.write_report_json, document),
+        ("csv", "plot_data.csv", fileio.write_plot_csv, report),
+        ("md", "report.md", fileio.write_report_markdown, document),
+    ])
     _info(
         f"audit: {report.plot.n} p-values "
-        f"({report.plot.excluded_ns_count} excluded) -> "
-        + ", ".join(str(p) for p in written)
+        f"({report.plot.excluded_ns_count} excluded) -> " + ", ".join(written)
     )
     return EXIT_OK
 
@@ -172,11 +154,9 @@ def cmd_plot(args: argparse.Namespace) -> int:
     svg = render_pvalue_plot(plot, alpha=args.alpha)
     target = Path(args.output)
     if target.suffix.lower() != ".svg":
-        target = _ensure_outdir(args.output) / "pvalue_plot.svg"
-    elif target.parent != Path(""):
-        target.parent.mkdir(parents=True, exist_ok=True)
-    with open(target, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write(svg)
+        target = target / "pvalue_plot.svg"
+    target.parent.mkdir(parents=True, exist_ok=True)
+    fileio.write_text(target, svg)
     _info(f"plot: {plot.n} points -> {target}")
     return EXIT_OK
 
@@ -222,20 +202,11 @@ def _read_config_file(path: str) -> dict:
 
 
 def _build_sim_config(args: argparse.Namespace) -> SimConfig:
+    """The config file's fields, overridden by each flag given; flags share the field names."""
     values = _read_config_file(args.config) if args.config else {}
-    overrides = {
-        "n_studies": args.n_studies,
-        "tests_per_study": args.k,
-        "correlation": args.correlation,
-        "true_effect": args.true_effect,
-        "selection_rule": args.rule,
-        "alpha": args.alpha,
-        "replicates": args.replicates,
-        "seed": args.seed,
-    }
-    values.update({k: v for k, v in overrides.items() if v is not None})
-    if args.censor:
-        values["censor_at_alpha"] = True
+    for name in _CONFIG_FIELDS:
+        if getattr(args, name) is not None:
+            values[name] = getattr(args, name)
     return SimConfig(**values)
 
 
@@ -272,23 +243,14 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     if args.emit_effects:
         emitted = _emitted_effects(config, result)
         Path(args.emit_effects).parent.mkdir(parents=True, exist_ok=True)
-    outdir = _ensure_outdir(args.output)
-    written = []
-    if _wanted(args, "csv"):
-        path = outdir / "sim_results.csv"
-        fileio.write_sim_csv(path, result)
-        written.append(path)
-    if _wanted(args, "json"):
-        path = outdir / "sim_summary.json"
-        fileio.write_sim_summary_json(path, config, result)
-        written.append(path)
+    written = _write_outputs(args, [
+        ("csv", "sim_results.csv", fileio.write_sim_csv, result),
+        ("json", "sim_summary.json", fileio.write_sim_summary_json, config, result),
+    ])
     if args.emit_effects:
         fileio.write_effects_csv(args.emit_effects, emitted)
-        written.append(Path(args.emit_effects))
-    _info(
-        f"simulate: {result.n_published}/{result.n_total} published -> "
-        + ", ".join(str(p) for p in written)
-    )
+        written.append(str(Path(args.emit_effects)))
+    _info(f"simulate: {result.n_published}/{result.n_total} published -> " + ", ".join(written))
     return EXIT_OK
 
 
@@ -302,85 +264,63 @@ def _alpha(text: str) -> float:
     return value
 
 
-def _space_arguments(space: argparse.ArgumentParser) -> None:
-    space.add_argument("--input", required=True, help="counts CSV path")
-    space.add_argument("--output", required=True, help="output directory")
-    space.add_argument("--format", choices=["json", "csv", "md"], default=None)
-    space.set_defaults(func=cmd_space)
-
-
-def _audit_arguments(audit_cmd: argparse.ArgumentParser) -> None:
-    audit_cmd.add_argument("--input", required=True, help="effects CSV path")
-    audit_cmd.add_argument("--counts", default=None, help="optional counts CSV for multiplicity")
-    audit_cmd.add_argument("--alpha", type=_alpha, default=0.05)
-    audit_cmd.add_argument("--output", required=True, help="output directory")
-    audit_cmd.add_argument("--format", choices=["json", "csv", "md"], default=None)
-    audit_cmd.set_defaults(func=cmd_audit)
-
-
-def _plot_arguments(plot: argparse.ArgumentParser) -> None:
-    plot.add_argument("--input", required=True, help="effects CSV path")
-    plot.add_argument("--output", required=True, help="SVG path or output directory")
-    plot.add_argument("--alpha", type=_alpha, default=0.05)
-    plot.set_defaults(func=cmd_plot)
-
-
-def _simulate_arguments(simulate: argparse.ArgumentParser) -> None:
-    simulate.add_argument("--output", required=True, help="output directory")
-    simulate.add_argument("--config", default=None, help="key=value config file")
-    simulate.add_argument("--k", "--tests-per-study", dest="k", type=int, default=None)
-    simulate.add_argument("--replicates", type=int, default=None)
-    simulate.add_argument("--correlation", type=float, default=None)
-    simulate.add_argument("--true-effect", type=float, default=None)
-    simulate.add_argument("--rule", choices=["report-min-p", "report-first-significant", "report-random"], default=None)
-    simulate.add_argument("--alpha", type=float, default=None)
-    simulate.add_argument("--censor", action="store_true")
-    simulate.add_argument("--n-studies", dest="n_studies", type=int, default=None)
-    simulate.add_argument("--seed", type=int, default=None)
-    simulate.add_argument("--format", choices=["json", "csv"], default=None)
-    simulate.add_argument(
-        "--emit-effects",
-        default=None,
-        help="also write reported studies as an effects CSV for the audit pipeline",
-    )
-    simulate.set_defaults(func=cmd_simulate)
-
-
-# Subcommand name -> (help text, function that adds its arguments).
-_SUBCOMMANDS = {
-    "space": ("count per-study analysis search spaces", _space_arguments),
-    "audit": ("convert effects to p-values and run diagnostics", _audit_arguments),
-    "plot": ("render the p-value plot as SVG", _plot_arguments),
-    "simulate": ("run the selection-bias Monte Carlo", _simulate_arguments),
-}
-
-
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The CLI parser; with ``command``, only that subcommand gets its arguments.
-
-    Every subcommand is registered with its help text either way, so
-    ``-h`` and errors about the command itself read the same.  With no
-    ``command``, every subcommand is built in full.
-    """
+def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, with every subcommand and its arguments."""
     parser = argparse.ArgumentParser(
         prog="metaudit",
         description="Reliability auditing for meta-analyses of observational studies.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (help_text, add_arguments) in _SUBCOMMANDS.items():
-        subparser = sub.add_parser(name, help=help_text)
-        if command is None or command == name:
-            add_arguments(subparser)
+
+    space = sub.add_parser("space", help="count per-study analysis search spaces")
+    space.add_argument("--input", required=True, help="counts CSV path")
+    space.add_argument("--output", required=True, help="output directory")
+    space.add_argument("--format", choices=["json", "csv", "md"])
+    space.set_defaults(func=cmd_space)
+
+    audit_cmd = sub.add_parser("audit", help="convert effects to p-values and run diagnostics")
+    audit_cmd.add_argument("--input", required=True, help="effects CSV path")
+    audit_cmd.add_argument("--counts", help="optional counts CSV for multiplicity")
+    audit_cmd.add_argument("--alpha", type=_alpha, default=0.05)
+    audit_cmd.add_argument("--output", required=True, help="output directory")
+    audit_cmd.add_argument("--format", choices=["json", "csv", "md"])
+    audit_cmd.set_defaults(func=cmd_audit)
+
+    plot = sub.add_parser("plot", help="render the p-value plot as SVG")
+    plot.add_argument("--input", required=True, help="effects CSV path")
+    plot.add_argument("--output", required=True, help="SVG path or output directory")
+    plot.add_argument("--alpha", type=_alpha, default=0.05)
+    plot.set_defaults(func=cmd_plot)
+
+    # Each SimConfig flag's dest is its field name, and None when not given.
+    simulate = sub.add_parser("simulate", help="run the selection-bias Monte Carlo")
+    simulate.add_argument("--output", required=True, help="output directory")
+    simulate.add_argument("--config", help="key=value config file")
+    simulate.add_argument("--k", "--tests-per-study", dest="tests_per_study", metavar="K", type=int)
+    simulate.add_argument("--replicates", type=int)
+    simulate.add_argument("--correlation", type=float)
+    simulate.add_argument("--true-effect", type=float)
+    simulate.add_argument("--rule", dest="selection_rule", choices=SELECTION_RULES)
+    simulate.add_argument("--alpha", type=float)
+    simulate.add_argument("--censor", dest="censor_at_alpha", action="store_const", const=True)
+    simulate.add_argument("--n-studies", type=int)
+    simulate.add_argument("--seed", type=int)
+    simulate.add_argument("--format", choices=["json", "csv"])
+    simulate.add_argument(
+        "--emit-effects",
+        help="also write reported studies as an effects CSV for the audit pipeline",
+    )
+    simulate.set_defaults(func=cmd_simulate)
     return parser
 
 
+# main's parser, built on first use and kept for the process: parse_args
+# reads each argv into a fresh namespace, so no option carries over.
+_parser = functools.cache(build_parser)
+
+
 def main(argv: list[str] | None = None) -> int:
-    argv = sys.argv[1:] if argv is None else argv
-    # The top-level parser has no option that takes a value, so its first
-    # argument not starting with '-' is the command (or an invalid choice,
-    # which fails before any subcommand's arguments are read).
-    command = next((arg for arg in argv if not arg.startswith("-")), None)
-    args = build_parser(command).parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except SearchSpaceOverflowError as exc:

@@ -621,7 +621,7 @@ def multiplicity_report(
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha!r}")
-    if m < 1:
+    if not m >= 1:
         raise ValueError(f"m must be at least 1, got {m!r}")
     adjusted = alpha / m
     pvalues = np.asarray(pvalues, dtype=float)

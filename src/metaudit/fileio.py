@@ -452,7 +452,8 @@ def json_dumps(document) -> str:
     return _json_text(document, "", {}) + "\n"
 
 
-def _write_text(path: Path, text: str) -> None:
+def write_text(path: str | Path, text: str) -> None:
+    """Write ``text`` to ``path`` as UTF-8 with ``\\n`` line ends."""
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
         handle.write(text)
 
@@ -506,7 +507,7 @@ def write_spaces_csv(
         f"{sp.space1},{sp.space2},{sp.space3}\n"
         for s, sp in zip(studies, spaces)
     ]
-    _write_text(Path(path), "".join(lines))
+    write_text(path, "".join(lines))
 
 
 def write_spaces_markdown(
@@ -535,7 +536,7 @@ def write_spaces_markdown(
         columns = (summary.space1, summary.space2, summary.space3)
         cells = [format(getattr(column, attr), ".6g") for column in columns]
         lines.append(f"| {attr.replace('_', ' ')} | {cells[0]} | {cells[1]} | {cells[2]} |")
-    _write_text(Path(path), "\n".join(lines) + "\n")
+    write_text(path, "\n".join(lines) + "\n")
 
 
 def space_summary_document(summary: SpaceSummary) -> dict:
@@ -548,7 +549,7 @@ def space_summary_document(summary: SpaceSummary) -> dict:
 
 
 def write_space_summary_json(path: str | Path, summary: SpaceSummary) -> None:
-    _write_text(Path(path), json_dumps(space_summary_document(summary)))
+    write_text(path, json_dumps(space_summary_document(summary)))
 
 
 def _section(result) -> dict | None:
@@ -615,7 +616,7 @@ def build_report_document(
 
 
 def write_report_json(path: str | Path, document: dict) -> None:
-    _write_text(Path(path), json_dumps(document))
+    write_text(path, json_dumps(document))
 
 
 def write_plot_csv(path: str | Path, report: AuditReport) -> None:
@@ -623,7 +624,7 @@ def write_plot_csv(path: str | Path, report: AuditReport) -> None:
     # tolist() yields Python floats, whose !r is their shortest round-trip text.
     rows = zip(range(1, plot.n + 1), plot.p.tolist(), plot.reference().tolist())
     lines = ["rank,p,reference\n"] + [f"{rank},{p!r},{ref!r}\n" for rank, p, ref in rows]
-    _write_text(Path(path), "".join(lines))
+    write_text(path, "".join(lines))
 
 
 def _fmt(value: float) -> str:
@@ -675,7 +676,7 @@ def write_report_markdown(path: str | Path, document: dict) -> None:
         ]
     lines += ["", "## Notes", ""]
     lines += [f"- {note}" for note in document["notes"]]
-    _write_text(Path(path), "\n".join(lines) + "\n")
+    write_text(path, "\n".join(lines) + "\n")
 
 
 def write_sim_csv(path: str | Path, result: SimResult) -> None:
@@ -706,7 +707,7 @@ def sim_summary_document(config: SimConfig, result: SimResult) -> dict:
 
 
 def write_sim_summary_json(path: str | Path, config: SimConfig, result: SimResult) -> None:
-    _write_text(Path(path), json_dumps(sim_summary_document(config, result)))
+    write_text(path, json_dumps(sim_summary_document(config, result)))
 
 
 def write_effects_csv(path: str | Path, records: Sequence[EffectRecord]) -> None:

@@ -36,8 +36,11 @@ def render_pvalue_plot(plot: PValuePlot, alpha: float = 0.05) -> str:
 
     One circle per plotted p-value, a dashed segment for the uniform
     reference line from (1, 1/(n+1)) to (n, n/(n+1)), and a solid
-    horizontal rule at the significance screen.
+    horizontal rule at the significance screen, which needs alpha in (0, 1)
+    to stay on the canvas.
     """
+    if not 0.0 < alpha < 1.0:
+        raise ValueError(f"alpha must lie in (0, 1), got {alpha!r}")
     n = plot.n
     x0, x1 = _MARGIN_LEFT, WIDTH - _MARGIN_RIGHT
     y0, y1 = HEIGHT - _MARGIN_BOTTOM, _MARGIN_TOP

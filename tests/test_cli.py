@@ -1,5 +1,6 @@
 """End-to-end tests for the command-line interface."""
 
+import argparse
 import csv
 import io
 import json
@@ -59,13 +60,6 @@ class TestCmdSpace:
         main(["space", "--input", COUNTS, "--output", str(second)])
         for name in ("spaces.csv", "space_summary.json", "spaces.md"):
             assert (first / name).read_bytes() == (second / name).read_bytes()
-
-    def test_format_filter(self, tmp_path):
-        outdir = tmp_path / "only_json"
-        main(["space", "--input", COUNTS, "--output", str(outdir), "--format", "json"])
-        assert (outdir / "space_summary.json").exists()
-        assert not (outdir / "spaces.csv").exists()
-        assert not (outdir / "spaces.md").exists()
 
     def test_missing_input_exits_2(self, tmp_path, capsys):
         code = main(["space", "--input", str(tmp_path / "nope.csv"), "--output", str(tmp_path)])
@@ -528,6 +522,89 @@ class TestSimulateGolden:
             self.assert_golden(tmp_path, name)
 
 
+# Command -> its input arguments, and the file each --format value writes.
+FORMAT_OUTPUTS = {
+    "space": (["--input", COUNTS], {"csv": "spaces.csv", "json": "space_summary.json", "md": "spaces.md"}),
+    "audit": (["--input", EFFECTS], {"json": "report.json", "csv": "plot_data.csv", "md": "report.md"}),
+    "simulate": (["--replicates", "20"], {"csv": "sim_results.csv", "json": "sim_summary.json"}),
+}
+
+
+@pytest.mark.parametrize(
+    "command,kind",
+    [(command, kind) for command, (_, files) in FORMAT_OUTPUTS.items() for kind in files],
+)
+def test_format_filter(tmp_path, capsys, monkeypatch, command, kind):
+    monkeypatch.setenv("METAUDIT_NO_COLOR", "1")
+    arguments, files = FORMAT_OUTPUTS[command]
+    outdir = tmp_path / "out"
+    assert main([command, *arguments, "--output", str(outdir), "--format", kind]) == 0
+    assert sorted(path.name for path in outdir.iterdir()) == [files[kind]]
+    assert capsys.readouterr().out.endswith(f" -> {outdir / files[kind]}\n")
+
+
+class TestSummaryLine:
+    """The one stdout line of each command, without styling."""
+
+    @pytest.fixture(autouse=True)
+    def no_color(self, monkeypatch):
+        monkeypatch.setenv("METAUDIT_NO_COLOR", "1")
+
+    def test_space(self, tmp_path, capsys):
+        _, o = run_space(tmp_path)
+        assert capsys.readouterr().out == (
+            f"space: 14 studies -> {o / 'spaces.csv'}, {o / 'space_summary.json'}, {o / 'spaces.md'}\n"
+        )
+
+    def test_audit(self, tmp_path, capsys):
+        o = tmp_path / "audit"
+        assert main(["audit", "--input", EFFECTS, "--counts", COUNTS, "--output", str(o)]) == 0
+        assert capsys.readouterr().out == (
+            f"audit: 12 p-values (2 excluded) -> "
+            f"{o / 'report.json'}, {o / 'plot_data.csv'}, {o / 'report.md'}\n"
+        )
+
+    @pytest.mark.parametrize(
+        "output,svg", [("figs", "figs/pvalue_plot.svg"), ("figs/p.SVG", "figs/p.SVG")]
+    )
+    def test_plot(self, tmp_path, capsys, output, svg):
+        assert main(["plot", "--input", EFFECTS, "--output", str(tmp_path / output)]) == 0
+        target = tmp_path / svg
+        assert capsys.readouterr().out == f"plot: 12 points -> {target}\n"
+        assert target.read_bytes() == (GOLDEN_DIR / "pvalue_plot.svg").read_bytes()
+
+    def test_simulate(self, tmp_path, capsys):
+        o = tmp_path / "sim"
+        effects = tmp_path / "effects" / "sim_effects.csv"
+        argv = ["simulate", *SIMULATE_GOLDEN["sim_random_k4"], "--output", str(o)]
+        assert main([*argv, "--emit-effects", str(effects)]) == 0
+        assert capsys.readouterr().out == (
+            f"simulate: 34/600 published -> "
+            f"{o / 'sim_results.csv'}, {o / 'sim_summary.json'}, {effects}\n"
+        )
+
+
+class TestNoCarryOver:
+    """An option of one main() call does not reach the next."""
+
+    def test_censor_then_plain_simulate(self, tmp_path):
+        configs = []
+        for extra in (["--censor"], []):
+            outdir = tmp_path / str(len(configs))
+            assert main(["simulate", "--replicates", "20", "--output", str(outdir), *extra]) == 0
+            summary = json.loads((outdir / "sim_summary.json").read_text(encoding="utf-8"))
+            configs.append(summary["config"]["censor_at_alpha"])
+        assert configs == [True, False]
+
+    def test_format_then_plain_audit(self, tmp_path):
+        written = []
+        for extra in (["--format", "json"], []):
+            outdir = tmp_path / str(len(written))
+            assert main(["audit", "--input", EFFECTS, "--output", str(outdir), *extra]) == 0
+            written.append(sorted(path.name for path in outdir.iterdir()))
+        assert written == [["report.json"], ["plot_data.csv", "report.json", "report.md"]]
+
+
 class FakeTtyStream(io.StringIO):
     def isatty(self):
         return True
@@ -571,14 +648,41 @@ def parse_outcome(argv, capsys):
 
 @pytest.mark.parametrize("argv", PARSER_ARGVS, ids=" ".join)
 def test_per_command_parser_reads_as_the_full_parser(argv, capsys, monkeypatch):
-    # main builds only the named command's arguments; help, usage errors
-    # and exit codes must be those of the parser with every command built.
+    # main keeps one full parser for every command of the process.  After it
+    # has read every argv list twice, it must read argv as a freshly built
+    # parser does: help, usage errors and exit codes.
     monkeypatch.setenv("COLUMNS", "80")
-    got = parse_outcome(argv, capsys)
-    full_parser = cli.build_parser
-    monkeypatch.setattr(cli, "build_parser", lambda command=None: full_parser())
-    assert got == parse_outcome(argv, capsys)
-    assert got[0] in (0, 2)
+    cli._parser.cache_clear()
+    fresh = parse_outcome(argv, capsys)
+    for other in PARSER_ARGVS * 2:
+        parse_outcome(other, capsys)
+    assert parse_outcome(argv, capsys) == fresh
+    assert fresh[0] in (0, 2)
+
+
+def test_a_second_main_builds_no_parser(tmp_path, monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    cli._parser.cache_clear()
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    assert main(["space", "--input", COUNTS, "--output", str(tmp_path / "a")]) == 0
+    assert len(built) == 5  # metaudit and its four commands
+    built.clear()
+    assert main(["simulate", "--replicates", "5", "--output", str(tmp_path / "b")]) == 0
+    assert built == []
+
+
+def test_config_fields_are_simulate_flags():
+    # _build_sim_config reads each field's flag by the field's name.
+    args = cli.build_parser().parse_args(["simulate", "--output", "o"])
+    assert {name: getattr(args, name) for name in cli._CONFIG_FIELDS} == dict.fromkeys(
+        cli._CONFIG_FIELDS
+    )
 
 
 def test_build_parser_without_a_command_builds_every_command():

@@ -779,7 +779,7 @@ class TestMultiplicityReport:
         report = multiplicity_report([0.05], alpha=0.05, m=1)
         assert report.n_significant_raw == 0
 
-    @pytest.mark.parametrize("m", [0, -1])
+    @pytest.mark.parametrize("m", [0, -1, math.nan])
     def test_rejects_bad_m(self, m):
         with pytest.raises(ValueError):
             multiplicity_report([0.1], alpha=0.05, m=m)

@@ -1,6 +1,9 @@
 """Structural tests for the SVG p-value plot renderer."""
 
+import math
 import re
+
+import pytest
 
 from metaudit.effect_audit import record_from_statistic, build_pvalue_plot
 from metaudit.svgplot import render_pvalue_plot
@@ -60,3 +63,9 @@ class TestRenderPValuePlot:
         # Reference runs from (1, 1/5) to (4, 4/5): y = 540 - p * 510.
         assert 'y1="438.00"' in svg
         assert 'y2="132.00"' in svg
+
+    @pytest.mark.parametrize("alpha", [1.5, 1.0, 0.0, -0.1, math.nan])
+    def test_rejects_alpha_outside_the_unit_interval(self, alpha):
+        # alpha = 1.5 once drew the screen at y = -225, off the canvas.
+        with pytest.raises(ValueError, match=r"alpha must lie in \(0, 1\)"):
+            render_pvalue_plot(plot_of(4), alpha=alpha)
