@@ -170,16 +170,18 @@ class PValuePlot:
         if points is not None:
             if p is not None:
                 raise ValueError("give either p or points, not both")
-            ranks, values = zip(*points) if n else ((), ())
-            if list(ranks) != list(range(1, n + 1)):
+            points = list(points)
+            if [rank for rank, _ in points] != list(range(1, n + 1)):
                 raise ValueError("points must hold ranks 1..n in order")
-            p = np.array(values, dtype=float)
+            p = np.array([value for _, value in points], dtype=float)
         if reference_line is not None and list(map(tuple, reference_line)) != [
             (i, i / (n + 1)) for i in range(1, n + 1)
         ]:
             raise ValueError("reference_line must be (i, i/(n+1)) for i = 1..n")
         if p is None or len(p) != n:
             raise ValueError(f"a plot of n = {n} needs n p-values")
+        if study_ids is not None and len(study_ids) != n:
+            raise ValueError(f"a plot of n = {n} needs n study ids, got {len(study_ids)}")
         self.p = p
         self.study_ids = [] if study_ids is None else study_ids
         self.excluded_ns_count = excluded_ns_count

@@ -36,7 +36,7 @@ COUNTS_HEADER_NAMED = COUNTS_HEADER + ["covariate_names"]
 EFFECTS_HEADER = ["study_id", "label", "ratio", "ci_low", "ci_high", "level", "ns"]
 EFFECTS_HEADER_NO_LEVEL = [c for c in EFFECTS_HEADER if c != "level"]
 
-REPORT_SCHEMA = "metaudit/1"
+REPORT_SCHEMA = "metaudit/2"
 
 
 def bundled_data_path(name: str) -> Path:
@@ -327,13 +327,11 @@ _JSON_SCALARS = {
 class JsonTable:
     """Rows of one layout held as columns, which ``json_dumps`` writes as a list.
 
-    Each row is an object with ``keys`` or, when ``keys`` is None, an
-    array.  A column is a sequence of exact-type scalars (see
-    _JSON_SCALARS) or a float64 array.  A column object that several tables
-    share is formatted once per ``json_dumps`` call.
+    Each row is an object with ``keys``.  A column is a sequence of
+    exact-type scalars (see _JSON_SCALARS) or a float64 array.
     """
 
-    def __init__(self, columns: tuple[Sequence, ...], keys: tuple[str, ...] | None = None):
+    def __init__(self, columns: tuple[Sequence, ...], keys: tuple[str, ...]):
         self.columns = columns
         self.keys = keys
 
@@ -354,34 +352,35 @@ def _json_column(column) -> list[str]:
     return texts
 
 
-def _json_text(value, pad: str, column_texts: dict) -> str:
-    """JSON text of ``value`` whose closing bracket is indented by ``pad``.
-
-    ``column_texts`` maps the id of each JsonTable column formatted so far
-    to its texts.
-    """
+def _json_text(value, pad: str) -> str:
+    """JSON text of ``value`` whose closing bracket is indented by ``pad``."""
     scalar = _JSON_SCALARS.get(type(value))
     if scalar is not None:
         return scalar(value)
+    inner = pad + "  "
     if isinstance(value, dict):
         if not value:
             return "{}"
-        texts = _json_member_texts(value.values(), pad + "  ", column_texts)
-        return _json_rows(tuple(value), [[text] for text in texts], pad)
+        texts = _json_member_texts(value.values(), inner)
+        members = [encode_basestring(f"{key}") + ": " + text for key, text in zip(value, texts)]
+        return "{\n" + inner + (",\n" + inner).join(members) + "\n" + pad + "}"
     if isinstance(value, (list, tuple)):
         if not value:
             return "[]"
-        texts = _json_member_texts(value, pad + "  ", column_texts)
-        return _json_rows(None, [[text] for text in texts], pad)
+        texts = _json_member_texts(value, inner)
+        return "[\n" + inner + (",\n" + inner).join(texts) + "\n" + pad + "]"
     if isinstance(value, JsonTable):
         if not len(value):
             return "[]"
-        for column in value.columns:
-            if id(column) not in column_texts:
-                column_texts[id(column)] = _json_column(column)
-        inner = pad + "  "
-        rows = _json_rows(value.keys, [column_texts[id(c)] for c in value.columns], inner)
-        return "[\n" + inner + rows + "\n" + pad + "]"
+        # Each row is an object whose closing brace is indented by inner.
+        row_pad = inner + "  "
+        names = [encode_basestring(f"{key}") + ": " for key in value.keys]
+        openers = ["{\n" + row_pad + names[0]] + [",\n" + row_pad + name for name in names[1:]]
+        close = "\n" + inner + "}"
+        columns = list(map(_json_column, value.columns))
+        parts = _interleave(openers + [close + ",\n" + inner], columns)
+        parts[-1] = close
+        return "[\n" + inner + "".join(parts) + "\n" + pad + "]"
     if isinstance(value, float):
         return _format_json_float(value)
     if isinstance(value, int):
@@ -405,29 +404,10 @@ def _interleave(fixed: list[str], columns: list) -> list[str]:
     return parts
 
 
-def _json_rows(keys: tuple | None, columns: list, pad: str) -> str:
-    """Rows of non-empty column texts as objects with ``keys`` (arrays when None).
-
-    Each row's closing bracket is indented by ``pad``, and rows are
-    separated by a comma and a new line indented by ``pad``.
-    """
-    inner = pad + "  "
-    if keys is None:
-        openers = ["[\n" + inner] + [",\n" + inner] * (len(columns) - 1)
-        close = "\n" + pad + "]"
-    else:
-        names = [encode_basestring(f"{key}") + ": " for key in keys]
-        openers = ["{\n" + inner + names[0]] + [",\n" + inner + name for name in names[1:]]
-        close = "\n" + pad + "}"
-    parts = _interleave(openers + [close + ",\n" + pad], columns)
-    parts[-1] = close
-    return "".join(parts)
-
-
-def _json_member_texts(members, pad: str, column_texts: dict) -> list[str]:
+def _json_member_texts(members, pad: str) -> list[str]:
     texts = _json_scalar_texts(members)
     if texts is None:
-        texts = [_json_text(member, pad, column_texts) for member in members]
+        texts = [_json_text(member, pad) for member in members]
     return texts
 
 
@@ -449,7 +429,7 @@ def json_dumps(document) -> str:
     Strings and keys are escaped as the stdlib ``json`` module escapes them
     (control characters included), so the output is always valid JSON.
     """
-    return _json_text(document, "", {}) + "\n"
+    return _json_text(document, "") + "\n"
 
 
 def write_text(path: str | Path, text: str) -> None:
@@ -566,10 +546,10 @@ def build_report_document(
 ) -> dict:
     """Assemble the schema-versioned report JSON document.
 
-    The ranked tables are JsonTables over the plot's columns.
+    ``pvalues`` is the one ranked table, a JsonTable over the plot's
+    columns; a reader derives the reference i/(n+1) from ``plot.n``.
     """
     plot = report.plot
-    ranks = range(1, plot.n + 1)
     notes = [
         "p-values derive from reported ratio confidence intervals via the "
         "log-scale normal approximation.",
@@ -587,13 +567,10 @@ def build_report_document(
         "inputs_digest": digests,
         "spaces": None,
         "space_summary": space_summary_document(summary) if summary else None,
-        "pvalues": JsonTable((plot.study_ids, plot.p, ranks), ("study_id", "p", "rank")),
-        "plot": {
-            "n": plot.n,
-            "excluded_ns_count": plot.excluded_ns_count,
-            "points": JsonTable((ranks, plot.p)),
-            "reference_line": JsonTable((ranks, plot.reference())),
-        },
+        "pvalues": JsonTable(
+            (plot.study_ids, plot.p, range(1, plot.n + 1)), ("study_id", "p", "rank")
+        ),
+        "plot": {"n": plot.n, "excluded_ns_count": plot.excluded_ns_count},
         "tests": {
             "uniformity": _section(report.uniformity),
             "bilinearity": _section(report.bilinearity),

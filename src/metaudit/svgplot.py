@@ -42,6 +42,8 @@ def render_pvalue_plot(plot: PValuePlot, alpha: float = 0.05) -> str:
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha!r}")
     n = plot.n
+    if not n:
+        raise ValueError("cannot render an empty p-value plot (n = 0)")
     x0, x1 = _MARGIN_LEFT, WIDTH - _MARGIN_RIGHT
     y0, y1 = HEIGHT - _MARGIN_BOTTOM, _MARGIN_TOP
 

@@ -410,7 +410,6 @@ def test_criterion_9_invariant_suites():
 def test_hockey_stick_fit_matches_report(mixture_run):
     """The serialized hockey-stick fit equals a direct fit of the same plot."""
     document = json.loads(mixture_run["audit/report.json"].read_text(encoding="utf-8"))
-    points = document["plot"]["points"]
-    fit = hockey_stick_fit(plot_from_pvalues([p for _rank, p in points]))
+    fit = hockey_stick_fit(plot_from_pvalues([row["p"] for row in document["pvalues"]]))
     assert fit.breakpoint == document["tests"]["hockey_stick"]["breakpoint"]
     assert fit.right_slope == document["tests"]["hockey_stick"]["right_slope"]

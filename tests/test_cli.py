@@ -43,7 +43,7 @@ class TestCmdSpace:
         code, outdir = run_space(tmp_path)
         assert code == 0
         summary = json.loads((outdir / "space_summary.json").read_text(encoding="utf-8"))
-        assert summary["schema"] == "metaudit/1"
+        assert summary["schema"] == "metaudit/2"
         for name, expected in CORPUS_SUMMARY.items():
             got = summary[name]
             assert (
@@ -90,7 +90,7 @@ class TestCmdAudit:
         )
         assert code == 0
         document = json.loads((outdir / "report.json").read_text(encoding="utf-8"))
-        assert document["schema"] == "metaudit/1"
+        assert document["schema"] == "metaudit/2"
         assert document["plot"]["n"] == 12
         assert document["plot"]["excluded_ns_count"] == 2
         assert document["multiplicity"]["m"] == 6784.0
@@ -235,6 +235,21 @@ class TestCmdAudit:
         effects = GOLDEN_DIR / "sim_k10_censor" / "sim_effects.csv"
         assert main(["audit", "--input", str(effects), "--output", str(outdir)]) == 0
         assert (outdir / name).read_bytes() == (GOLDEN_DIR / "sim_k10_censor" / "audit" / name).read_bytes()
+
+    @pytest.mark.parametrize("effects", ["ties/effects.csv", "sim_k10_censor/sim_effects.csv"])
+    def test_pvalues_hold_the_whole_plot(self, tmp_path, effects):
+        # pvalues is the one ranked table: the plot's points and its
+        # reference line i/(n+1) are rebuilt from it and plot.n.
+        outdir = tmp_path / "audit"
+        assert main(["audit", "--input", str(GOLDEN_DIR / effects), "--output", str(outdir)]) == 0
+        document = json.loads((outdir / "report.json").read_text(encoding="utf-8"))
+        with open(outdir / "plot_data.csv", encoding="utf-8", newline="") as handle:
+            rows = list(csv.DictReader(handle))
+        n = document["plot"]["n"]
+        assert [row["rank"] for row in document["pvalues"]] == list(range(1, n + 1))
+        assert [row["p"] for row in document["pvalues"]] == [float(row["p"]) for row in rows]
+        assert [float(row["reference"]) for row in rows] == [i / (n + 1) for i in range(1, n + 1)]
+        assert list(document["plot"]) == ["n", "excluded_ns_count"]
 
     def test_control_character_in_study_id_gives_valid_json(self, tmp_path):
         effects = tmp_path / "tab.csv"

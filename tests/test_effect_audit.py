@@ -358,6 +358,20 @@ class TestBuildPValuePlot:
         plot = build_pvalue_plot([record_with_p(s, 0.5) for s in "abc"])
         assert plot.reference().tolist() == [0.25, 0.5, 0.75]
 
+    @pytest.mark.parametrize(
+        "kwargs, match",
+        [
+            # Once accepted, with the point silently dropped.
+            ({"points": [(1, 0.5)], "n": 0}, "ranks 1..n"),
+            # Once accepted, to fail later inside json_dumps.
+            ({"p": np.array([0.1, 0.2, 0.4]), "study_ids": ["a"], "n": 3}, "needs n study ids"),
+            ({"p": np.array([0.1, 0.2, 0.4]), "study_ids": list("abcd"), "n": 3}, "needs n study ids"),
+        ],
+    )
+    def test_wrong_number_of_points_or_ids_rejected(self, kwargs, match):
+        with pytest.raises(ValueError, match=match):
+            PValuePlot(excluded_ns_count=0, **kwargs)
+
     def test_points_constructor_checks_ranks_and_reference(self):
         reference = [(1, 0.25), (2, 0.5), (3, 0.75)]
         plot = PValuePlot(points=[(1, 0.1), (2, 0.2), (3, 0.4)], reference_line=reference, excluded_ns_count=0, n=3)

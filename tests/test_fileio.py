@@ -580,8 +580,6 @@ def per_row_document(value):
     """``value`` with each JsonTable written out as the list of rows it stands for."""
     if isinstance(value, fileio.JsonTable):
         columns = [c.tolist() if isinstance(c, np.ndarray) else list(c) for c in value.columns]
-        if value.keys is None:
-            return [list(row) for row in zip(*columns)]
         return [dict(zip(value.keys, row)) for row in zip(*columns)]
     if isinstance(value, dict):
         return {key: per_row_document(item) for key, item in value.items()}
@@ -678,7 +676,7 @@ def reference_table_document(value):
     The reference writer puts keys between quotes as given, so escaping
     them first gives the text a correct writer must produce.
     """
-    if isinstance(value, fileio.JsonTable) and value.keys is not None:
+    if isinstance(value, fileio.JsonTable):
         keys = tuple(encode_basestring(key)[1:-1] for key in value.keys)
         value = fileio.JsonTable(value.columns, keys)
     if isinstance(value, dict):
@@ -699,7 +697,6 @@ class TestJsonTableMatchesReference:
         [
             ("a%b", "%s", "%(x)s %%", "100%"),
             ('q"uote', "tab\there", "nul\x00", "\x1f"),
-            None,
         ],
     )
     def test_keys_and_layouts(self, keys):
@@ -711,17 +708,8 @@ class TestJsonTableMatchesReference:
     @pytest.mark.parametrize("rows", [0, 1])
     def test_short_tables(self, rows):
         columns = tuple(column[:rows] for column in self.COLUMNS)
-        for keys in (("a", "b", "c", "d"), None):
-            document = [fileio.JsonTable(columns, keys), {"x": fileio.JsonTable(columns, keys)}]
-            assert json_dumps(document) == reference_json_dumps(reference_table_document(document))
-
-    def test_column_shared_by_two_tables(self):
-        ranks = range(1, 4)
-        p = np.array([0.25, 0.5, 0.75])
-        document = {
-            "rows": fileio.JsonTable((["a", "b", "c"], p, ranks), ("id", "p", "rank")),
-            "points": fileio.JsonTable((ranks, p)),
-        }
+        keys = ("a", "b", "c", "d")
+        document = [fileio.JsonTable(columns, keys), {"x": fileio.JsonTable(columns, keys)}]
         assert json_dumps(document) == reference_json_dumps(reference_table_document(document))
 
 

@@ -3,9 +3,10 @@
 import math
 import re
 
+import numpy as np
 import pytest
 
-from metaudit.effect_audit import record_from_statistic, build_pvalue_plot
+from metaudit.effect_audit import PValuePlot, build_pvalue_plot, record_from_statistic
 from metaudit.svgplot import render_pvalue_plot
 
 
@@ -69,3 +70,8 @@ class TestRenderPValuePlot:
         # alpha = 1.5 once drew the screen at y = -225, off the canvas.
         with pytest.raises(ValueError, match=r"alpha must lie in \(0, 1\)"):
             render_pvalue_plot(plot_of(4), alpha=alpha)
+
+    def test_rejects_an_empty_plot(self):
+        # Once a ZeroDivisionError from placing rank 1 on an axis of n = 0 ranks.
+        with pytest.raises(ValueError, match="empty p-value plot"):
+            render_pvalue_plot(PValuePlot(0, 0, np.array([]), []))
