@@ -298,94 +298,77 @@ def read_effects_csv(path: str | Path) -> EffectsTable:
         raise AssertionError("the column checks rejected rows that the row check accepts")
 
 
-def _format_json_float(value: float) -> str:
-    if math.isfinite(value):
-        return format(value, ".17g")
-    return "null"
-
-
-def _format_json_bool(value: bool) -> str:
-    return "true" if value else "false"
-
-
-def _format_json_none(value: None) -> str:
-    return "null"
-
-
-# Scalars dispatched on their exact type.  bool and None have no subclasses;
-# float and int subclasses (np.float64, IntEnum) and other objects take the
-# isinstance chain at the end of _json_text, which gives the same text.
-_JSON_SCALARS = {
-    float: _format_json_float,
-    int: int.__repr__,
-    str: encode_basestring,
-    bool: _format_json_bool,
-    type(None): _format_json_none,
-}
+def _json_scalar(value) -> str:
+    """JSON text of None, a bool, a float (null unless finite), an int or a str."""
+    if value is None:
+        return "null"
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float):
+        return format(value, ".17g") if math.isfinite(value) else "null"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, str):
+        return encode_basestring(value)
+    raise TypeError(f"json_dumps cannot write a {type(value).__name__}")
 
 
 class JsonTable:
     """Rows of one layout held as columns, which ``json_dumps`` writes as a list.
 
-    Each row is an object with ``keys``.  A column is a sequence of
-    exact-type scalars (see _JSON_SCALARS) or a float64 array.
+    Each row is an object with ``keys``, one str key per column.  A column
+    is a float64 array or a sequence of the scalars ``json_dumps`` writes
+    (None, bool, float, int, str), and all columns have one length.
     """
 
     def __init__(self, columns: tuple[Sequence, ...], keys: tuple[str, ...]):
+        lengths = [len(column) for column in columns]
+        if len(keys) != len(columns) or len(set(lengths)) > 1:
+            raise ValueError(f"JsonTable keys {keys} need one column each of one length: {lengths}")
         self.columns = columns
         self.keys = keys
 
-    def __len__(self) -> int:
-        return len(self.columns[0])
-
 
 def _json_column(column) -> list[str]:
+    """``_json_scalar`` of each value, in one map for float64, str and int columns."""
     if isinstance(column, np.ndarray):
-        values = column.tolist()
-        if np.isfinite(column).all():  # _format_json_float's text, without its check
-            return list(map(format, values, itertools.repeat(".17g")))
-    else:
-        values = column
-    texts = _json_scalar_texts(values)
-    if texts is None:
-        raise TypeError("a JsonTable column must hold exact-type JSON scalars")
-    return texts
+        if column.dtype == np.float64 and np.isfinite(column).all():
+            return list(map(format, column.tolist(), itertools.repeat(".17g")))
+        column = column.tolist()
+    kinds = set(map(type, column))
+    if kinds == {str}:
+        return list(map(encode_basestring, column))
+    if kinds == {int}:
+        return list(map(int.__repr__, column))
+    return list(map(_json_scalar, column))
 
 
 def _json_text(value, pad: str) -> str:
     """JSON text of ``value`` whose closing bracket is indented by ``pad``."""
-    scalar = _JSON_SCALARS.get(type(value))
-    if scalar is not None:
-        return scalar(value)
     inner = pad + "  "
     if isinstance(value, dict):
         if not value:
             return "{}"
-        texts = _json_member_texts(value.values(), inner)
-        members = [encode_basestring(f"{key}") + ": " + text for key, text in zip(value, texts)]
+        members = (encode_basestring(k) + ": " + _json_text(v, inner) for k, v in value.items())
         return "{\n" + inner + (",\n" + inner).join(members) + "\n" + pad + "}"
     if isinstance(value, (list, tuple)):
         if not value:
             return "[]"
-        texts = _json_member_texts(value, inner)
+        texts = [_json_text(item, inner) for item in value]
         return "[\n" + inner + (",\n" + inner).join(texts) + "\n" + pad + "]"
     if isinstance(value, JsonTable):
-        if not len(value):
+        if not len(value.columns[0]):
             return "[]"
         # Each row is an object whose closing brace is indented by inner.
         row_pad = inner + "  "
-        names = [encode_basestring(f"{key}") + ": " for key in value.keys]
+        names = [encode_basestring(key) + ": " for key in value.keys]
         openers = ["{\n" + row_pad + names[0]] + [",\n" + row_pad + name for name in names[1:]]
         close = "\n" + inner + "}"
         columns = list(map(_json_column, value.columns))
         parts = _interleave(openers + [close + ",\n" + inner], columns)
         parts[-1] = close
         return "[\n" + inner + "".join(parts) + "\n" + pad + "]"
-    if isinstance(value, float):
-        return _format_json_float(value)
-    if isinstance(value, int):
-        return str(value)
-    return encode_basestring(str(value))
+    return _json_scalar(value)
 
 
 def _interleave(fixed: list[str], columns: list) -> list[str]:
@@ -404,30 +387,16 @@ def _interleave(fixed: list[str], columns: list) -> list[str]:
     return parts
 
 
-def _json_member_texts(members, pad: str) -> list[str]:
-    texts = _json_scalar_texts(members)
-    if texts is None:
-        texts = [_json_text(member, pad) for member in members]
-    return texts
-
-
-def _json_scalar_texts(values) -> list[str] | None:
-    """Texts of ``values`` if all are exact-type scalars, else None."""
-    try:
-        formats = [_JSON_SCALARS[kind] for kind in set(map(type, values))]
-    except KeyError:
-        return None
-    if len(formats) == 1:
-        return list(map(formats[0], values))
-    return [_JSON_SCALARS[type(value)](value) for value in values]
-
-
 def json_dumps(document) -> str:
     """Serialize to deterministic JSON: 17-significant-digit floats,
     insertion-ordered keys, two-space indent, trailing newline.
 
-    Strings and keys are escaped as the stdlib ``json`` module escapes them
-    (control characters included), so the output is always valid JSON.
+    ``document`` is made of dicts with str keys, lists, tuples, JsonTables
+    and the scalars None, bool, float, int and str (subclasses included;
+    a non-finite float is written as null).  Any other type, a NumPy
+    integer or bool among them, raises TypeError.  Strings and keys are
+    escaped as the stdlib ``json`` module escapes them (control characters
+    included), so the output is always valid JSON.
     """
     return _json_text(document, "") + "\n"
 

@@ -106,10 +106,27 @@ class TestCmdAudit:
         assert document["multiplicity"] is None
         assert document["spaces"] is None
 
-    def test_json_reserialization_is_byte_identical(self, tmp_path):
-        outdir = tmp_path / "audit"
-        main(["audit", "--input", EFFECTS, "--counts", COUNTS, "--output", str(outdir)])
-        raw = (outdir / "report.json").read_text(encoding="utf-8")
+    @pytest.mark.parametrize(
+        "golden",
+        [
+            None,
+            "example_report.json",
+            "ties/report.json",
+            "sim_k10_censor/audit/report.json",
+            "sim_k10_censor/sim_summary.json",
+            "sim_random_k4/sim_summary.json",
+            "space_nawrot/space_summary.json",
+        ],
+        ids=lambda golden: golden or "audit_with_counts",
+    )
+    def test_json_reserialization_is_byte_identical(self, tmp_path, golden):
+        if golden is None:
+            outdir = tmp_path / "audit"
+            main(["audit", "--input", EFFECTS, "--counts", COUNTS, "--output", str(outdir)])
+            path = outdir / "report.json"
+        else:
+            path = GOLDEN_DIR / golden
+        raw = path.read_text(encoding="utf-8")
         assert json_dumps(json.loads(raw)) == raw
 
     def test_plot_csv_round_trips(self, tmp_path):

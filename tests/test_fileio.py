@@ -19,7 +19,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from metaudit import cli, fileio
-from metaudit.effect_audit import EffectRecord, EffectsTable, audit, record_from_statistic
+from metaudit.effect_audit import (
+    EffectRecord,
+    EffectsTable,
+    PValuePlot,
+    audit,
+    record_from_statistic,
+)
 from metaudit.fileio import (
     COUNTS_HEADER,
     COUNTS_HEADER_NAMED,
@@ -251,6 +257,21 @@ class TestJsonSerialization:
         first = json_dumps(document)
         second = json_dumps(json.loads(first))
         assert second == first
+
+    @pytest.mark.parametrize(
+        "value",
+        [np.int64(5), np.bool_(True), {1, 2}, object()],
+        ids=["np.int64", "np.bool_", "set", "object"],
+    )
+    def test_other_types_are_rejected(self, value):
+        with pytest.raises(TypeError, match=type(value).__name__):
+            json_dumps({"x": value})
+        with pytest.raises(TypeError, match=type(value).__name__):
+            json_dumps(fileio.JsonTable(([1, value],), ("x",)))
+
+    def test_keys_must_be_strings(self):
+        with pytest.raises(TypeError):
+            json_dumps({1: "x"})
 
     def test_report_document_round_trip(self):
         records = [record_from_statistic(f"s{i:02d}", 0.3 * i, 0.1) for i in range(1, 11)]
@@ -711,6 +732,28 @@ class TestJsonTableMatchesReference:
         keys = ("a", "b", "c", "d")
         document = [fileio.JsonTable(columns, keys), {"x": fileio.JsonTable(columns, keys)}]
         assert json_dumps(document) == reference_json_dumps(reference_table_document(document))
+
+    @pytest.mark.parametrize(
+        "columns, keys",
+        [
+            (([1, 2], ["a"]), ("a", "b")),
+            (([], ["a"]), ("a", "b")),
+            ((np.zeros(3), range(2)), ("a", "b")),
+            (([1], [2]), ("a",)),
+        ],
+        ids=["lengths-2-1", "lengths-0-1", "lengths-3-2", "one-key-two-columns"],
+    )
+    def test_mismatched_columns_rejected(self, columns, keys):
+        with pytest.raises(ValueError, match="one column each of one length"):
+            fileio.JsonTable(columns, keys)
+
+    def test_report_of_a_plot_without_study_ids_rejected(self):
+        records = [record_from_statistic(f"s{i}", 0.3 * i, 0.1) for i in range(1, 8)]
+        report = audit(records)
+        points = list(enumerate(report.plot.p.tolist(), start=1))
+        report.plot = PValuePlot(excluded_ns_count=0, n=len(points), points=points)
+        with pytest.raises(ValueError, match=r"\[0, 7, 7\]"):
+            build_report_document(report, digests=[])
 
 
 # --- The one-pass readers against the former per-line readers -------------------
