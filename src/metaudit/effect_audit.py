@@ -94,10 +94,10 @@ class EffectsTable(Sequence):
     ``ci_high`` and ``level`` are float arrays, and ``ns`` a bool mask of
     the not-significant rows, whose three numeric entries are NaN.
     ``lines`` holds each row's line number in the file it was read from,
-    or is None.  The columns are taken as given: ``read_effects_csv`` and
-    ``from_records`` check every row against ``EffectRecord``'s contract.
-    Indexing builds the row's ``EffectRecord``, and a table equals any
-    sequence of equal records.
+    or is None.  Construction checks that the columns have one length and
+    ``ns`` is bool, and raises the ``EffectRecord`` ValueError of the first
+    row that breaks its contract.  Indexing builds the row's
+    ``EffectRecord``, and a table equals any sequence of equal records.
     """
 
     study_ids: list[str]
@@ -108,6 +108,20 @@ class EffectsTable(Sequence):
     level: np.ndarray
     ns: np.ndarray
     lines: list[int] | None = None
+
+    def __post_init__(self) -> None:
+        lengths = [len(column) for column in vars(self).values() if column is not None]
+        if len(set(lengths)) > 1 or not isinstance(self.ns, np.ndarray) or self.ns.dtype != bool:
+            raise ValueError(f"EffectsTable needs columns of one length and a bool ns: {lengths}")
+        level, low, ratio, high = self.level, self.ci_low, self.ratio, self.ci_high
+        with np.errstate(invalid="ignore"):  # NaN fails every comparison
+            interval = (0.0 < low) & (low <= ratio) & (ratio <= high) & (high < math.inf)
+            bad = ~((0.5 < level) & (level < 1.0) & (self.ns | interval))
+        if "" in self.study_ids:
+            bad[self.study_ids.index("")] = True
+        if bad.any():
+            self[int(bad.argmax())]  # raises the row's EffectRecord error
+            raise AssertionError("the column check rejected a row that EffectRecord accepts")
 
     @classmethod
     def from_records(cls, records: Iterable[EffectRecord]) -> EffectsTable:
@@ -152,9 +166,9 @@ class PValuePlot:
 
     A table in rank order: rank i = 1..n holds ``p[i - 1]`` (a float
     array), the p-value of study ``study_ids[i - 1]``.  The reference
-    i/(n+1) is a function of n and is not stored.  A plot can also be
-    built from its (rank, p) ``points`` and its ``reference_line``, whose
-    ranks must run 1..n; it then has no study ids.
+    i/(n+1) is a function of n and is not stored; p must ascend within
+    [0, 1].  A plot can also be built from its (rank, p) ``points`` and
+    its ``reference_line``, whose ranks must run 1..n; it has no study ids.
     """
 
     def __init__(
@@ -180,6 +194,8 @@ class PValuePlot:
             raise ValueError("reference_line must be (i, i/(n+1)) for i = 1..n")
         if p is None or len(p) != n:
             raise ValueError(f"a plot of n = {n} needs n p-values")
+        if n and not (0.0 <= p[0] and p[-1] <= 1.0 and (p[:-1] <= p[1:]).all()):
+            raise ValueError("the p-values of a plot must ascend within [0, 1]")
         if study_ids is not None and len(study_ids) != n:
             raise ValueError(f"a plot of n = {n} needs n study ids, got {len(study_ids)}")
         self.p = p
@@ -230,13 +246,6 @@ def _critical_value(confidence_level: float) -> float:
     return std_normal_quantile(0.5 * (1.0 + confidence_level))
 
 
-def _interval_error(study_id: str, ratio: float, ci_low: float, ci_high: float) -> ValueError:
-    if ci_low != ci_high and not ci_low <= ratio <= ci_high:
-        return ValueError(f"study {study_id!r}: ratio {ratio} outside its interval")
-    # Equal bounds, or distinct bounds with one logarithm: se would be 0.
-    return ValueError(f"study {study_id!r}: degenerate interval [{ci_low}, {ci_high}]")
-
-
 def _logs(values: np.ndarray) -> np.ndarray:
     # math.log, not np.log: the two need not round alike.
     return np.fromiter(map(math.log, values.tolist()), float, len(values))
@@ -249,19 +258,20 @@ def _pvalues(
     ci_high: np.ndarray,
     level: np.ndarray,
 ) -> np.ndarray:
-    """Column form of ``p_from_ratio_ci`` over rows that all carry an interval.
+    """Column form of ``p_from_ratio_ci`` over table rows that all carry an interval.
 
     NumPy forms the IEEE basic operations that the scalar formula makes,
     in its order, and ``math.log`` and ``math.erfc`` run through ``map``,
-    so every p-value has the scalar formula's bits.  Raises ValueError for
-    the first row, in input order, whose interval is degenerate or does
-    not hold its ratio.
+    so every p-value has the scalar formula's bits.  ``EffectsTable`` has
+    checked each row; this raises ValueError for the first row, in input
+    order, whose bounds have one logarithm (equal or not): se would be 0.
     """
     log_low, log_high = _logs(ci_low), _logs(ci_high)
-    bad = (log_low == log_high) | ~((ci_low <= ratio) & (ratio <= ci_high))
-    if bad.any():
-        i = int(bad.argmax())
-        raise _interval_error(study_ids[i], ratio[i].item(), ci_low[i].item(), ci_high[i].item())
+    degenerate = log_low == log_high
+    if degenerate.any():
+        i = int(degenerate.argmax())
+        low, high = ci_low[i].item(), ci_high[i].item()
+        raise ValueError(f"study {study_ids[i]!r}: degenerate interval [{low}, {high}]")
     levels = level.tolist()
     critical = {value: _critical_value(value) for value in set(levels)}
     z = np.fromiter(map(critical.__getitem__, levels), float, len(levels))
@@ -287,8 +297,8 @@ def p_from_ratio_ci(record: EffectRecord) -> float:
             f"study {record.study_id!r} is flagged not-significant; it has no "
             "numeric interval to convert"
         )
-    columns = (record.ratio, record.ci_low, record.ci_high, record.confidence_level)
-    return _pvalues([record.study_id], *(np.array([v], dtype=float) for v in columns)).item()
+    table = EffectsTable.from_records([record])
+    return _pvalues(table.study_ids, table.ratio, table.ci_low, table.ci_high, table.level).item()
 
 
 def _exp_or_inf(x: float) -> float:

@@ -208,23 +208,16 @@ def _effect_record(lineno: int, cells: list[str], width: int) -> EffectRecord:
         raise ParseError(str(exc), row=lineno) from exc
 
 
-class _BadRow(Exception):
-    """Some row breaks the effects contract; the row check names it."""
-
-
 def _floats(cells) -> np.ndarray:
     # float(cell.strip()), as the row check parses: float() alone does not
     # strip \x1c-\x1f.
-    try:
-        return np.array(list(map(float, map(str.strip, cells))), dtype=float)
-    except ValueError:
-        raise _BadRow from None
+    return np.array(list(map(float, map(str.strip, cells))), dtype=float)
 
 
 def _effects_columns(lines: list[int], cells: list[list[str]], width: int) -> EffectsTable:
-    """The effects table of the rows, checked in bulk; raises _BadRow."""
+    """The effects table of the rows; checks only the file format, raising a plain ValueError."""
     if set(map(len, cells)) != {width}:
-        raise _BadRow
+        raise ValueError("a row has the wrong number of fields")
     columns = list(zip(*cells))
     if width == len(EFFECTS_HEADER):
         study_ids, labels, ratio, ci_low, ci_high, level_cells, ns_cells = columns
@@ -237,25 +230,19 @@ def _effects_columns(lines: list[int], cells: list[list[str]], width: int) -> Ef
         level = np.full(len(cells), 0.95)
     ns_cells = list(map(str.strip, ns_cells))
     if not set(ns_cells) <= {"0", "1", ""}:
-        raise _BadRow
+        raise ValueError("an ns cell is not 0, 1 or empty")
     ns = np.array([cell == "1" for cell in ns_cells], dtype=bool)
-    study_ids = list(map(str.strip, study_ids))
-    if "" in study_ids or not ((0.5 < level) & (level < 1.0)).all():
-        raise _BadRow
     # Not-significant rows carry no numbers, whatever their cells hold.
     numeric = ~ns
     flags = numeric.tolist()
     numbers = [_floats(itertools.compress(column, flags)) for column in (ratio, ci_low, ci_high)]
-    ratio, ci_low, ci_high = numbers
-    positive = all(np.isfinite(column).all() and (column > 0.0).all() for column in numbers)
-    if not (positive and ((ci_low <= ratio) & (ratio <= ci_high)).all()):
-        raise _BadRow
     if not all(flags):
-        numbers = [np.full(len(cells), math.nan) for _ in numbers]
-        for full, column in zip(numbers, (ratio, ci_low, ci_high)):
+        parsed_numbers, numbers = numbers, [np.full(len(cells), math.nan) for _ in numbers]
+        for full, column in zip(numbers, parsed_numbers):
             full[numeric] = column
     return EffectsTable(
-        study_ids, list(map(str.strip, labels)), *numbers, level=level, ns=ns, lines=lines
+        list(map(str.strip, study_ids)), list(map(str.strip, labels)), *numbers,
+        level=level, ns=ns, lines=lines,
     )
 
 
@@ -263,9 +250,9 @@ def read_effects_csv(path: str | Path) -> EffectsTable:
     """Parse an effects CSV into an EffectsTable, a sequence of EffectRecords.
 
     The level column is optional (default 0.95) and may be left empty per
-    row; rows with ns=1 may leave all numeric fields empty.  The rows are
-    checked in bulk; a row that breaks the contract raises the ParseError
-    of the first such row in file order.
+    row; rows with ns=1 may leave all numeric fields empty.  When the bulk
+    parse or ``EffectsTable``'s check fails, the row check raises the
+    ParseError of the first bad row in file order.
     """
     path = Path(path)
     lines: list[int] = []
@@ -293,7 +280,7 @@ def read_effects_csv(path: str | Path) -> EffectsTable:
         raise ParseError(f"{path}: no effect rows after the header")
     try:
         return _effects_columns(lines, cells, width)
-    except _BadRow:
+    except ValueError:
         check_rows()
         raise AssertionError("the column checks rejected rows that the row check accepts")
 

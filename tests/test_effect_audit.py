@@ -173,6 +173,13 @@ class TestPFromRatioCi:
         with pytest.raises(ValueError, match="degenerate"):
             p_from_ratio_ci(record("d", 1.2, 1.2, 1.2))
 
+    def test_rejects_ratio_moved_outside_its_interval(self):
+        # The record was valid when built; the conversion must still check it.
+        rec = record("moved", 1.5, 1.25, 2.0)
+        rec.ratio = 3.0
+        with pytest.raises(ValueError, match=r"^study 'moved': ratio 3.0 outside its interval"):
+            p_from_ratio_ci(rec)
+
     def test_rejects_ratio_outside_interval(self):
         with pytest.raises(ValueError):
             record("o", 2.0, 0.9, 1.5)
@@ -342,6 +349,71 @@ class TestEffectRecordValidation:
             record("x", 1.1, 1.2, 1.0)
 
 
+GOOD_ROW = {"study_id": "good", "ratio": 1.5, "ci_low": 1.25, "ci_high": 2.0, "confidence_level": 0.95}
+NS_ROW = {"study_id": "ns", "ratio": math.nan, "ci_low": math.nan, "ci_high": math.nan,
+          "confidence_level": 0.9, "not_significant_flag": True}
+# Each a change to GOOD_ROW that breaks EffectRecord's contract.
+BAD_ROWS = {
+    "level-0.3": {"confidence_level": 0.3},
+    "empty-id": {"study_id": ""},
+    "negative-ci_low": {"ci_low": -1.25},
+    "nan-ratio": {"ratio": math.nan},
+    "inf-ci_high": {"ci_high": math.inf},
+    "ratio-outside-interval": {"ratio": 3.0},
+}
+
+
+def table_from_rows(rows: list[dict]) -> EffectsTable:
+    """An EffectsTable built from columns, never passing through EffectRecord."""
+    def column(name):
+        return np.array([row[name] for row in rows], dtype=float)
+
+    return EffectsTable(
+        [row["study_id"] for row in rows], ["lab"] * len(rows),
+        column("ratio"), column("ci_low"), column("ci_high"), level=column("confidence_level"),
+        ns=np.array([row.get("not_significant_flag", False) for row in rows], dtype=bool),
+    )
+
+
+def record_error(row: dict) -> str:
+    with pytest.raises(ValueError) as error:
+        EffectRecord(label="lab", **row)
+    return str(error.value)
+
+
+class TestEffectsTableChecksItsRows:
+    @pytest.mark.parametrize("change", BAD_ROWS.values(), ids=BAD_ROWS)
+    def test_bad_row_raises_the_records_error(self, change):
+        # The ns row's NaN numbers must not be taken for the bad row.
+        bad = {**GOOD_ROW, "study_id": "bad", **change}
+        with pytest.raises(ValueError) as got:
+            table_from_rows([GOOD_ROW, NS_ROW, bad, GOOD_ROW])
+        assert str(got.value) == record_error(bad)
+
+    @pytest.mark.parametrize(
+        "first, second",
+        [("ratio-outside-interval", "level-0.3"), ("level-0.3", "empty-id"), ("empty-id", "nan-ratio")],
+    )
+    def test_first_of_two_bad_rows_named(self, first, second):
+        rows = [{**GOOD_ROW, "study_id": name, **BAD_ROWS[name]} for name in (first, second)]
+        with pytest.raises(ValueError) as got:
+            table_from_rows([GOOD_ROW, *rows, GOOD_ROW])
+        assert str(got.value) == record_error(rows[0])
+
+    def test_unequal_column_lengths_rejected(self):
+        table = table_from_rows([GOOD_ROW, GOOD_ROW])
+        with pytest.raises(ValueError, match=r"one length and a bool ns: \[2, 2, 1, 2, 2, 2, 2\]"):
+            EffectsTable(table.study_ids, table.labels, table.ratio[:1], table.ci_low,
+                         table.ci_high, level=table.level, ns=table.ns)
+
+    @pytest.mark.parametrize("ns", [np.zeros(2, dtype=int), [False, False]], ids=["int", "list"])
+    def test_ns_that_is_not_a_bool_array_rejected(self, ns):
+        table = table_from_rows([GOOD_ROW, GOOD_ROW])
+        with pytest.raises(ValueError, match="bool ns"):
+            EffectsTable(table.study_ids, table.labels, table.ratio, table.ci_low,
+                         table.ci_high, level=table.level, ns=ns)
+
+
 class TestBuildPValuePlot:
     def test_sorts_ascending(self):
         records = [
@@ -366,6 +438,12 @@ class TestBuildPValuePlot:
             # Once accepted, to fail later inside json_dumps.
             ({"p": np.array([0.1, 0.2, 0.4]), "study_ids": ["a"], "n": 3}, "needs n study ids"),
             ({"p": np.array([0.1, 0.2, 0.4]), "study_ids": list("abcd"), "n": 3}, "needs n study ids"),
+            # Once accepted, and taken as ranked by the diagnostics.
+            (
+                {"p": np.array([0.9, 0.1, 0.5, 0.2, 0.7, 0.05]), "study_ids": list("abcdef"), "n": 6},
+                "must ascend within",
+            ),
+            ({"p": np.array([-0.5, 3.0]), "n": 2}, "must ascend within"),
         ],
     )
     def test_wrong_number_of_points_or_ids_rejected(self, kwargs, match):
