@@ -12,6 +12,7 @@ import functools
 import math
 import os
 import sys
+from collections.abc import Sequence
 from pathlib import Path
 
 import numpy as np
@@ -67,7 +68,7 @@ def _info(message: str) -> None:
     print(_styled(sys.stdout, message, 1))
 
 
-def _warn_duplicate_ids(study_ids: list[str], lines: list[int], source: str = "") -> None:
+def _warn_duplicate_ids(study_ids: Sequence[str], lines: list[int], source: str = "") -> None:
     """Warn when rows share a study id; every row is still used."""
     duplicates = len(study_ids) - len(set(study_ids))
     if not duplicates:
@@ -219,7 +220,7 @@ def _emitted_effects(config: SimConfig, result: SimResult) -> EffectsTable:
     reported = result.reported
     # "k<K>-r<replicate, 6 digits>-s<study>"; one % template formats faster
     # than an f-string per row.
-    study_ids = list(
+    study_ids = tuple(
         map(
             f"k{config.tests_per_study}-r%06d-s%d".__mod__,
             zip(result.replicate[reported].tolist(), result.study[reported].tolist()),
@@ -230,7 +231,7 @@ def _emitted_effects(config: SimConfig, result: SimResult) -> EffectsTable:
     )
     n = len(study_ids)
     return EffectsTable(
-        study_ids, [f"simulated ({config.selection_rule})"] * n, *intervals,
+        study_ids, (f"simulated ({config.selection_rule})",) * n, *intervals,
         level=np.full(n, EMITTED_EFFECT_LEVEL), ns=np.zeros(n, dtype=bool),
     )
 

@@ -90,18 +90,21 @@ class EffectRecord:
 class EffectsTable(Sequence):
     """Effect rows held as columns: a sequence of ``EffectRecord``s.
 
-    ``study_ids`` and ``labels`` are lists of str; ``ratio``, ``ci_low``,
-    ``ci_high`` and ``level`` are float arrays, and ``ns`` a bool mask of
-    the not-significant rows, whose three numeric entries are NaN.
-    ``lines`` holds each row's line number in the file it was read from,
-    or is None.  Construction checks that the columns have one length and
-    ``ns`` is bool, and raises the ``EffectRecord`` ValueError of the first
-    row that breaks its contract.  Indexing builds the row's
-    ``EffectRecord``, and a table equals any sequence of equal records.
+    ``study_ids`` and ``labels`` are sequences of str, stored as tuples;
+    ``ratio``, ``ci_low``, ``ci_high`` and ``level`` are float arrays, and
+    ``ns`` a bool mask of the not-significant rows, whose three numeric
+    entries are NaN.  ``lines`` holds each row's line number in the file
+    it was read from, or is None.  Construction checks that the columns
+    have one length and ``ns`` is bool, and raises the ``EffectRecord``
+    ValueError of the first row that breaks its contract, with that row's
+    position as the error's ``index``.  The checked rows cannot be edited:
+    the five arrays are then made read-only, as ``SimResult``'s columns
+    are.  Indexing builds the row's ``EffectRecord``, and a table equals
+    any sequence of equal records.
     """
 
-    study_ids: list[str]
-    labels: list[str]
+    study_ids: Sequence[str]
+    labels: Sequence[str]
     ratio: np.ndarray
     ci_low: np.ndarray
     ci_high: np.ndarray
@@ -120,8 +123,16 @@ class EffectsTable(Sequence):
         if "" in self.study_ids:
             bad[self.study_ids.index("")] = True
         if bad.any():
-            self[int(bad.argmax())]  # raises the row's EffectRecord error
+            index = int(bad.argmax())
+            try:
+                self[index]
+            except ValueError as exc:
+                exc.index = index
+                raise
             raise AssertionError("the column check rejected a row that EffectRecord accepts")
+        self.study_ids, self.labels = tuple(self.study_ids), tuple(self.labels)
+        for column in (self.ratio, self.ci_low, self.ci_high, self.level, self.ns):
+            column.flags.writeable = False
 
     @classmethod
     def from_records(cls, records: Iterable[EffectRecord]) -> EffectsTable:
@@ -252,7 +263,7 @@ def _logs(values: np.ndarray) -> np.ndarray:
 
 
 def _pvalues(
-    study_ids: list[str],
+    study_ids: Sequence[str],
     ratio: np.ndarray,
     ci_low: np.ndarray,
     ci_high: np.ndarray,
@@ -378,7 +389,7 @@ def record_from_statistic(
     )
 
 
-def _rank(p: np.ndarray, study_ids: list[str]) -> tuple[np.ndarray, list[str]]:
+def _rank(p: np.ndarray, study_ids: Sequence[str]) -> tuple[np.ndarray, list[str]]:
     """Sort p ascending, ties broken by study id: the order of sorted((p, id)).
 
     A stable argsort keeps tied p-values in input order; each run of equal

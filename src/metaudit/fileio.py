@@ -20,7 +20,7 @@ import hashlib
 import importlib.resources
 import itertools
 import math
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Iterable, Sequence
 from dataclasses import asdict
 from json.encoder import encode_basestring
 from pathlib import Path
@@ -172,87 +172,82 @@ def read_counts_csv(path: str | Path, lines: list[int] | None = None) -> list[St
     return studies
 
 
-def _effect_record(lineno: int, cells: list[str], width: int) -> EffectRecord:
-    """The row check: one effects row as an EffectRecord, or its ParseError."""
-    if len(cells) != width:
-        raise ParseError(f"expected {width} fields, got {len(cells)}", row=lineno)
-    if width == len(EFFECTS_HEADER):
-        study_id, label, ratio, ci_low, ci_high, level_cell, ns_cell = cells
-    else:
-        study_id, label, ratio, ci_low, ci_high, ns_cell = cells
-        level_cell = ""
-    ns_cell = ns_cell.strip()
-    if ns_cell not in ("0", "1", ""):
-        raise ParseError(f"ns must be 0 or 1, got {ns_cell!r}", row=lineno, column="ns")
-    level_cell = level_cell.strip()
-    level = _parse_float(level_cell, lineno, "level") if level_cell else 0.95
+def _floats(cells: Sequence[str], lines: Iterable[int], column: str) -> np.ndarray:
+    """The cells as floats, or the ParseError of the first cell that ``_parse_float`` rejects.
+
+    Each cell is parsed as ``float(cell.strip())``: float() alone does not
+    strip \\x1c-\\x1f.  ``lines`` holds each cell's line.
+    """
     try:
-        if ns_cell == "1":
-            return EffectRecord(
-                study_id=study_id.strip(),
-                label=label.strip(),
-                confidence_level=level,
-                not_significant_flag=True,
-            )
-        return EffectRecord(
-            study_id=study_id.strip(),
-            label=label.strip(),
-            ratio=_parse_float(ratio, lineno, "ratio"),
-            ci_low=_parse_float(ci_low, lineno, "ci_low"),
-            ci_high=_parse_float(ci_high, lineno, "ci_high"),
-            confidence_level=level,
-        )
-    except ParseError:
-        raise
-    except ValueError as exc:
-        raise ParseError(str(exc), row=lineno) from exc
-
-
-def _floats(cells) -> np.ndarray:
-    # float(cell.strip()), as the row check parses: float() alone does not
-    # strip \x1c-\x1f.
-    return np.array(list(map(float, map(str.strip, cells))), dtype=float)
+        return np.array(list(map(float, map(str.strip, cells))), dtype=float)
+    except ValueError:
+        return np.array(list(map(_parse_float, cells, lines, itertools.repeat(column))))
 
 
 def _effects_columns(lines: list[int], cells: list[list[str]], width: int) -> EffectsTable:
-    """The effects table of the rows; checks only the file format, raising a plain ValueError."""
-    if set(map(len, cells)) != {width}:
-        raise ValueError("a row has the wrong number of fields")
-    columns = list(zip(*cells))
-    if width == len(EFFECTS_HEADER):
-        study_ids, labels, ratio, ci_low, ci_high, level_cells, ns_cells = columns
-        # A file holds a few distinct levels: parse each once.
-        distinct = list(set(level_cells))
-        parsed = _floats([cell.strip() or "0.95" for cell in distinct]).tolist()
-        level = np.array(list(map(dict(zip(distinct, parsed)).__getitem__, level_cells)))
-    else:
-        study_ids, labels, ratio, ci_low, ci_high, ns_cells = columns
-        level = np.full(len(cells), 0.95)
-    ns_cells = list(map(str.strip, ns_cells))
-    if not set(ns_cells) <= {"0", "1", ""}:
-        raise ValueError("an ns cell is not 0, 1 or empty")
-    ns = np.array([cell == "1" for cell in ns_cells], dtype=bool)
-    # Not-significant rows carry no numbers, whatever their cells hold.
-    numeric = ~ns
-    flags = numeric.tolist()
-    numbers = [_floats(itertools.compress(column, flags)) for column in (ratio, ci_low, ci_high)]
-    if not all(flags):
-        parsed_numbers, numbers = numbers, [np.full(len(cells), math.nan) for _ in numbers]
-        for full, column in zip(numbers, parsed_numbers):
-            full[numeric] = column
-    return EffectsTable(
-        list(map(str.strip, study_ids)), list(map(str.strip, labels)), *numbers,
-        level=level, ns=ns, lines=lines,
-    )
+    """The effects table of the rows, or the ParseError of the first bad row in file order.
+
+    Each check runs over all rows, in the order that one row's fields are
+    checked: field count, ns cell, level, ratio, ci_low, ci_high, and then
+    ``EffectsTable``'s contract; it raises for the first row it rejects.
+    A row before that one may fail a later check, so the rows before it
+    are checked again, recursively: at most seven levels deep, and only
+    on the error path.
+    """
+    try:
+        widths = list(map(len, cells))
+        if set(widths) != {width}:
+            bad = next(i for i, n in enumerate(widths) if n != width)
+            raise ParseError(f"expected {width} fields, got {widths[bad]}", row=lines[bad])
+        study_ids, labels, ratio, ci_low, ci_high, *level_column, ns_cells = zip(*cells)
+        ns_cells = list(map(str.strip, ns_cells))
+        if not set(ns_cells) <= {"0", "1", ""}:
+            bad = next(i for i, cell in enumerate(ns_cells) if cell not in ("0", "1", ""))
+            raise ParseError(f"ns must be 0 or 1, got {ns_cells[bad]!r}", row=lines[bad], column="ns")
+        if level_column:
+            # A file holds a few distinct levels: parse each once, in file
+            # order, with the line of the first row that holds it.
+            first_lines = dict(zip(reversed(level_column[0]), reversed(lines)))
+            distinct = sorted(first_lines, key=first_lines.__getitem__)
+            texts = [cell.strip() or "0.95" for cell in distinct]
+            parsed = _floats(texts, map(first_lines.__getitem__, distinct), "level").tolist()
+            level = np.array(list(map(dict(zip(distinct, parsed)).__getitem__, level_column[0])))
+        else:
+            level = np.full(len(cells), 0.95)
+        ns = np.array([cell == "1" for cell in ns_cells], dtype=bool)
+        # Not-significant rows carry no numbers, whatever their cells hold.
+        numeric = ~ns
+        flags = numeric.tolist()
+        numbers = [
+            _floats(list(itertools.compress(column, flags)), itertools.compress(lines, flags), name)
+            for column, name in ((ratio, "ratio"), (ci_low, "ci_low"), (ci_high, "ci_high"))
+        ]
+        if not all(flags):
+            parsed_numbers, numbers = numbers, [np.full(len(cells), math.nan) for _ in numbers]
+            for full, column in zip(numbers, parsed_numbers):
+                full[numeric] = column
+        try:
+            return EffectsTable(
+                tuple(map(str.strip, study_ids)), tuple(map(str.strip, labels)), *numbers,
+                level=level, ns=ns, lines=lines,
+            )
+        except ValueError as exc:
+            raise ParseError(str(exc), row=lines[exc.index]) from exc
+    except ParseError as exc:
+        before = lines.index(exc.row)
+        if before:  # a row before the named one may fail a later check
+            _effects_columns(lines[:before], cells[:before], width)
+        raise
 
 
 def read_effects_csv(path: str | Path) -> EffectsTable:
     """Parse an effects CSV into an EffectsTable, a sequence of EffectRecords.
 
     The level column is optional (default 0.95) and may be left empty per
-    row; rows with ns=1 may leave all numeric fields empty.  When the bulk
-    parse or ``EffectsTable``'s check fails, the row check raises the
-    ParseError of the first bad row in file order.
+    row; rows with ns=1 may leave all numeric fields empty.  A malformed
+    file raises the ParseError of its first bad row in file order, which
+    names the record's first line, and the column when a cell does not
+    parse; a bad row before an unreadable record comes first.
     """
     path = Path(path)
     lines: list[int] = []
@@ -266,23 +261,15 @@ def read_effects_csv(path: str | Path) -> EffectsTable:
     width = len(_match_header(header_cells, [EFFECTS_HEADER, EFFECTS_HEADER_NO_LEVEL], path))
     lines.clear()  # of the header
     cells: list[list[str]] = []
-
-    def check_rows() -> None:
-        for lineno, row in zip(lines, cells):
-            _effect_record(lineno, row, width)
-
     try:
         cells.extend(rows)  # keeps the rows read before an unreadable record
     except ParseError:
-        check_rows()  # a bad row before that record comes first
+        if cells:
+            _effects_columns(lines, cells, width)  # a bad row before that record comes first
         raise
     if not cells:
         raise ParseError(f"{path}: no effect rows after the header")
-    try:
-        return _effects_columns(lines, cells, width)
-    except ValueError:
-        check_rows()
-        raise AssertionError("the column checks rejected rows that the row check accepts")
+    return _effects_columns(lines, cells, width)
 
 
 def _json_scalar(value) -> str:
@@ -427,7 +414,7 @@ def _csv_cell(text: str) -> str:
     return text
 
 
-def _csv_cells(texts: list[str]) -> list[str]:
+def _csv_cells(texts: Sequence[str]) -> Sequence[str]:
     """``_csv_cell`` of each text; one scan of their joined text when none needs quotes."""
     if _needs_quotes("".join(texts)):
         return list(map(_csv_cell, texts))

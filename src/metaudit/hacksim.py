@@ -80,12 +80,10 @@ class SimConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if not isinstance(self.n_studies, int) or self.n_studies < 1:
-            raise ValueError(f"n_studies must be a positive integer, got {self.n_studies!r}")
-        if not isinstance(self.tests_per_study, int) or self.tests_per_study < 1:
-            raise ValueError(
-                f"tests_per_study must be a positive integer, got {self.tests_per_study!r}"
-            )
+        for name in ("n_studies", "tests_per_study", "replicates"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool) or value < 1:
+                raise ValueError(f"{name} must be a positive integer, got {value!r}")
         if not 0.0 <= self.correlation < 1.0:
             raise ValueError(
                 f"correlation must be < 1 and >= 0, got {self.correlation!r}"
@@ -99,10 +97,11 @@ class SimConfig:
             )
         if not 0.0 < self.alpha < 1.0:
             raise ValueError(f"alpha must lie in (0, 1), got {self.alpha!r}")
-        if not isinstance(self.replicates, int) or self.replicates < 1:
-            raise ValueError(f"replicates must be a positive integer, got {self.replicates!r}")
-        if not isinstance(self.seed, int) or not 0 <= self.seed <= U64_MAX:
-            raise ValueError(f"seed must be a 64-bit unsigned integer, got {self.seed!r}")
+        if not isinstance(self.censor_at_alpha, bool):
+            raise ValueError(f"censor_at_alpha must be a bool, got {self.censor_at_alpha!r}")
+        seed = self.seed
+        if not isinstance(seed, int) or isinstance(seed, bool) or not 0 <= seed <= U64_MAX:
+            raise ValueError(f"seed must be a 64-bit unsigned integer, got {seed!r}")
 
     def total_draws(self) -> int:
         return self.replicates * self.n_studies * (self.tests_per_study + 1)

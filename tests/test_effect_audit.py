@@ -399,12 +399,23 @@ class TestEffectsTableChecksItsRows:
         with pytest.raises(ValueError) as got:
             table_from_rows([GOOD_ROW, *rows, GOOD_ROW])
         assert str(got.value) == record_error(rows[0])
+        assert got.value.index == 1  # the position that the reader turns into a line
 
     def test_unequal_column_lengths_rejected(self):
         table = table_from_rows([GOOD_ROW, GOOD_ROW])
         with pytest.raises(ValueError, match=r"one length and a bool ns: \[2, 2, 1, 2, 2, 2, 2\]"):
             EffectsTable(table.study_ids, table.labels, table.ratio[:1], table.ci_low,
                          table.ci_high, level=table.level, ns=table.ns)
+
+    def test_checked_rows_cannot_be_edited(self):
+        table = table_from_rows([GOOD_ROW, GOOD_ROW])
+        for name in ("ratio", "ci_low", "ci_high", "level", "ns"):
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(table, name)[0] = 0.3
+        for name in ("study_ids", "labels"):
+            with pytest.raises(TypeError):
+                getattr(table, name)[0] = ""
+        assert table == [EffectRecord(label="lab", **GOOD_ROW)] * 2
 
     @pytest.mark.parametrize("ns", [np.zeros(2, dtype=int), [False, False]], ids=["int", "list"])
     def test_ns_that_is_not_a_bool_array_rejected(self, ns):

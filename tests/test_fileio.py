@@ -433,15 +433,26 @@ class TestCsvContract:
             reader(path)
         assert excinfo.value.row == 4
 
-    def test_bad_row_before_an_unreadable_record_comes_first(self, tmp_path):
+    @pytest.mark.parametrize(
+        "rows, where",
+        [
+            (["a,x,1.5,1.25,2.0,0.95,2"], (2, "ns")),
+            (["a,x,1.5,1.25,2.0,0.3,0"], (2, None)),
+            (["a,x,oops,1.25,2.0,0.95,0"], (2, "ratio")),
+            (["a,x,1.5,1.25,2.0,0.3,0", "b,x,oops,1.25,2.0,0.95,2"], (2, None)),
+            (["a,x,1.5,1.25,2.0,0.95,0", "b,x,1.5,1.25,oops,0.3,0"], (3, "ci_high")),
+        ],
+        ids=["bad-ns", "contract", "bad-number", "contract-then-bad-number", "bad-number-and-contract"],
+    )
+    def test_bad_row_before_an_unreadable_record_comes_first(self, tmp_path, rows, where):
         path = tmp_path / "effects.csv"
         big = '"' + "x" * (csv.field_size_limit() + 1) + '"'
         path.write_text(
-            ",".join(EFFECTS_HEADER) + f"\na,x,1.5,1.25,2.0,0.95,2\n{big},1\n", encoding="utf-8"
+            "\n".join([",".join(EFFECTS_HEADER), *rows, f"{big},1"]) + "\n", encoding="utf-8"
         )
         with pytest.raises(ParseError) as excinfo:
             read_effects_csv(path)
-        assert (excinfo.value.row, excinfo.value.column) == (2, "ns")
+        assert (excinfo.value.row, excinfo.value.column) == where
 
     def test_spaces_csv_quotes_a_quoted_counts_id(self, tmp_path):
         counts = tmp_path / "counts.csv"
@@ -941,6 +952,12 @@ class TestReadersMatchReference:
             ["a,x,1.5,1.25,2.0,0.95,0", "b,x,2.5,1.25,2.0,0.95,0", "c,x,0,1,2,0.95,0"],
             ["a,x,1.5,1.25,2.0,0.95,0", "b,x,1.5,1.25,2.0,0.95,2", "c,,1.5,1.25,2.0,0.95"],
             ["a,x,1.5,1.25,2.0,0.95,0", "b,x,1.5,1.25,2.0,\x1c0.9\x1c,0", "c,x,\x1f1.5,1.25,2.0,,0"],
+            # Bad rows in reverse check order, so the first is found seven levels deep.
+            [
+                "a,x,1.5,1.25,2.0,0.3,0", "b,x,1.5,1.25,bad,0.95,0", "c,x,1.5,bad,2.0,0.95,0",
+                "d,x,bad,1.25,2.0,0.95,0", "e,x,1.5,1.25,2.0,bad,0", "f,x,1.5,1.25,2.0,0.95,2",
+                "g,x,1.5,1.25,2.0,0.95",
+            ],
         ],
     )
     def test_first_bad_row_names_the_same_error(self, tmp_path, rows):

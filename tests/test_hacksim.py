@@ -123,6 +123,23 @@ class TestSimConfigValidation:
         with pytest.raises(ValueError, match=field):
             SimConfig(**kwargs)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("n_studies", True),
+            ("tests_per_study", True),
+            ("replicates", True),
+            ("seed", True),
+            ("seed", False),
+            ("censor_at_alpha", "no"),
+            ("censor_at_alpha", 1),
+        ],
+    )
+    def test_rejects_a_value_of_the_wrong_type(self, field, value):
+        # A bool is an int to isinstance, and any str is truthy.
+        with pytest.raises(ValueError, match=f"{field} must be"):
+            SimConfig(**{field: value})
+
     def test_defaults_are_valid(self):
         config = SimConfig()
         assert config.selection_rule in SELECTION_RULES
