@@ -86,7 +86,7 @@ class EffectRecord:
             )
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, frozen=True)
 class EffectsTable(Sequence):
     """Effect rows held as columns: a sequence of ``EffectRecord``s.
 
@@ -98,9 +98,10 @@ class EffectsTable(Sequence):
     have one length and ``ns`` is bool, and raises the ``EffectRecord``
     ValueError of the first row that breaks its contract, with that row's
     position as the error's ``index``.  The checked rows cannot be edited:
-    the five arrays are then made read-only, as ``SimResult``'s columns
-    are.  Indexing builds the row's ``EffectRecord``, and a table equals
-    any sequence of equal records.
+    the table is frozen, so no field can be rebound, and the five arrays
+    are made read-only, as ``SimResult``'s columns are.  Indexing builds
+    the row's ``EffectRecord``, and a table equals any sequence of equal
+    records.
     """
 
     study_ids: Sequence[str]
@@ -130,7 +131,8 @@ class EffectsTable(Sequence):
                 exc.index = index
                 raise
             raise AssertionError("the column check rejected a row that EffectRecord accepts")
-        self.study_ids, self.labels = tuple(self.study_ids), tuple(self.labels)
+        object.__setattr__(self, "study_ids", tuple(self.study_ids))
+        object.__setattr__(self, "labels", tuple(self.labels))
         for column in (self.ratio, self.ci_low, self.ci_high, self.level, self.ns):
             column.flags.writeable = False
 
@@ -178,32 +180,17 @@ class PValuePlot:
     A table in rank order: rank i = 1..n holds ``p[i - 1]`` (a float
     array), the p-value of study ``study_ids[i - 1]``.  The reference
     i/(n+1) is a function of n and is not stored; p must ascend within
-    [0, 1].  A plot can also be built from its (rank, p) ``points`` and
-    its ``reference_line``, whose ranks must run 1..n; it has no study ids.
+    [0, 1].
     """
 
     def __init__(
         self,
         excluded_ns_count: int,
         n: int,
-        p: np.ndarray | None = None,
+        p: np.ndarray,
         study_ids: list[str] | None = None,
-        *,
-        points: Iterable[tuple[int, float]] | None = None,
-        reference_line: Iterable[tuple[int, float]] | None = None,
     ):
-        if points is not None:
-            if p is not None:
-                raise ValueError("give either p or points, not both")
-            points = list(points)
-            if [rank for rank, _ in points] != list(range(1, n + 1)):
-                raise ValueError("points must hold ranks 1..n in order")
-            p = np.array([value for _, value in points], dtype=float)
-        if reference_line is not None and list(map(tuple, reference_line)) != [
-            (i, i / (n + 1)) for i in range(1, n + 1)
-        ]:
-            raise ValueError("reference_line must be (i, i/(n+1)) for i = 1..n")
-        if p is None or len(p) != n:
+        if len(p) != n:
             raise ValueError(f"a plot of n = {n} needs n p-values")
         if n and not (0.0 <= p[0] and p[-1] <= 1.0 and (p[:-1] <= p[1:]).all()):
             raise ValueError("the p-values of a plot must ascend within [0, 1]")
@@ -434,9 +421,7 @@ def build_pvalue_plot(records: Sequence[EffectRecord]) -> PValuePlot:
         study_ids = list(itertools.compress(study_ids, numeric.tolist()))
         columns = tuple(column[numeric] for column in columns)
     p, ranked_ids = _rank(_pvalues(study_ids, *columns), study_ids)
-    return PValuePlot(
-        p=p, study_ids=ranked_ids, excluded_ns_count=len(table) - n, n=n
-    )
+    return PValuePlot(len(table) - n, n, p, ranked_ids)
 
 
 def uniformity_test(plot: PValuePlot) -> TestResult:

@@ -115,8 +115,7 @@ class SimResult:
     columns: ``replicate``, ``study``, ``p`` (selected p-value),
     ``estimate`` (selected z statistic) and ``published`` (p < alpha).
     ``reported`` masks the reported studies: the published ones when
-    censoring is on, all studies otherwise; ``reported_pvalues`` is their
-    p-values as a Python list, derived from the columns on each access.
+    censoring is on, all studies otherwise.
     ``bias`` is the signed mean estimate minus the true effect;
     ``mean_abs_estimate`` exposes the magnitude summary that the signed
     mean hides under the null.
@@ -146,9 +145,6 @@ class SimResult:
         """Boolean mask of the reported studies."""
         return self.published if self.censored else np.ones(self.n_total, dtype=bool)
 
-    @property
-    def reported_pvalues(self) -> list[float]:
-        return self.p[self.reported].tolist()
 
 class _RekeyedPhilox:
     """One Philox generator whose key is reset in place per replicate.

@@ -47,86 +47,59 @@ def render_pvalue_plot(plot: PValuePlot, alpha: float = 0.05) -> str:
     x0, x1 = _MARGIN_LEFT, WIDTH - _MARGIN_RIGHT
     y0, y1 = HEIGHT - _MARGIN_BOTTOM, _MARGIN_TOP
 
-    def px(rank: float) -> float:
+    def px(rank):
         # Ranks live on [0.5, n + 0.5] so single-point plots stay centered.
+        # A rank array maps elementwise through the same IEEE operations.
         return x0 + (rank - 0.5) / n * (x1 - x0)
 
-    def py(p: float) -> float:
+    def py(p):
         return y0 + p * (y1 - y0)
+
+    # The one template of every <line> and of every <text>.  A <text> takes
+    # its x and y as text, because the rotated axis label's x is a bare "20".
+    def line(xa, ya, xb, yb, color=_AXIS_COLOR, width="1", extra=""):
+        return (f'<line x1="{xa:.2f}" y1="{ya:.2f}" x2="{xb:.2f}" y2="{yb:.2f}" '
+                f'stroke="{color}" stroke-width="{width}"{extra}/>')
+
+    def text(x, y, anchor, size, label, extra=""):
+        return (f'<text x="{x}" y="{y}" text-anchor="{anchor}" font-family="sans-serif" '
+                f'font-size="{size}" fill="{_AXIS_COLOR}"{extra}>{label}</text>')
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" '
         f'height="{HEIGHT}" viewBox="0 0 {WIDTH} {HEIGHT}">',
         f'<rect width="{WIDTH}" height="{HEIGHT}" fill="#ffffff"/>',
+        # Axes.
+        line(x0, y0, x1, y0),
+        line(x0, y0, x0, y1),
     ]
-
-    # Axes.
-    parts.append(
-        f'<line x1="{_fmt(x0)}" y1="{_fmt(y0)}" x2="{_fmt(x1)}" y2="{_fmt(y0)}" '
-        f'stroke="{_AXIS_COLOR}" stroke-width="1"/>'
-    )
-    parts.append(
-        f'<line x1="{_fmt(x0)}" y1="{_fmt(y0)}" x2="{_fmt(x0)}" y2="{_fmt(y1)}" '
-        f'stroke="{_AXIS_COLOR}" stroke-width="1"/>'
-    )
 
     # Y ticks every 0.2.
     for i in range(6):
         p = i / 5
         y = py(p)
-        parts.append(
-            f'<line x1="{_fmt(x0 - 5)}" y1="{_fmt(y)}" x2="{_fmt(x0)}" y2="{_fmt(y)}" '
-            f'stroke="{_AXIS_COLOR}" stroke-width="1"/>'
-        )
-        parts.append(
-            f'<text x="{_fmt(x0 - 10)}" y="{_fmt(y + 4)}" text-anchor="end" '
-            f'font-family="sans-serif" font-size="12" fill="{_AXIS_COLOR}">{p:.1f}</text>'
-        )
+        parts += line(x0 - 5, y, x0, y), text(_fmt(x0 - 10), _fmt(y + 4), "end", 12, f"{p:.1f}")
 
     # X ticks on integer ranks, thinned when crowded.
     step = max(1, (n + 19) // 20)
-    for rank in range(1, n + 1):
-        if rank != 1 and rank != n and rank % step:
-            continue
+    for rank in sorted({1, n, *range(step, n + 1, step)}):
         x = px(rank)
-        parts.append(
-            f'<line x1="{_fmt(x)}" y1="{_fmt(y0)}" x2="{_fmt(x)}" y2="{_fmt(y0 + 5)}" '
-            f'stroke="{_AXIS_COLOR}" stroke-width="1"/>'
-        )
-        parts.append(
-            f'<text x="{_fmt(x)}" y="{_fmt(y0 + 20)}" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="12" fill="{_AXIS_COLOR}">{rank}</text>'
-        )
+        parts += line(x, y0, x, y0 + 5), text(_fmt(x), _fmt(y0 + 20), "middle", 12, rank)
 
     # Axis labels.
-    parts.append(
-        f'<text x="{_fmt((x0 + x1) / 2)}" y="{_fmt(HEIGHT - 15)}" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="14" fill="{_AXIS_COLOR}">rank</text>'
-    )
-    parts.append(
-        f'<text x="20" y="{_fmt((y0 + y1) / 2)}" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="14" fill="{_AXIS_COLOR}" '
-        f'transform="rotate(-90 20 {_fmt((y0 + y1) / 2)})">p-value</text>'
-    )
-
-    # Significance screen.
-    parts.append(
-        f'<line x1="{_fmt(x0)}" y1="{_fmt(py(alpha))}" x2="{_fmt(x1)}" '
-        f'y2="{_fmt(py(alpha))}" stroke="{_ALPHA_COLOR}" stroke-width="1"/>'
+    y_mid = _fmt((y0 + y1) / 2)
+    parts += (
+        text(_fmt((x0 + x1) / 2), _fmt(HEIGHT - 15), "middle", 14, "rank"),
+        text("20", y_mid, "middle", 14, "p-value", f' transform="rotate(-90 20 {y_mid})"'),
+        # Significance screen.
+        line(x0, py(alpha), x1, py(alpha), _ALPHA_COLOR),
+        # Uniform reference, dashed from (1, 1/(n+1)) to (n, n/(n+1)).
+        line(px(1), py(1 / (n + 1)), px(n), py(n / (n + 1)), _REFERENCE_COLOR, "1.5",
+             ' stroke-dasharray="6 4"'),
     )
 
-    # Uniform reference, dashed from (1, 1/(n+1)) to (n, n/(n+1)).
-    parts.append(
-        f'<line x1="{_fmt(px(1))}" y1="{_fmt(py(1 / (n + 1)))}" '
-        f'x2="{_fmt(px(n))}" y2="{_fmt(py(n / (n + 1)))}" '
-        f'stroke="{_REFERENCE_COLOR}" stroke-width="1.5" stroke-dasharray="6 4"/>'
-    )
-
-    # px and py over the columns: NumPy makes the same IEEE operations.
-    cx = x0 + (np.arange(1, n + 1) - 0.5) / n * (x1 - x0)
-    cy = y0 + plot.p * (y1 - y0)
     circle = f'<circle cx="%.2f" cy="%.2f" r="{POINT_RADIUS}" fill="{_POINT_COLOR}"/>'
-    parts += map(circle.__mod__, zip(cx.tolist(), cy.tolist()))
+    parts += map(circle.__mod__, zip(px(np.arange(1, n + 1)).tolist(), py(plot.p).tolist()))
 
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

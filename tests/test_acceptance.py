@@ -14,6 +14,7 @@ from fractions import Fraction
 from pathlib import Path
 from random import Random
 
+import numpy as np
 import pytest
 
 from metaudit import (
@@ -49,14 +50,7 @@ SIM_FILES = ("sim_results.csv", "sim_summary.json")
 
 
 def plot_from_pvalues(pvalues):
-    ordered = sorted(pvalues)
-    n = len(ordered)
-    return PValuePlot(
-        points=[(i, p) for i, p in enumerate(ordered, start=1)],
-        reference_line=[(i, i / (n + 1)) for i in range(1, n + 1)],
-        excluded_ns_count=0,
-        n=n,
-    )
+    return PValuePlot(0, len(pvalues), np.array(sorted(pvalues), dtype=float))
 
 
 def exact_quadratic_fit(pvalues):
@@ -260,8 +254,8 @@ def test_criterion_6_null_calibration(null_calibration_run):
     """A single honest test per study yields uniform reported p-values and
     zero selection bias."""
     result = run_simulation(SimConfig(tests_per_study=1, replicates=100000, seed=42))
-    assert len(result.reported_pvalues) == 100000
-    assert ks_uniform_test(result.reported_pvalues).p_value > 0.01
+    assert len(result.p[result.reported]) == 100000
+    assert ks_uniform_test(result.p[result.reported].tolist()).p_value > 0.01
     assert result.bias == pytest.approx(0.0, abs=0.01)
 
     summary = json.loads(

@@ -71,14 +71,7 @@ def record_with_p(study_id: str, p: float, se: float = 0.1) -> EffectRecord:
 
 
 def plot_from_pvalues(pvalues: list[float]) -> PValuePlot:
-    ordered = sorted(pvalues)
-    n = len(ordered)
-    return PValuePlot(
-        points=[(i, p) for i, p in enumerate(ordered, start=1)],
-        reference_line=[(i, i / (n + 1)) for i in range(1, n + 1)],
-        excluded_ns_count=0,
-        n=n,
-    )
+    return PValuePlot(0, len(pvalues), np.array(sorted(pvalues), dtype=float))
 
 
 def exact_ols(design, response):
@@ -417,6 +410,15 @@ class TestEffectsTableChecksItsRows:
                 getattr(table, name)[0] = ""
         assert table == [EffectRecord(label="lab", **GOOD_ROW)] * 2
 
+    @pytest.mark.parametrize("name", [field.name for field in dataclasses.fields(EffectsTable)])
+    def test_checked_fields_cannot_be_rebound(self, name):
+        # Once `t.ratio = np.array([-1.0]); t.study_ids = ("",)` went through,
+        # and write_effects_csv wrote a row that read_effects_csv rejects.
+        table = table_from_rows([GOOD_ROW])
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(table, name, np.array([-1.0]))
+        assert table == [EffectRecord(label="lab", **GOOD_ROW)]
+
     @pytest.mark.parametrize("ns", [np.zeros(2, dtype=int), [False, False]], ids=["int", "list"])
     def test_ns_that_is_not_a_bool_array_rejected(self, ns):
         table = table_from_rows([GOOD_ROW, GOOD_ROW])
@@ -444,8 +446,7 @@ class TestBuildPValuePlot:
     @pytest.mark.parametrize(
         "kwargs, match",
         [
-            # Once accepted, with the point silently dropped.
-            ({"points": [(1, 0.5)], "n": 0}, "ranks 1..n"),
+            ({"p": np.array([0.1, 0.2]), "n": 3}, "needs n p-values"),
             # Once accepted, to fail later inside json_dumps.
             ({"p": np.array([0.1, 0.2, 0.4]), "study_ids": ["a"], "n": 3}, "needs n study ids"),
             ({"p": np.array([0.1, 0.2, 0.4]), "study_ids": list("abcd"), "n": 3}, "needs n study ids"),
@@ -461,16 +462,10 @@ class TestBuildPValuePlot:
         with pytest.raises(ValueError, match=match):
             PValuePlot(excluded_ns_count=0, **kwargs)
 
-    def test_points_constructor_checks_ranks_and_reference(self):
-        reference = [(1, 0.25), (2, 0.5), (3, 0.75)]
-        plot = PValuePlot(points=[(1, 0.1), (2, 0.2), (3, 0.4)], reference_line=reference, excluded_ns_count=0, n=3)
-        assert plot.p.tolist() == [0.1, 0.2, 0.4] and plot.study_ids == []
-        with pytest.raises(ValueError, match="ranks 1..n"):
-            PValuePlot(points=[(2, 0.1), (1, 0.2), (3, 0.4)], excluded_ns_count=0, n=3)
-        with pytest.raises(ValueError, match="reference_line"):
-            PValuePlot(points=[(1, 0.1), (2, 0.2), (3, 0.4)], reference_line=reference[:2], excluded_ns_count=0, n=3)
-        with pytest.raises(ValueError, match="needs n p-values"):
-            PValuePlot(p=np.array([0.1, 0.2]), excluded_ns_count=0, n=3)
+    @pytest.mark.parametrize("keyword", ["points", "reference_line"])
+    def test_one_constructor_form(self, keyword):
+        with pytest.raises(TypeError, match=keyword):
+            PValuePlot(0, 1, np.array([0.5]), **{keyword: [(1, 0.5)]})
 
     def test_ns_records_excluded_and_counted(self):
         records = [record_with_p(f"s{i:02d}", (i + 1) / 15) for i in range(12)]

@@ -761,8 +761,7 @@ class TestJsonTableMatchesReference:
     def test_report_of_a_plot_without_study_ids_rejected(self):
         records = [record_from_statistic(f"s{i}", 0.3 * i, 0.1) for i in range(1, 8)]
         report = audit(records)
-        points = list(enumerate(report.plot.p.tolist(), start=1))
-        report.plot = PValuePlot(excluded_ns_count=0, n=len(points), points=points)
+        report.plot = PValuePlot(0, report.plot.n, report.plot.p)
         with pytest.raises(ValueError, match=r"\[0, 7, 7\]"):
             build_report_document(report, digests=[])
 

@@ -156,14 +156,14 @@ class TestSimulateStudy:
     def test_unselected_pvalues_are_uniform(self):
         config = SimConfig(tests_per_study=1, replicates=20_000, seed=5)
         result = run_simulation(config)
-        assert ks_uniform_test(result.reported_pvalues).p_value > 0.01
+        assert ks_uniform_test(result.p[result.reported].tolist()).p_value > 0.01
 
     @pytest.mark.parametrize("k", [2, 10])
     def test_min_p_complement_law(self, k):
         config = SimConfig(tests_per_study=k, replicates=100_000, seed=21)
         result = run_simulation(config)
         for t in (0.01, 0.05, 0.2):
-            empirical = sum(p <= t for p in result.reported_pvalues) / result.n_total
+            empirical = sum(p <= t for p in result.p[result.reported].tolist()) / result.n_total
             assert empirical == pytest.approx(1 - (1 - t) ** k, abs=0.01)
 
     def test_near_perfect_correlation_collapses_to_single_test(self):
@@ -187,8 +187,8 @@ class TestSimulateStudy:
         )
         # But when nothing clears alpha the fallback is the pre-planned
         # first test, whose p is uniform on [alpha, 1), not the minimum.
-        fallback = [p for p in first.reported_pvalues if p >= 0.05]
-        searched = [p for p in minp.reported_pvalues if p >= 0.05]
+        fallback = [p for p in first.p[first.reported].tolist() if p >= 0.05]
+        searched = [p for p in minp.p[minp.reported].tolist() if p >= 0.05]
         assert math.fsum(fallback) / len(fallback) > 0.45
         assert math.fsum(searched) / len(searched) < 0.25
 
@@ -201,14 +201,14 @@ class TestSimulateStudy:
         )
         result = run_simulation(config)
         assert result.publication_rate == pytest.approx(config.alpha, abs=0.01)
-        assert ks_uniform_test(result.reported_pvalues).p_value > 0.01
+        assert ks_uniform_test(result.p[result.reported].tolist()).p_value > 0.01
 
 
 class TestRunSimulation:
     def test_bit_identical_reruns(self, k10_run):
         config, first = k10_run
         second = run_simulation(config)
-        assert second.reported_pvalues == first.reported_pvalues
+        assert second.p[second.reported].tolist() == first.p[first.reported].tolist()
         assert selected_estimates(second) == selected_estimates(first)
         assert second.publication_rate == first.publication_rate
         assert second.bias == first.bias
@@ -233,16 +233,16 @@ class TestRunSimulation:
         uncensored = run_simulation(SimConfig(censor_at_alpha=False, **base))
         assert censored.publication_rate == uncensored.publication_rate
         assert censored.n_total == uncensored.n_total == 5000
-        assert len(censored.reported_pvalues) == censored.n_published
-        assert len(uncensored.reported_pvalues) == 5000
+        assert len(censored.p[censored.reported]) == censored.n_published
+        assert len(uncensored.p[uncensored.reported]) == 5000
 
     def test_censored_pvalues_all_below_alpha(self):
         config = SimConfig(
             tests_per_study=10, censor_at_alpha=True, replicates=5000, seed=8
         )
         result = run_simulation(config)
-        assert result.reported_pvalues
-        assert all(p < config.alpha for p in result.reported_pvalues)
+        assert result.p[result.reported].tolist()
+        assert all(p < config.alpha for p in result.p[result.reported].tolist())
 
     def test_multiple_studies_per_replicate(self):
         config = SimConfig(n_studies=3, replicates=400, seed=2)
@@ -260,14 +260,14 @@ class TestRunSimulation:
         config = SimConfig(tests_per_study=1, replicates=100_000, seed=77)
         result = run_simulation(config)
         assert result.bias == pytest.approx(0.0, abs=0.01)
-        assert ks_uniform_test(result.reported_pvalues).p_value > 0.01
+        assert ks_uniform_test(result.p[result.reported].tolist()).p_value > 0.01
 
     def test_null_calibration_across_seeds(self):
         passes = 0
         for seed in range(100):
             config = SimConfig(tests_per_study=1, replicates=2000, seed=seed)
             result = run_simulation(config)
-            if ks_uniform_test(result.reported_pvalues).p_value >= 0.01:
+            if ks_uniform_test(result.p[result.reported].tolist()).p_value >= 0.01:
                 passes += 1
         assert passes >= 98
 
@@ -398,7 +398,7 @@ class TestBatchedMatchesScalar:
 
     def test_views_yield_python_values_from_read_only_columns(self):
         result = run_simulation(SimConfig(tests_per_study=3, replicates=20, seed=2))
-        assert type(result.reported_pvalues[0]) is float
+        assert type(result.n_total) is type(result.n_published) is int
         columns = (result.replicate, result.study, result.p, result.estimate, result.published)
         for column in columns:
             with pytest.raises(ValueError):

@@ -75,3 +75,12 @@ class TestRenderPValuePlot:
         # Once a ZeroDivisionError from placing rank 1 on an axis of n = 0 ranks.
         with pytest.raises(ValueError, match="empty p-value plot"):
             render_pvalue_plot(PValuePlot(0, 0, np.array([]), []))
+
+    @pytest.mark.parametrize("n", [1, 2, 19, 20, 21, 41, 400, 2000])
+    def test_x_ticks_are_one_the_multiples_of_the_step_and_n(self, n):
+        step = max(1, math.ceil(n / 20))
+        expected = [rank for rank in range(1, n + 1) if rank in (1, n) or rank % step == 0]
+        svg = render_pvalue_plot(PValuePlot(0, n, np.linspace(0.0, 1.0, n)))
+        labels = [int(label) for label in re.findall(r'font-size="12"[^>]*>(\d+)</text>', svg)]
+        assert labels == expected
+        assert svg.count('y2="545.00"') == len(expected)  # one tick mark per label
