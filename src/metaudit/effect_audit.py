@@ -180,7 +180,7 @@ class PValuePlot:
     A table in rank order: rank i = 1..n holds ``p[i - 1]`` (a float
     array), the p-value of study ``study_ids[i - 1]``.  The reference
     i/(n+1) is a function of n and is not stored; p must ascend within
-    [0, 1].
+    [0, 1], and is made read-only so that it stays checked.
     """
 
     def __init__(
@@ -196,6 +196,7 @@ class PValuePlot:
             raise ValueError("the p-values of a plot must ascend within [0, 1]")
         if study_ids is not None and len(study_ids) != n:
             raise ValueError(f"a plot of n = {n} needs n study ids, got {len(study_ids)}")
+        p.flags.writeable = False
         self.p = p
         self.study_ids = [] if study_ids is None else study_ids
         self.excluded_ns_count = excluded_ns_count
@@ -537,25 +538,40 @@ def _running_line_scores(y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 _SCAN_ROUNDING_FACTOR = 16.0
 
 
+def _exact_two_segment_totals(y: np.ndarray, ks: Sequence[int]) -> list[tuple[int, int]]:
+    """Each k's exact two-segment SSE times 2^(2S), as an int numerator and denominator.
+
+    y scaled by 2^S, the largest denominator of its doubles, is integers Y.
+    For the m points i = a+1..b, t = 2*Sxy = 2*Sum(i*Y) - (a + b + 1)*Sum(Y)
+    and Sxx = m (m^2 - 1)/12, so Syy - Sxy^2/Sxx = ((m^2 - 1) m*Syy - 3 t^2) / (m (m^2 - 1)).
+    """
+    ratios = [v.as_integer_ratio() for v in y.tolist()]
+    shift = max(den.bit_length() for _, den in ratios)
+    scaled = [num << (shift - den.bit_length()) for num, den in ratios]
+    sums = list(itertools.accumulate(scaled, initial=0))
+    squares = list(itertools.accumulate((v * v for v in scaled), initial=0))
+    products = list(itertools.accumulate(map(operator.mul, itertools.count(1), scaled), initial=0))
+
+    def segment(a: int, b: int) -> tuple[int, int]:
+        m = b - a
+        s = sums[b] - sums[a]
+        t = 2 * (products[b] - products[a]) - (a + b + 1) * s
+        return (m * m - 1) * (m * (squares[b] - squares[a]) - s * s) - 3 * t * t, m * (m * m - 1)
+
+    pairs = ((segment(0, k), segment(k, len(scaled))) for k in ks)
+    return [(left * r_den + right * l_den, l_den * r_den) for (left, l_den), (right, r_den) in pairs]
+
+
 def hockey_stick_fit(plot: PValuePlot) -> HockeyStickFit:
     """Best split of the ranked p-values into two least-squares lines.
 
-    Considers every breakpoint k that leaves at least two points per
-    segment, fits the segments independently, and keeps the k with the
-    smallest total SSE (ties go to the smaller k).  A flat left segment
-    followed by a much steeper right segment is the hockey-stick signature.
-
-    A prefix scan of centred co-moments over the p-values and over them
-    reversed (``_running_line_scores``, ceil(log2 n) NumPy steps) gives
-    every prefix and suffix its line's SSE, and so every k an approximate
-    two-segment SSE.  It only filters: every k whose approximate SSE is
-    within a rounding bound of the smallest is re-scored exactly with the
-    segment fit of the full scan, and the winner, its slopes and its SSE
-    come from those exact fits.  The result is therefore the one a full
-    scan would give, bit for bit.  When the points are exactly collinear
-    (or all equal) every k is a near-tie, and the re-scoring falls back to
-    the full scan's O(n^2) cost on those candidates, so it is never slower
-    than a full scan.
+    The breakpoint k, with at least two points per segment, has the
+    smallest exact total SSE of the two segments' lines, ties going to the
+    smaller k; the slopes and SSE are ``_line_fit``'s at that k.  A flat
+    left segment followed by a much steeper right segment is the
+    hockey-stick signature.  An O(n) prefix scan (``_running_line_scores``)
+    gives every k an approximate SSE; only the k within its rounding bound
+    of the smallest are scored exactly, from integer prefix sums.
     """
     n = plot.n
     if n < MIN_POINTS_HOCKEY_STICK:
@@ -563,60 +579,41 @@ def hockey_stick_fit(plot: PValuePlot) -> HockeyStickFit:
             f"insufficient points for a hockey-stick fit: need at least "
             f"{MIN_POINTS_HOCKEY_STICK}, got {n}"
         )
-    x_column = np.arange(1, n + 1, dtype=float)
     y_column = plot.p
     sse, syy = _running_line_scores(y_column)
     # Breakpoint k = 2..n-2 joins the prefix of k points (column k - 1 of
     # row 0) and the suffix of n - k points (column n - k - 1 of row 1).
     s_yy = syy[0, 1 : n - 2] + syy[1, n - 3 : 0 : -1]
     score = sse[0, 1 : n - 2] + sse[1, n - 3 : 0 : -1]
-    # The winner is chosen on _line_fit's totals, so a k may be skipped only
-    # when its running score, less the rounding error of both the score and
-    # _line_fit, exceeds some other k's score plus that error.  The running
+    # A k may be skipped only when its running score, less its rounding
+    # error, exceeds some other k's score plus that error.  The running
     # Syy - Sxy^2/Sxx cancels down from Syy, an error of order n*eps*Syy
-    # (Chan, Golub & LeVeque 1983).  Values far from zero relative to their
-    # spread are rounded at the scale of y_max in every mean update and in
-    # every _line_fit residual r_i, about eps*y_max*sum|r_i| <=
-    # eps*y_max*sqrt(n*Syy).  Squares near the subnormal range lose up to
-    # one subnormal unit per operation.  With S = Syy_left + Syy_right:
-    #     bound(k) = F * (eps * (n*S + y_max*sqrt(n*S)) + n * tiny).
-    # The bound was derived for Welford's n sequential updates.  The scan
-    # builds each prefix by a merge tree of depth ceil(log2 n) instead; each
-    # merge rounds its parts at the relative order of one Welford update, the
-    # shift by an end value rounds each value at most at the scale
-    # eps*y_max, and the power-of-two scale is exact, so the same bound
-    # covers it.  Measured
-    # against exact rationals at F = 1 on uniform, skewed, tied, collinear,
-    # P_FLOOR-clamped, offset and near-underflow plots of n = 6 to 3,000, the
-    # scan's error was at most 1/6 of the bound (Welford's: 0.11; the 1/6
-    # is one subnormal unit at n = 6), and from n = 301 up it was never above
-    # Welford's.  At 40 sampled breakpoints it was 3.5e-5 on a 50,000-point
-    # plot (Welford's: 1.3e-3) and 9.0e-4 on a 2,000-point selected-over-null
-    # mixture (Welford's: 6.0e-3).  F = 16 was set over Welford's largest
-    # measured error, 0.43, and leaves room above both.  Any k* with the
-    # smallest exact total then has score(k*) - bound(k*) <= exact(k*) <=
-    # exact(j) <= score(j) + bound(j) for every j, so it passes the cutoff.
+    # (Chan, Golub & LeVeque 1983); values far from zero are rounded at the
+    # scale eps*y_max, which moves an SSE by about eps*y_max*sqrt(n*Syy); and
+    # squares near the subnormal range lose a subnormal unit per operation.
+    #     bound(k) = F * (eps * (n*S + y_max*sqrt(n*S)) + n * tiny), S = Syy_left + Syy_right.
+    # At F = 1 the scan's measured error is at most 1/6 of the bound
+    # (test_scan_error_within_the_bound).  So a k* with the smallest exact
+    # total has score(k*) - bound(k*) <= exact(k*) <= exact(j) <= score(j) +
+    # bound(j) for every j, and passes the cutoff.
     eps = math.ulp(1.0)
     y_max = np.abs(y_column).max()
     underflow = n * math.ulp(0.0)
     bound = _SCAN_ROUNDING_FACTOR * (eps * (n * s_yy + y_max * np.sqrt(n * s_yy)) + underflow)
     cutoff = (score + bound).min()
-    # Candidates in increasing k, so that ties go to the smaller k.
-    candidates = np.flatnonzero(~(score - bound > cutoff)) + 2
-    best: HockeyStickFit | None = None
-    for k in candidates.tolist():
-        _, left_slope, left_sse = _line_fit(x_column[:k], y_column[:k])
-        _, right_slope, right_sse = _line_fit(x_column[k:], y_column[k:])
-        total = left_sse + right_sse
-        if best is None or total < best.sse:
-            best = HockeyStickFit(
-                breakpoint=k,
-                left_slope=left_slope,
-                right_slope=right_slope,
-                sse=total,
-            )
-    assert best is not None
-    return best
+    candidates = (np.flatnonzero(~(score - bound > cutoff)) + 2).tolist()
+    k = candidates[0]
+    if len(candidates) > 1:
+        # In increasing k, so a later k wins only by a strictly smaller total.
+        totals = _exact_two_segment_totals(y_column, candidates)
+        best, best_den = totals[0]
+        for j, (total, den) in zip(candidates, totals):
+            if total * best_den < best * den:
+                k, best, best_den = j, total, den
+    x_column = np.arange(1, n + 1, dtype=float)
+    _, left_slope, left_sse = _line_fit(x_column[:k], y_column[:k])
+    _, right_slope, right_sse = _line_fit(x_column[k:], y_column[k:])
+    return HockeyStickFit(k, left_slope, right_slope, left_sse + right_sse)
 
 
 def multiplicity_report(

@@ -593,7 +593,8 @@ class TestHockeyStickFit:
         assert fit.sse == pytest.approx(0.0, abs=1e-20)
 
     def test_exact_linear_ties_resolve_to_smallest_k(self):
-        fit = hockey_stick_fit(plot_from_pvalues([0.05 * i for i in range(1, 11)]))
+        # i/16 is exactly collinear in binary, so every exact total is 0.
+        fit = hockey_stick_fit(plot_from_pvalues([i / 16 for i in range(1, 11)]))
         assert fit.breakpoint == 2
         assert fit.left_slope == pytest.approx(fit.right_slope, abs=1e-9)
         assert fit.sse == pytest.approx(0.0, abs=1e-18)
@@ -666,18 +667,20 @@ def reference_line_fit(xs, ys):
     return intercept, slope, sse
 
 
-def full_scan_hockey_stick(plot: PValuePlot) -> HockeyStickFit:
-    """Reference: fit both segments with the reference line fit at every breakpoint, O(n^2)."""
+def exact_breakpoint(ys) -> int:
+    """The breakpoint with the smallest exact two-segment SSE over every k, ties to the smaller k."""
+    scores = exact_two_segment_scores(ys, range(2, len(ys) - 1))
+    return min(scores, key=lambda k: scores[k][0])
+
+
+def exact_scan_hockey_stick(plot: PValuePlot) -> HockeyStickFit:
+    """Reference: the exact breakpoint, with the reference line fit's slopes and SSE there."""
     xs = [float(i) for i in range(1, plot.n + 1)]
     ys = plot.p.tolist()
-    best = None
-    for k in range(2, plot.n - 1):
-        _, left_slope, left_sse = reference_line_fit(xs[:k], ys[:k])
-        _, right_slope, right_sse = reference_line_fit(xs[k:], ys[k:])
-        total = left_sse + right_sse
-        if best is None or total < best.sse:
-            best = HockeyStickFit(k, left_slope, right_slope, total)
-    return best
+    k = exact_breakpoint(ys)
+    _, left_slope, left_sse = reference_line_fit(xs[:k], ys[:k])
+    _, right_slope, right_sse = reference_line_fit(xs[k:], ys[k:])
+    return HockeyStickFit(k, left_slope, right_slope, left_sse + right_sse)
 
 
 PLOT_SHAPES = {
@@ -714,18 +717,38 @@ def test_line_fit_equals_generator_form(shape):
 
 @pytest.mark.parametrize("shape", sorted(PLOT_SHAPES))
 def test_hockey_stick_fit_equals_full_scan(shape):
-    # The linear scan only filters breakpoints; the winner and its fields
-    # must be exactly those of the full scan, not merely close.
+    # The linear scan only filters breakpoints; the winner must be the exact
+    # scan's over every k, and its fields exactly the reference fit's there.
     rng = random.Random(f"hockey-{shape}")
     for n in [6, 7, 8, 400] + [rng.randint(9, 300) for _ in range(16)]:
         plot = plot_from_pvalues(PLOT_SHAPES[shape](rng, n))
-        assert hockey_stick_fit(plot) == full_scan_hockey_stick(plot)
+        assert hockey_stick_fit(plot) == exact_scan_hockey_stick(plot)
 
 
-def test_hockey_stick_fit_at_scale(monkeypatch):
-    n = 50_000
-    rng = random.Random(50_000)
-    plot = plot_from_pvalues(PLOT_SHAPES["selected-over-null"](rng, n))
+FLOOR_WITH_TAIL = [P_FLOOR] * 390 + [10.0 ** e for e in range(-291, -191, 10)]
+
+
+@pytest.mark.parametrize(
+    "ys, k",
+    [
+        # 0.05 * i is not collinear in binary: the exact totals differ.
+        ([0.05 * i for i in range(1, 11)], 5),
+        ([P_FLOOR] * 400, 2),
+        # The shape of simulate --true-effect 40: P_FLOOR ties, then a short tail.
+        (FLOOR_WITH_TAIL, 398),
+        (FLOOR_WITH_TAIL[-40:], 38),
+        ([P_FLOOR] * 390 + [i / 1024 for i in range(1, 11)], 390),
+    ],
+    ids=["twentieths", "all-floor", "floor-with-tail", "floor-with-tail-40", "floor-then-line"],
+)
+def test_tied_plots_take_the_exact_breakpoint(ys, k):
+    assert exact_breakpoint(ys) == k
+    plot = plot_from_pvalues(ys)
+    assert hockey_stick_fit(plot) == exact_scan_hockey_stick(plot)
+
+
+def counted_hockey_stick_fit(monkeypatch, plot: PValuePlot) -> tuple[HockeyStickFit, list[int]]:
+    """The fit, and the segment length of each _line_fit call that it made."""
     calls = []
 
     def counted_line_fit(xs, ys):
@@ -735,8 +758,27 @@ def test_hockey_stick_fit_at_scale(monkeypatch):
     monkeypatch.setattr(effect_audit, "_line_fit", counted_line_fit)
     fit = hockey_stick_fit(plot)
     monkeypatch.undo()
-    # A non-degenerate plot re-scores a handful of breakpoints, not all n.
-    assert len(calls) <= 50
+    return fit, calls
+
+
+@pytest.mark.parametrize(
+    "p, k",
+    [(np.full(40_000, P_FLOOR), 2), (np.arange(1, 40_001) / 40_001, None)],
+    ids=["all-floor", "ranks-over-n-plus-1"],
+)
+def test_tied_plots_at_scale_fit_only_the_winner(monkeypatch, p, k):
+    # Every k is a candidate here; only the winner is fitted.
+    fit, calls = counted_hockey_stick_fit(monkeypatch, PValuePlot(0, len(p), p))
+    assert calls == [fit.breakpoint, len(p) - fit.breakpoint]
+    assert k is None or fit.breakpoint == k
+
+
+def test_hockey_stick_fit_at_scale(monkeypatch):
+    n = 50_000
+    rng = random.Random(50_000)
+    plot = plot_from_pvalues(PLOT_SHAPES["selected-over-null"](rng, n))
+    fit, calls = counted_hockey_stick_fit(monkeypatch, plot)
+    assert len(calls) == 2
     xs = [float(i) for i in range(1, n + 1)]
     ys = plot.p.tolist()
 
@@ -915,6 +957,11 @@ class TestAudit:
         assert report.multiplicity is not None
         assert report.multiplicity.m == pytest.approx(6784.0)
         assert report.multiplicity.adjusted_alpha == pytest.approx(0.05 / 6784)
+
+    def test_plot_p_values_are_read_only(self):
+        report = audit([record_with_p(f"s{i}", 0.1 * (i + 1)) for i in range(7)])
+        with pytest.raises(ValueError, match="read-only"):
+            report.plot.p[0] = 0.99
 
     def test_small_n_skips_hockey_and_flags_uniformity(self):
         records = [record_with_p(f"s{i}", 0.1 * (i + 1)) for i in range(4)]
