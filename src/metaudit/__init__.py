@@ -34,6 +34,7 @@ from metaudit.searchspace import (
     summarize_spaces,
 )
 from metaudit.statkernel import (
+    InputError,
     OlsFit,
     RankDeficiencyError,
     TestResult,
@@ -52,6 +53,7 @@ __all__ = [
     "EffectRecord",
     "EffectsTable",
     "HockeyStickFit",
+    "InputError",
     "MultiplicityReport",
     "NoPlottableRecordsError",
     "OlsFit",

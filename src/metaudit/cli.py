@@ -1,8 +1,9 @@
 """Command-line front end: metaudit space | audit | plot | simulate.
 
-Exit codes: 0 success, 2 input or configuration error, 3 numeric
-overflow, 4 no usable records after filtering.  Set METAUDIT_NO_COLOR to
-disable terminal styling.
+Exit codes: 0 success, 2 input or configuration error (``InputError``,
+``OSError``), 3 numeric overflow, 4 no usable records after filtering.
+Any other exception is a bug: it propagates with its traceback, exit 1.
+Set METAUDIT_NO_COLOR to disable terminal styling.
 """
 
 from __future__ import annotations
@@ -15,15 +16,13 @@ import sys
 from collections.abc import Sequence
 from pathlib import Path
 
-import numpy as np
-
 from metaudit import fileio
 from metaudit.effect_audit import (
     EffectsTable,
     NoPlottableRecordsError,
     audit,
     build_pvalue_plot,
-    ratio_intervals,
+    effects_from_statistics,
 )
 from metaudit.fileio import ParseError
 from metaudit.hacksim import SELECTION_RULES, SimConfig, SimResult, run_simulation
@@ -35,6 +34,7 @@ from metaudit.searchspace import (
     compute_spaces,
     summarize_spaces,
 )
+from metaudit.statkernel import InputError
 from metaudit.svgplot import render_pvalue_plot
 
 EXIT_OK = 0
@@ -214,8 +214,8 @@ def _build_sim_config(args: argparse.Namespace) -> SimConfig:
 def _emitted_effects(config: SimConfig, result: SimResult) -> EffectsTable:
     """The effects table of the reported studies.
 
-    ``ratio_intervals`` raises ValueError for a statistic whose interval
-    leaves the positive floating-point range, as EffectRecord would.
+    A statistic whose ratio interval leaves the positive floating-point
+    range raises InputError.
     """
     reported = result.reported
     # "k<K>-r<replicate, 6 digits>-s<study>"; one % template formats faster
@@ -226,13 +226,9 @@ def _emitted_effects(config: SimConfig, result: SimResult) -> EffectsTable:
             zip(result.replicate[reported].tolist(), result.study[reported].tolist()),
         )
     )
-    intervals = ratio_intervals(
-        result.estimate[reported], EMITTED_EFFECT_SE, EMITTED_EFFECT_LEVEL
-    )
-    n = len(study_ids)
-    return EffectsTable(
-        study_ids, (f"simulated ({config.selection_rule})",) * n, *intervals,
-        level=np.full(n, EMITTED_EFFECT_LEVEL), ns=np.zeros(n, dtype=bool),
+    labels = (f"simulated ({config.selection_rule})",) * len(study_ids)
+    return effects_from_statistics(
+        study_ids, labels, result.estimate[reported], EMITTED_EFFECT_SE, EMITTED_EFFECT_LEVEL
     )
 
 
@@ -330,7 +326,7 @@ def main(argv: list[str] | None = None) -> int:
     except NoPlottableRecordsError as exc:
         _fail(str(exc))
         return EXIT_EMPTY
-    except (ParseError, OSError, ValueError) as exc:
+    except (InputError, OSError, UnicodeDecodeError) as exc:
         _fail(str(exc))
         return EXIT_PARSE
 

@@ -22,6 +22,7 @@ import numpy as np
 
 from metaudit.searchspace import SpaceSummary
 from metaudit.statkernel import (
+    InputError,
     TestResult,
     ks_uniform_test,
     ols_columns,
@@ -84,6 +85,10 @@ class EffectRecord:
                 f"study {self.study_id!r}: ratio {self.ratio} outside its interval "
                 f"[{self.ci_low}, {self.ci_high}]"
             )
+        if math.log(self.ci_low) == math.log(self.ci_high):  # se would be 0
+            raise ValueError(
+                f"study {self.study_id!r}: degenerate interval [{self.ci_low}, {self.ci_high}]"
+            )
 
 
 @dataclass(eq=False, frozen=True)
@@ -118,8 +123,13 @@ class EffectsTable(Sequence):
         if len(set(lengths)) > 1 or not isinstance(self.ns, np.ndarray) or self.ns.dtype != bool:
             raise ValueError(f"EffectsTable needs columns of one length and a bool ns: {lengths}")
         level, low, ratio, high = self.level, self.ci_low, self.ratio, self.ci_high
-        with np.errstate(invalid="ignore"):  # NaN fails every comparison
+        # NaN fails every comparison; bounds that fail anyway may warn in high/low.
+        with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
             interval = (0.0 < low) & (low <= ratio) & (ratio <= high) & (high < math.inf)
+            # |log x| < 745, where an ulp is at most 2^-43, and math.log is within about 1 ulp,
+            # so one rounded logarithm needs high/low - 1 < 2^-41: math.log runs within 2^-40.
+            near = np.flatnonzero(interval & (high / low <= 1.0 + 2.0**-40))
+            interval[near[_logs(low[near]) == _logs(high[near])]] = False
             bad = ~((0.5 < level) & (level < 1.0) & (self.ns | interval))
         if "" in self.study_ids:
             bad[self.study_ids.index("")] = True
@@ -251,26 +261,16 @@ def _logs(values: np.ndarray) -> np.ndarray:
 
 
 def _pvalues(
-    study_ids: Sequence[str],
-    ratio: np.ndarray,
-    ci_low: np.ndarray,
-    ci_high: np.ndarray,
-    level: np.ndarray,
+    ratio: np.ndarray, ci_low: np.ndarray, ci_high: np.ndarray, level: np.ndarray
 ) -> np.ndarray:
     """Column form of ``p_from_ratio_ci`` over table rows that all carry an interval.
 
     NumPy forms the IEEE basic operations that the scalar formula makes,
     in its order, and ``math.log`` and ``math.erfc`` run through ``map``,
     so every p-value has the scalar formula's bits.  ``EffectsTable`` has
-    checked each row; this raises ValueError for the first row, in input
-    order, whose bounds have one logarithm (equal or not): se would be 0.
+    checked each row, its bounds' two logarithms included, so se > 0.
     """
     log_low, log_high = _logs(ci_low), _logs(ci_high)
-    degenerate = log_low == log_high
-    if degenerate.any():
-        i = int(degenerate.argmax())
-        low, high = ci_low[i].item(), ci_high[i].item()
-        raise ValueError(f"study {study_ids[i]!r}: degenerate interval [{low}, {high}]")
     levels = level.tolist()
     critical = {value: _critical_value(value) for value in set(levels)}
     z = np.fromiter(map(critical.__getitem__, levels), float, len(levels))
@@ -297,7 +297,7 @@ def p_from_ratio_ci(record: EffectRecord) -> float:
             "numeric interval to convert"
         )
     table = EffectsTable.from_records([record])
-    return _pvalues(table.study_ids, table.ratio, table.ci_low, table.ci_high, table.level).item()
+    return _pvalues(table.ratio, table.ci_low, table.ci_high, table.level).item()
 
 
 def _exp_or_inf(x: float) -> float:
@@ -307,18 +307,19 @@ def _exp_or_inf(x: float) -> float:
         return math.inf
 
 
-def ratio_intervals(
+def effects_from_statistics(
+    study_ids: Sequence[str],
+    labels: Sequence[str],
     statistics: Sequence[float] | np.ndarray,
     standard_error: float,
     confidence_level: float = 0.95,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Columns (ratio, ci_low, ci_high) of the ratio intervals laid around z statistics.
+) -> EffectsTable:
+    """The effects table of the ratio intervals laid around z statistics.
 
-    The ratio is exp(statistic * standard_error) and the bounds move the
-    statistic by the two-sided critical value.  Raises ValueError, naming
-    the first offending statistic, unless all three values of every row
-    are positive finite doubles with ci_low <= ratio <= ci_high, the
-    conditions ``EffectRecord`` places on them.
+    Row i has ratio exp(statistics[i] * standard_error), and its bounds move
+    the statistic by the two-sided critical value.  ``EffectsTable`` checks
+    the rows: when the first row it rejects has numbers that break the
+    contract, this raises InputError naming that row's statistic instead.
     """
     if not standard_error > 0:
         raise ValueError(f"standard_error must be positive, got {standard_error!r}")
@@ -340,16 +341,29 @@ def ratio_intervals(
         ratio, ci_low, ci_high = (
             np.fromiter(map(_exp_or_inf, log.tolist()), float, len(log)) for log in logs
         )
-    valid = (0.0 < ci_low) & (ci_low <= ratio) & (ratio <= ci_high) & (ci_high < math.inf)
-    if not valid.all():
-        statistic = statistics[valid.argmin()].item()
-        if not math.isfinite(statistic):
-            raise ValueError(f"statistic must be finite, got {statistic!r}")
-        raise ValueError(
-            f"statistic {statistic!r} with standard error {standard_error!r} gives a "
-            "ratio interval outside the positive floating-point range"
+    n = len(statistics)
+    try:
+        return EffectsTable(
+            study_ids, labels, ratio, ci_low, ci_high,
+            level=np.full(n, confidence_level), ns=np.zeros(n, dtype=bool),
         )
-    return ratio, ci_low, ci_high
+    except ValueError as exc:
+        i = getattr(exc, "index", None)
+        if i is None:  # columns of unequal length
+            raise
+        try:  # the row's numbers alone, under a valid id and level
+            EffectRecord(
+                "row", ratio=ratio[i].item(), ci_low=ci_low[i].item(), ci_high=ci_high[i].item()
+            )
+        except ValueError:
+            statistic = statistics[i].item()
+            if not math.isfinite(statistic):
+                raise InputError(f"statistic must be finite, got {statistic!r}") from None
+            raise InputError(
+                f"statistic {statistic!r} with standard error {standard_error!r} gives a "
+                "ratio interval outside the positive floating-point range"
+            ) from None
+        raise
 
 
 def record_from_statistic(
@@ -363,18 +377,12 @@ def record_from_statistic(
 
     Useful for feeding simulated test statistics into the audit pipeline;
     p_from_ratio_ci recovers exactly 2 * (1 - cdf(|statistic|)) from the
-    returned record.  The interval is ``ratio_intervals``' for one row.
+    returned record, row 0 of ``effects_from_statistics`` for the one
+    statistic, whose errors this raises.
     """
-    columns = ratio_intervals([statistic], standard_error, confidence_level)
-    ratio, ci_low, ci_high = (column.item() for column in columns)
-    return EffectRecord(
-        study_id=study_id,
-        label=label,
-        ratio=ratio,
-        ci_low=ci_low,
-        ci_high=ci_high,
-        confidence_level=confidence_level,
-    )
+    return effects_from_statistics(
+        [study_id], [label], [statistic], standard_error, confidence_level
+    )[0]
 
 
 def _rank(p: np.ndarray, study_ids: Sequence[str]) -> tuple[np.ndarray, list[str]]:
@@ -421,7 +429,7 @@ def build_pvalue_plot(records: Sequence[EffectRecord]) -> PValuePlot:
     if n < len(table):
         study_ids = list(itertools.compress(study_ids, numeric.tolist()))
         columns = tuple(column[numeric] for column in columns)
-    p, ranked_ids = _rank(_pvalues(study_ids, *columns), study_ids)
+    p, ranked_ids = _rank(_pvalues(*columns), study_ids)
     return PValuePlot(len(table) - n, n, p, ranked_ids)
 
 

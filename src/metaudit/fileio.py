@@ -20,7 +20,7 @@ import hashlib
 import importlib.resources
 import itertools
 import math
-from collections.abc import Callable, Iterable, Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import asdict
 from json.encoder import encode_basestring
 from pathlib import Path
@@ -30,6 +30,7 @@ import numpy as np
 from metaudit.effect_audit import AuditReport, EffectRecord, EffectsTable
 from metaudit.hacksim import SimConfig, SimResult
 from metaudit.searchspace import SearchSpace, SpaceSummary, StudyCounts
+from metaudit.statkernel import InputError
 
 COUNTS_HEADER = ["study_id", "outcomes", "predictors", "lags", "covariates"]
 COUNTS_HEADER_NAMED = COUNTS_HEADER + ["covariate_names"]
@@ -44,7 +45,7 @@ def bundled_data_path(name: str) -> Path:
     return Path(str(importlib.resources.files("metaudit") / "data" / name))
 
 
-class ParseError(ValueError):
+class ParseError(InputError):
     """An input file failed to parse; carries the row and column at fault."""
 
     def __init__(self, message: str, row: int | None = None, column: str | None = None):
@@ -111,13 +112,6 @@ def _parse_int(cell: str, row: int, column: str) -> int:
         raise ParseError(f"expected an integer, got {cell!r}", row=row, column=column) from None
 
 
-def _parse_float(cell: str, row: int, column: str) -> float:
-    try:
-        return float(cell.strip())
-    except ValueError:
-        raise ParseError(f"expected a number, got {cell!r}", row=row, column=column) from None
-
-
 def read_counts_csv(path: str | Path, lines: list[int] | None = None) -> list[StudyCounts]:
     """Parse a study-counts CSV into StudyCounts rows.
 
@@ -172,72 +166,86 @@ def read_counts_csv(path: str | Path, lines: list[int] | None = None) -> list[St
     return studies
 
 
-def _floats(cells: Sequence[str], lines: Iterable[int], column: str) -> np.ndarray:
-    """The cells as floats, or the ParseError of the first cell that ``_parse_float`` rejects.
+def _floats(cells: Sequence[str]) -> tuple[list[float], int | None]:
+    """``float(cell.strip())`` of each cell up to the first that does not
+    parse, and that cell's index, or None when every cell parses.
 
-    Each cell is parsed as ``float(cell.strip())``: float() alone does not
-    strip \\x1c-\\x1f.  ``lines`` holds each cell's line.
+    float() alone does not strip \\x1c-\\x1f.  No cell is converted twice.
     """
+    values: list[float] = []
     try:
-        return np.array(list(map(float, map(str.strip, cells))), dtype=float)
+        values.extend(map(float, map(str.strip, cells)))
     except ValueError:
-        return np.array(list(map(_parse_float, cells, lines, itertools.repeat(column))))
+        return values, len(values)
+    return values, None
 
 
 def _effects_columns(lines: list[int], cells: list[list[str]], width: int) -> EffectsTable:
     """The effects table of the rows, or the ParseError of the first bad row in file order.
 
-    Each check runs over all rows, in the order that one row's fields are
-    checked: field count, ns cell, level, ratio, ci_low, ci_high, and then
-    ``EffectsTable``'s contract; it raises for the first row it rejects.
-    A row before that one may fail a later check, so the rows before it
-    are checked again, recursively: at most seven levels deep, and only
-    on the error path.
+    The checks run in the order that one row's fields are checked: field
+    count, ns cell, level, ratio, ci_low, ci_high, and then
+    ``EffectsTable``'s contract.  Each check runs once, over the rows
+    before the earliest row rejected so far, and a rejection keeps its
+    row's error; so the error raised at the end is the first bad row's,
+    from the first check that row fails.  No cell is converted twice.
     """
+    n = len(cells)  # rows from n on are not checked further
+    error = None
+
+    def reject(index: int, message: str, column: str | None = None) -> None:
+        nonlocal n, error
+        n, error = index, ParseError(message, row=lines[index], column=column)
+
+    widths = list(map(len, cells))
+    if set(widths) != {width}:
+        bad = next(i for i, k in enumerate(widths) if k != width)
+        reject(bad, f"expected {width} fields, got {widths[bad]}")
+    study_ids, labels, ratio, ci_low, ci_high, *level_column, ns_cells = (
+        zip(*cells[:n]) if n else [()] * width
+    )
+    ns_cells = list(map(str.strip, ns_cells))
+    if not set(ns_cells) <= {"0", "1", ""}:
+        bad = next(i for i, cell in enumerate(ns_cells) if cell not in ("0", "1", ""))
+        reject(bad, f"ns must be 0 or 1, got {ns_cells[bad]!r}", "ns")
+    ns = np.array([cell == "1" for cell in ns_cells[:n]], dtype=bool)
+    if level_column:
+        # A file holds a few distinct levels: parse each once, in the order
+        # of the first row that holds it.
+        levels = level_column[0][:n]
+        first_rows = dict(zip(reversed(levels), range(n - 1, -1, -1)))
+        distinct = sorted(first_rows, key=first_rows.__getitem__)
+        texts = [cell.strip() or "0.95" for cell in distinct]
+        parsed, bad = _floats(texts)
+        if bad is not None:
+            reject(first_rows[distinct[bad]], f"expected a number, got {texts[bad]!r}", "level")
+        level = np.array(list(map(dict(zip(distinct, parsed)).__getitem__, levels[:n])))
+    else:
+        level = np.full(n, 0.95)
+    # Not-significant rows carry no numbers, whatever their cells hold.
+    flags = (~ns).tolist()
+    numbers = []
+    for column, name in ((ratio, "ratio"), (ci_low, "ci_low"), (ci_high, "ci_high")):
+        values, bad = _floats(list(itertools.compress(column[:n], flags)))
+        if bad is not None:
+            row = list(itertools.compress(range(n), flags))[bad]
+            reject(row, f"expected a number, got {column[row]!r}", name)
+        numbers.append(values)
+    numeric = ~ns[:n]
+    count = int(np.count_nonzero(numeric))
+    columns = [np.full(n, math.nan) for _ in numbers]
+    for full, values in zip(columns, numbers):
+        full[numeric] = values[:count]
     try:
-        widths = list(map(len, cells))
-        if set(widths) != {width}:
-            bad = next(i for i, n in enumerate(widths) if n != width)
-            raise ParseError(f"expected {width} fields, got {widths[bad]}", row=lines[bad])
-        study_ids, labels, ratio, ci_low, ci_high, *level_column, ns_cells = zip(*cells)
-        ns_cells = list(map(str.strip, ns_cells))
-        if not set(ns_cells) <= {"0", "1", ""}:
-            bad = next(i for i, cell in enumerate(ns_cells) if cell not in ("0", "1", ""))
-            raise ParseError(f"ns must be 0 or 1, got {ns_cells[bad]!r}", row=lines[bad], column="ns")
-        if level_column:
-            # A file holds a few distinct levels: parse each once, in file
-            # order, with the line of the first row that holds it.
-            first_lines = dict(zip(reversed(level_column[0]), reversed(lines)))
-            distinct = sorted(first_lines, key=first_lines.__getitem__)
-            texts = [cell.strip() or "0.95" for cell in distinct]
-            parsed = _floats(texts, map(first_lines.__getitem__, distinct), "level").tolist()
-            level = np.array(list(map(dict(zip(distinct, parsed)).__getitem__, level_column[0])))
-        else:
-            level = np.full(len(cells), 0.95)
-        ns = np.array([cell == "1" for cell in ns_cells], dtype=bool)
-        # Not-significant rows carry no numbers, whatever their cells hold.
-        numeric = ~ns
-        flags = numeric.tolist()
-        numbers = [
-            _floats(list(itertools.compress(column, flags)), itertools.compress(lines, flags), name)
-            for column, name in ((ratio, "ratio"), (ci_low, "ci_low"), (ci_high, "ci_high"))
-        ]
-        if not all(flags):
-            parsed_numbers, numbers = numbers, [np.full(len(cells), math.nan) for _ in numbers]
-            for full, column in zip(numbers, parsed_numbers):
-                full[numeric] = column
-        try:
-            return EffectsTable(
-                tuple(map(str.strip, study_ids)), tuple(map(str.strip, labels)), *numbers,
-                level=level, ns=ns, lines=lines,
-            )
-        except ValueError as exc:
-            raise ParseError(str(exc), row=lines[exc.index]) from exc
-    except ParseError as exc:
-        before = lines.index(exc.row)
-        if before:  # a row before the named one may fail a later check
-            _effects_columns(lines[:before], cells[:before], width)
-        raise
+        table = EffectsTable(
+            tuple(map(str.strip, study_ids[:n])), tuple(map(str.strip, labels[:n])), *columns,
+            level=level[:n], ns=ns[:n], lines=lines[:n],
+        )
+    except ValueError as exc:
+        raise ParseError(str(exc), row=lines[exc.index]) from exc
+    if error is not None:
+        raise error
+    return table
 
 
 def read_effects_csv(path: str | Path) -> EffectsTable:

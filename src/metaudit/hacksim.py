@@ -34,6 +34,8 @@ from itertools import islice
 
 import numpy as np
 
+from metaudit.statkernel import InputError
+
 _SQRT_HALF = math.sqrt(0.5)
 
 SELECTION_RULES = ("report-min-p", "report-first-significant", "report-random")
@@ -66,7 +68,8 @@ class SimConfig:
     explores; ``correlation`` is the equicorrelation among a study's K test
     statistics; ``true_effect`` shifts every statistic on the z scale, with
     0 the null.  ``censor_at_alpha`` drops studies whose selected p-value
-    fails the publication screen from the reported lists.
+    fails the publication screen from the reported lists.  A field out of
+    its range raises InputError.
     """
 
     n_studies: int = 1
@@ -83,25 +86,25 @@ class SimConfig:
         for name in ("n_studies", "tests_per_study", "replicates"):
             value = getattr(self, name)
             if not isinstance(value, int) or isinstance(value, bool) or value < 1:
-                raise ValueError(f"{name} must be a positive integer, got {value!r}")
+                raise InputError(f"{name} must be a positive integer, got {value!r}")
         if not 0.0 <= self.correlation < 1.0:
-            raise ValueError(
+            raise InputError(
                 f"correlation must be < 1 and >= 0, got {self.correlation!r}"
             )
         if not math.isfinite(self.true_effect):
-            raise ValueError(f"true_effect must be finite, got {self.true_effect!r}")
+            raise InputError(f"true_effect must be finite, got {self.true_effect!r}")
         if self.selection_rule not in SELECTION_RULES:
-            raise ValueError(
+            raise InputError(
                 f"selection_rule must be one of {', '.join(SELECTION_RULES)}, "
                 f"got {self.selection_rule!r}"
             )
         if not 0.0 < self.alpha < 1.0:
-            raise ValueError(f"alpha must lie in (0, 1), got {self.alpha!r}")
+            raise InputError(f"alpha must lie in (0, 1), got {self.alpha!r}")
         if not isinstance(self.censor_at_alpha, bool):
-            raise ValueError(f"censor_at_alpha must be a bool, got {self.censor_at_alpha!r}")
+            raise InputError(f"censor_at_alpha must be a bool, got {self.censor_at_alpha!r}")
         seed = self.seed
         if not isinstance(seed, int) or isinstance(seed, bool) or not 0 <= seed <= U64_MAX:
-            raise ValueError(f"seed must be a 64-bit unsigned integer, got {seed!r}")
+            raise InputError(f"seed must be a 64-bit unsigned integer, got {seed!r}")
 
     def total_draws(self) -> int:
         return self.replicates * self.n_studies * (self.tests_per_study + 1)
@@ -218,10 +221,11 @@ def run_simulation(config: SimConfig) -> SimResult:
     Identical configs produce bit-identical results: each replicate uses
     its keyed stream and all floating-point reductions run in replicate
     order, so the results equal those of simulating the studies one by one
-    in replicate order.
+    in replicate order.  A config of more than ``MAX_TOTAL_DRAWS`` draws
+    raises InputError before any is made.
     """
     if config.total_draws() > MAX_TOTAL_DRAWS:
-        raise ValueError(
+        raise InputError(
             f"resource limit: replicates * n_studies * (tests_per_study + 1) = "
             f"{config.total_draws()} draws exceeds the cap of {MAX_TOTAL_DRAWS}"
         )

@@ -7,7 +7,9 @@ Kolmogorov-Smirnov uniformity test, and (n+1)-position
 linear-interpolation quantiles.  ``ols_fit`` forms its elementwise terms
 with NumPy and adds every sum with ``math.fsum``, whose exactly rounded
 result does not depend on the order of the terms, so its bits are those
-of the equivalent pure-Python loops.
+of the equivalent pure-Python loops.  The package's ``InputError`` is
+defined here too: this module imports nothing from the package, so every
+module can import it without a cycle.
 """
 
 from __future__ import annotations
@@ -28,6 +30,10 @@ _EPS = sys.float_info.epsilon
 # rounding noise; fits whose residual norm is below this multiple of machine
 # epsilon are treated as exact and coefficients are snapped to 0 or +-inf.
 _EXACT_FIT_FACTOR = 1e4 * _EPS
+
+
+class InputError(ValueError):
+    """Bad input or configuration: a malformed file, a bad parameter, a value off its scale."""
 
 
 class RankDeficiencyError(ValueError):

@@ -12,8 +12,16 @@ import pytest
 
 from metaudit import cli, fileio
 from metaudit.cli import main
-from metaudit.fileio import COUNTS_HEADER, EFFECTS_HEADER, bundled_data_path, json_dumps
+from metaudit.effect_audit import record_from_statistic
+from metaudit.fileio import (
+    COUNTS_HEADER,
+    EFFECTS_HEADER,
+    ParseError,
+    bundled_data_path,
+    json_dumps,
+)
 from metaudit.hacksim import SimConfig, run_simulation
+from metaudit.statkernel import InputError
 from tests.conftest import CORPUS_ROWS, CORPUS_SUMMARY
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -210,6 +218,21 @@ class TestCmdAudit:
     def test_unique_counts_ids_do_not_warn(self, tmp_path, capsys):
         assert main(["audit", "--input", EFFECTS, "--counts", COUNTS, "--output", str(tmp_path)]) == 0
         assert "warning" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("later", ["s4,d,1.5,1.2,1.875,0.95,7", "s4,d,1.5,1.2,1.875,0.95,0"])
+    @pytest.mark.parametrize("command", ["audit", "plot"])
+    def test_degenerate_row_exits_2_naming_its_line(self, tmp_path, capsys, command, later):
+        # Line 3's bounds are equal, so se would be 0; a bad ns cell on line
+        # 5 comes later in the file and must not be named first.
+        effects = tmp_path / "effects.csv"
+        rows = ["s1,a,1.5,1.2,1.875,0.95,0", "s2,b,1.0,1.0,1.0,0.95,0", "s3,c,2.0,1.5,2.5,0.95,0"]
+        effects.write_text("\n".join([",".join(EFFECTS_HEADER), *rows, later]) + "\n", encoding="utf-8")
+        output = tmp_path / "out"
+        assert main([command, "--input", str(effects), "--output", str(output)]) == 2
+        assert capsys.readouterr().err == (
+            "error: study 's2': degenerate interval [1.0, 1.0] (row 3)\n"
+        )
+        assert not output.exists()
 
     def test_all_ns_exits_4(self, tmp_path, capsys):
         effects = tmp_path / "ns.csv"
@@ -484,7 +507,7 @@ class TestCmdSimulate:
         assert [float(row[2]) for row in rows] == result.p[published].tolist()
         assert [float(row[3]) for row in rows] == result.estimate[published].tolist()
 
-    @pytest.mark.parametrize("effect", ["10000", "-10000"])
+    @pytest.mark.parametrize("effect", ["10000", "-10000", "-7445"])
     def test_emit_off_the_ratio_scale_exits_2_writing_nothing(self, tmp_path, capsys, effect):
         outdir = tmp_path / "sim"
         effects = tmp_path / "effects.csv"
@@ -727,6 +750,59 @@ def test_build_parser_without_a_command_builds_every_command():
     ):
         args = parser.parse_args(argv)
         assert args.func is getattr(cli, f"cmd_{argv[0]}")
+
+
+def test_input_errors_share_one_type():
+    # main maps InputError (and OSError) to exit 2, and nothing else.
+    assert issubclass(ParseError, InputError)
+    with pytest.raises(InputError, match="replicates must be a positive integer"):
+        SimConfig(replicates=0)
+    with pytest.raises(InputError, match="resource limit"):
+        run_simulation(SimConfig(replicates=10**9))
+    with pytest.raises(InputError, match="ratio interval outside"):
+        record_from_statistic("far", 1e4, 0.1)
+
+
+@pytest.mark.parametrize("command", ["audit", "space"])
+def test_undecodable_input_exits_2(tmp_path, capsys, command):
+    header = EFFECTS_HEADER if command == "audit" else COUNTS_HEADER
+    path = tmp_path / "latin1.csv"
+    path.write_bytes(",".join(header).encode() + b"\n\xe9tude,1\n")
+    assert main([command, "--input", str(path), "--output", str(tmp_path / "o")]) == 2
+    assert "can't decode byte 0xe9" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+# Runs ``python -m metaudit`` with effect_audit's audit, as the CLI binds it,
+# replaced by a stage that fails as a bug would.
+FAILING_STAGE = """
+import runpy
+from metaudit import cli
+
+def stage(*args, **kwargs):
+    raise ValueError("a bug")
+
+cli.audit = stage
+runpy.run_module("metaudit", run_name="__main__")
+"""
+
+
+def test_a_value_error_from_a_bug_exits_1_with_its_traceback(tmp_path, monkeypatch):
+    def stage(*args, **kwargs):
+        raise ValueError("a bug")
+
+    monkeypatch.setattr(cli, "audit", stage)
+    with pytest.raises(ValueError, match="^a bug$"):
+        main(["audit", "--input", EFFECTS, "--output", str(tmp_path / "a")])
+    result = subprocess.run(
+        [sys.executable, "-c", FAILING_STAGE, "audit", "--input", EFFECTS, "--output", str(tmp_path / "b")],
+        capture_output=True,
+        text=True,
+    )
+    assert result.returncode == 1
+    assert result.stderr.startswith("Traceback (most recent call last):\n")
+    assert result.stderr.endswith("\nValueError: a bug\n")
+    assert not (tmp_path / "b").exists()
 
 
 def test_module_entry_point():

@@ -31,15 +31,15 @@ from metaudit.effect_audit import (
     audit,
     bilinearity_test,
     build_pvalue_plot,
+    effects_from_statistics,
     hockey_stick_fit,
     multiplicity_report,
     p_from_ratio_ci,
-    ratio_intervals,
     record_from_statistic,
     uniformity_test,
 )
 from metaudit.searchspace import StudyCounts, compute_spaces, summarize_spaces
-from metaudit.statkernel import std_normal_quantile
+from metaudit.statkernel import InputError, std_normal_quantile
 
 mpmath.mp.dps = 40
 
@@ -188,11 +188,17 @@ class TestPFromRatioCi:
         with pytest.raises(ValueError, match="ratio interval"):
             record_from_statistic("far", statistic, 0.1)
 
+    def test_a_bad_statistic_comes_before_the_other_faults_of_its_row(self):
+        with pytest.raises(ValueError, match="^statistic 10000.0 with standard error 0.1 gives"):
+            record_from_statistic("", 1e4, 0.1)
+        with pytest.raises(ValueError, match="^study_id must be non-empty$"):
+            record_from_statistic("", 1.0, 0.1)
+
 
 def scalar_ratio_interval(statistic, standard_error, confidence_level=0.95):
-    """The per-row reference for ratio_intervals: scalar math.exp per bound."""
+    """The per-row reference for effects_from_statistics: scalar math.exp per bound."""
     if not math.isfinite(statistic):
-        raise ValueError(f"statistic must be finite, got {statistic!r}")
+        raise InputError(f"statistic must be finite, got {statistic!r}")
     if not standard_error > 0:
         raise ValueError(f"standard_error must be positive, got {standard_error!r}")
     z = std_normal_quantile(0.5 * (1.0 + confidence_level))
@@ -202,17 +208,26 @@ def scalar_ratio_interval(statistic, standard_error, confidence_level=0.95):
         ci_high = math.exp((statistic + z) * standard_error)
     except OverflowError:
         ci_low = ratio = ci_high = math.inf
-    if not 0.0 < ci_low <= ratio <= ci_high < math.inf:
-        raise ValueError(
+    if not 0.0 < ci_low <= ratio <= ci_high < math.inf or math.log(ci_low) == math.log(ci_high):
+        raise InputError(
             f"statistic {statistic!r} with standard error {standard_error!r} gives a "
             "ratio interval outside the positive floating-point range"
         )
     return ratio, ci_low, ci_high
 
 
+def interval_columns(statistics, standard_error, confidence_level=0.95):
+    """Columns (ratio, ci_low, ci_high) of effects_from_statistics over the statistics."""
+    n = len(statistics)
+    table = effects_from_statistics(
+        [f"s{i}" for i in range(n)], [""] * n, statistics, standard_error, confidence_level
+    )
+    return table.ratio, table.ci_low, table.ci_high
+
+
 def ratio_interval(statistic, standard_error, confidence_level=0.95):
-    """(ratio, ci_low, ci_high) of one statistic: ratio_intervals for one row."""
-    columns = ratio_intervals([statistic], standard_error, confidence_level)
+    """(ratio, ci_low, ci_high) of one statistic: interval_columns for one row."""
+    columns = interval_columns([statistic], standard_error, confidence_level)
     return tuple(column.item() for column in columns)
 
 
@@ -242,7 +257,7 @@ def overflow_straddle(shift: float, se: float) -> tuple[float, float]:
 
 
 def assert_intervals_match_scalar(statistics, se=0.1, level=0.95):
-    """ratio_intervals gives the scalar reference's values, or its first error."""
+    """effects_from_statistics gives the scalar reference's values, or its first error."""
     expected = []
     # Python floats, as the emit step passes them to the scalar form.
     for statistic in np.asarray(statistics, dtype=float).tolist():
@@ -250,13 +265,13 @@ def assert_intervals_match_scalar(statistics, se=0.1, level=0.95):
             expected.append(tuple(map(repr, scalar_ratio_interval(statistic, se, level))))
         except ValueError as exc:
             with pytest.raises(ValueError) as caught:
-                ratio_intervals(statistics, se, level)
+                interval_columns(statistics, se, level)
             assert type(caught.value) is type(exc)
             assert str(caught.value) == str(exc)
             with pytest.raises(ValueError, match=re.escape(str(exc))):
                 ratio_interval(statistic, se, level)
             return
-    columns = ratio_intervals(statistics, se, level)
+    columns = interval_columns(statistics, se, level)
     assert list(zip(*(map(repr, column.tolist()) for column in columns))) == expected
     one_row = [tuple(map(repr, ratio_interval(s, se, level))) for s in statistics]
     assert one_row == expected
@@ -316,7 +331,7 @@ class TestRatioIntervals:
         assert_intervals_match_scalar(np.array(statistics))
 
     def test_empty_column(self):
-        assert [len(column) for column in ratio_intervals([], 0.1)] == [0, 0, 0]
+        assert [len(column) for column in interval_columns([], 0.1)] == [0, 0, 0]
 
 
 class TestEffectRecordValidation:
@@ -987,15 +1002,15 @@ class TestAudit:
         calls = []
         convert = effect_audit._pvalues
 
-        def counted(study_ids, *columns):
-            calls.append(list(study_ids))
-            return convert(study_ids, *columns)
+        def counted(ratio, *columns):
+            calls.append(ratio.tolist())
+            return convert(ratio, *columns)
 
         monkeypatch.setattr(effect_audit, "_pvalues", counted)
         records = [record_with_p(f"s{i:02d}", (i + 1) / 12) for i in range(10)]
         records.append(EffectRecord(study_id="ns", not_significant_flag=True))
         report = audit(records)
-        assert calls == [[r.study_id for r in records[:10]]]
+        assert calls == [[r.ratio for r in records[:10]]]
         assert report.plot.study_ids == [r.study_id for r in records[:10]]
         assert report.plot.excluded_ns_count == 1
 
@@ -1109,16 +1124,51 @@ class TestColumnarPathMatchesRecordPath:
         assert columnar_ranked_pvalues(records) == reference_ranked_pvalues(records)
 
     def test_degenerate_interval_names_the_first_row_in_input_order(self):
-        records = [
-            record_with_p("ok", 0.3),
-            record("late", 1.2, 1.2, 1.2),  # its p would rank last
-            record("later", 0.5, 0.5, 0.5),
+        # Rows 1 and 3 have bounds with one logarithm: equal bounds, and
+        # adjacent doubles near 1e300.  The table names row 1.
+        low = 1e300
+        high = math.nextafter(low, math.inf)
+        columns = [
+            np.array([1.5, 1.0, 2.0, low]),
+            np.array([1.2, 1.0, 1.5, low]),
+            np.array([1.875, 1.0, 2.5, high]),
         ]
-        with pytest.raises(ValueError) as expected:
-            reference_ranked_pvalues(records)
-        with pytest.raises(ValueError, match="degenerate") as got:
-            audit(records)
-        assert str(got.value) == str(expected.value)
+        ids = ["a", "late", "c", "later"]
+        level, ns = np.full(4, 0.95), np.zeros(4, dtype=bool)
+        with pytest.raises(ValueError) as caught:
+            EffectsTable(ids, [""] * 4, *columns, level=level, ns=ns)
+        assert str(caught.value) == "study 'late': degenerate interval [1.0, 1.0]"
+        assert caught.value.index == 1
+        keep = [0, 2, 3]
+        with pytest.raises(ValueError) as caught:
+            EffectsTable(
+                [ids[i] for i in keep], [""] * 3, *(c[keep] for c in columns),
+                level=level[keep], ns=ns[keep],
+            )
+        assert str(caught.value) == f"study 'later': degenerate interval [{low}, {high}]"
+        assert caught.value.index == 2
+
+    def test_one_logarithm_rule_matches_math_log(self):
+        # The table's column check tries math.log only on rows whose bounds
+        # lie within 2^-40 of each other.  Near 1e-300, 1 and 1e300, with
+        # relative gaps from 2^-54 to 2^-38, it must reject exactly the pairs
+        # whose logarithms round alike.
+        rng = random.Random(41)
+        outcomes = set()
+        for base in (1e-300, 1.0, 1e300):
+            for _ in range(200):
+                low = base * (1.0 + rng.uniform(-(2.0**-20), 2.0**-20))
+                high = low * (1.0 + 2.0 ** rng.uniform(-54.0, -38.0))
+                one_log = math.log(low) == math.log(high)
+                outcomes.add(one_log)
+                columns = [np.array([value]) for value in (low, low, high)]
+                level, ns = np.array([0.95]), np.zeros(1, dtype=bool)
+                if one_log:
+                    with pytest.raises(ValueError, match="degenerate interval"):
+                        EffectsTable(["s"], [""], *columns, level=level, ns=ns)
+                else:
+                    EffectsTable(["s"], [""], *columns, level=level, ns=ns)
+        assert outcomes == {True, False}
 
     def test_zero_width_log_interval_is_degenerate(self):
         low = 1e300

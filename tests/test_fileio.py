@@ -33,7 +33,6 @@ from metaudit.fileio import (
     EFFECTS_HEADER_NO_LEVEL,
     ParseError,
     _match_header,
-    _parse_float,
     _parse_int,
     build_report_document,
     bundled_data_path,
@@ -778,6 +777,13 @@ def reference_data_rows(path):
             yield lineno, next(csv.reader([line]))
 
 
+def reference_parse_float(cell, row, column):
+    try:
+        return float(cell.strip())
+    except ValueError:
+        raise ParseError(f"expected a number, got {cell!r}", row=row, column=column) from None
+
+
 def reference_read_effects_csv(path):
     """The per-line effects reader read_effects_csv replaced, kept as its reference."""
     rows = reference_data_rows(path)
@@ -795,7 +801,7 @@ def reference_read_effects_csv(path):
         if ns_cell not in ("0", "1", ""):
             raise ParseError(f"ns must be 0 or 1, got {ns_cell!r}", row=lineno, column="ns")
         level_cell = record.get("level", "").strip()
-        level = _parse_float(level_cell, lineno, "level") if level_cell else 0.95
+        level = reference_parse_float(level_cell, lineno, "level") if level_cell else 0.95
         try:
             if ns_cell == "1":
                 records.append(EffectRecord(
@@ -805,9 +811,9 @@ def reference_read_effects_csv(path):
             else:
                 records.append(EffectRecord(
                     study_id=record["study_id"].strip(), label=record["label"].strip(),
-                    ratio=_parse_float(record["ratio"], lineno, "ratio"),
-                    ci_low=_parse_float(record["ci_low"], lineno, "ci_low"),
-                    ci_high=_parse_float(record["ci_high"], lineno, "ci_high"),
+                    ratio=reference_parse_float(record["ratio"], lineno, "ratio"),
+                    ci_low=reference_parse_float(record["ci_low"], lineno, "ci_low"),
+                    ci_high=reference_parse_float(record["ci_high"], lineno, "ci_high"),
                     confidence_level=level,
                 ))
         except ParseError:
@@ -951,7 +957,7 @@ class TestReadersMatchReference:
             ["a,x,1.5,1.25,2.0,0.95,0", "b,x,2.5,1.25,2.0,0.95,0", "c,x,0,1,2,0.95,0"],
             ["a,x,1.5,1.25,2.0,0.95,0", "b,x,1.5,1.25,2.0,0.95,2", "c,,1.5,1.25,2.0,0.95"],
             ["a,x,1.5,1.25,2.0,0.95,0", "b,x,1.5,1.25,2.0,\x1c0.9\x1c,0", "c,x,\x1f1.5,1.25,2.0,,0"],
-            # Bad rows in reverse check order, so the first is found seven levels deep.
+            # Bad rows in reverse check order: each check rejects an earlier row.
             [
                 "a,x,1.5,1.25,2.0,0.3,0", "b,x,1.5,1.25,bad,0.95,0", "c,x,1.5,bad,2.0,0.95,0",
                 "d,x,bad,1.25,2.0,0.95,0", "e,x,1.5,1.25,2.0,bad,0", "f,x,1.5,1.25,2.0,0.95,2",
@@ -966,6 +972,31 @@ class TestReadersMatchReference:
         path.write_text("\n".join([",".join(EFFECTS_HEADER), *rows]) + "\n", encoding="utf-8")
         got = read_outcome(read_effects_csv, path)
         assert got == read_outcome(reference_read_effects_csv, path)
+
+    def test_error_path_converts_each_cell_once(self, tmp_path, monkeypatch):
+        # Seven bad rows in reverse check order between good ones: each check
+        # runs once, on the rows before the earliest row rejected so far.
+        good = [f"s{i},x,1.5,1.25,2.0,0.95,0" for i in range(20)]
+        bad = [
+            "a,x,1.25,1.5,2.0,0.95,0", "b,x,1.5,1.25,x,0.95,0", "c,x,1.5,x,2.0,0.95,0",
+            "d,x,x,1.25,2.0,0.95,0", "e,x,1.5,1.25,2.0,x,0", "f,x,1.5,1.25,2.0,0.95,7",
+            "g,x,1.5,1.25,2.0,0.95,0,extra",
+        ]
+        path = tmp_path / "effects.csv"
+        path.write_text("\n".join([",".join(EFFECTS_HEADER), *good, *bad, *good]) + "\n", encoding="utf-8")
+        converted = []
+        floats = fileio._floats
+
+        def counted(cells):
+            converted.append(len(cells))
+            return floats(cells)
+
+        monkeypatch.setattr(fileio, "_floats", counted)
+        message = r"^study 'a': ratio 1.25 outside its interval \[1.5, 2.0\] \(row 22\)$"
+        with pytest.raises(ParseError, match=message):
+            read_effects_csv(path)
+        # The distinct levels 0.95 and x, then ratio, ci_low and ci_high.
+        assert converted == [2, 24, 23, 22]
 
     def test_bundled_files(self):
         for reader, reference, name in (
