@@ -9,6 +9,7 @@ Set METAUDIT_NO_COLOR to disable terminal styling.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import math
 import os
@@ -24,7 +25,6 @@ from metaudit.effect_audit import (
     build_pvalue_plot,
     effects_from_statistics,
 )
-from metaudit.fileio import ParseError
 from metaudit.hacksim import SELECTION_RULES, SimConfig, SimResult, run_simulation
 from metaudit.searchspace import (
     SearchSpace,
@@ -127,13 +127,15 @@ def cmd_space(args: argparse.Namespace) -> int:
 
 
 def cmd_audit(args: argparse.Namespace) -> int:
+    if args.alpha is not None and not args.counts:
+        raise InputError("--alpha sets the multiplicity threshold and needs --counts")
     table = _read_effects(args.input)
     digests = [fileio.file_digest(args.input)]
     studies = spaces = summary = None
     if args.counts:
         studies, spaces, summary = _read_spaces(args.counts)
         digests.append(fileio.file_digest(args.counts))
-    report = audit(table, spaces=summary, alpha=args.alpha)
+    report = audit(table, spaces=summary, alpha=args.alpha or 0.05)
     document = fileio.build_report_document(
         report, digests, studies=studies, spaces=spaces, summary=summary
     )
@@ -162,52 +164,12 @@ def cmd_plot(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-_BOOLEANS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
-
-_CONFIG_FIELDS = {
-    "n_studies": int,
-    "tests_per_study": int,
-    "correlation": float,
-    "true_effect": float,
-    "selection_rule": str,
-    "alpha": float,
-    "censor_at_alpha": lambda v: _BOOLEANS[v.lower()],
-    "replicates": int,
-    "seed": int,
-}
-
-
-def _read_config_file(path: str) -> dict:
-    """The SimConfig fields of a key=value file; a ParseError names the line at fault."""
-    values: dict = {}
-    with open(path, encoding="utf-8-sig") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            stripped = line.strip()
-            if not stripped or stripped.startswith("#"):
-                continue
-            if "=" not in stripped:
-                raise ParseError(
-                    f"{path}: expected key=value, got {stripped!r}", row=lineno
-                )
-            key, _, raw = stripped.partition("=")
-            key, raw = key.strip(), raw.strip()
-            if key not in _CONFIG_FIELDS:
-                raise ParseError(f"{path}: unknown config key {key!r}", row=lineno)
-            if key in values:
-                raise ParseError(f"{path}: repeated config key {key!r}", row=lineno)
-            try:
-                values[key] = _CONFIG_FIELDS[key](raw)
-            except (KeyError, ValueError):
-                raise ParseError(f"{path}: bad value for {key}: {raw!r}", row=lineno) from None
-    return values
-
-
 def _build_sim_config(args: argparse.Namespace) -> SimConfig:
     """The config file's fields, overridden by each flag given; flags share the field names."""
-    values = _read_config_file(args.config) if args.config else {}
-    for name in _CONFIG_FIELDS:
-        if getattr(args, name) is not None:
-            values[name] = getattr(args, name)
+    values = fileio.read_sim_config(args.config) if args.config else {}
+    for field in dataclasses.fields(SimConfig):
+        if getattr(args, field.name) is not None:
+            values[field.name] = getattr(args, field.name)
     return SimConfig(**values)
 
 
@@ -278,7 +240,7 @@ def build_parser() -> argparse.ArgumentParser:
     audit_cmd = sub.add_parser("audit", help="convert effects to p-values and run diagnostics")
     audit_cmd.add_argument("--input", required=True, help="effects CSV path")
     audit_cmd.add_argument("--counts", help="optional counts CSV for multiplicity")
-    audit_cmd.add_argument("--alpha", type=_alpha, default=0.05)
+    audit_cmd.add_argument("--alpha", type=_alpha, help="multiplicity threshold; needs --counts")
     audit_cmd.add_argument("--output", required=True, help="output directory")
     audit_cmd.add_argument("--format", choices=["json", "csv", "md"])
     audit_cmd.set_defaults(func=cmd_audit)
@@ -326,7 +288,7 @@ def main(argv: list[str] | None = None) -> int:
     except NoPlottableRecordsError as exc:
         _fail(str(exc))
         return EXIT_EMPTY
-    except (InputError, OSError, UnicodeDecodeError) as exc:
+    except (InputError, OSError) as exc:
         _fail(str(exc))
         return EXIT_PARSE
 

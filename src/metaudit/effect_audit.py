@@ -245,7 +245,6 @@ class AuditReport:
     bilinearity: TestResult | None
     hockey_stick: HockeyStickFit | None
     multiplicity: MultiplicityReport | None
-    alpha: float
 
 
 @functools.lru_cache(maxsize=64)
@@ -324,6 +323,8 @@ def effects_from_statistics(
     if not standard_error > 0:
         raise ValueError(f"standard_error must be positive, got {standard_error!r}")
     statistics = np.asarray(statistics, dtype=float)
+    # The critical value needs a valid level: EffectRecord's check runs first.
+    EffectRecord("row", confidence_level=confidence_level, not_significant_flag=True)
     z = _critical_value(confidence_level)
     # NumPy forms the same IEEE products as scalar code would; the exponent
     # is math.exp, because np.exp rounds differently for some arguments.
@@ -676,5 +677,4 @@ def audit(
         bilinearity=bilinearity,
         hockey_stick=hockey,
         multiplicity=multiplicity,
-        alpha=alpha,
     )

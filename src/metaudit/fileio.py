@@ -1,6 +1,8 @@
-"""File formats: counts/effects CSV parsing and report serialization.
+"""File formats: counts/effects CSV and simulate config parsing, and report serialization.
 
-CSV inputs are UTF-8, with or without a byte-order mark, and are read as
+Every input file is UTF-8, with or without a byte-order mark, and is
+decoded whole before any of it is parsed; a file that is not UTF-8 raises
+ParseError naming the line of its first bad byte.  CSV inputs are read as
 one stream by ``csv.reader``: a quoted cell may hold commas, doubled
 quotes and line breaks.  Blank lines and lines starting with '#' are
 skipped between records.
@@ -18,8 +20,10 @@ from __future__ import annotations
 import csv
 import hashlib
 import importlib.resources
+import io
 import itertools
 import math
+import typing
 from collections.abc import Callable, Sequence
 from dataclasses import asdict
 from json.encoder import encode_basestring
@@ -38,6 +42,8 @@ EFFECTS_HEADER = ["study_id", "label", "ratio", "ci_low", "ci_high", "level", "n
 EFFECTS_HEADER_NO_LEVEL = [c for c in EFFECTS_HEADER if c != "level"]
 
 REPORT_SCHEMA = "metaudit/2"
+
+_T = typing.TypeVar("_T")
 
 
 def bundled_data_path(name: str) -> Path:
@@ -60,14 +66,34 @@ class ParseError(InputError):
         super().__init__(f"{message}{suffix}")
 
 
-def _data_rows(path: Path, lines: list[int]):
-    """Yield the cells of each CSV record of ``path``, appending its line number to ``lines``.
+def _read_text(path: str | Path, newline: str | None) -> io.StringIO:
+    """The text of ``path``, UTF-8 with or without a byte-order mark, decoded whole into a
+    stream with ``open``'s ``newline`` meaning; bytes that are not UTF-8 raise ParseError.
+    """
+    with open(path, "rb") as handle:
+        data = handle.read()
+    try:
+        # "utf-8", not "utf-8-sig": the error's offset then counts the mark.
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        before = data[: exc.start].decode("utf-8") + "?"  # "?" in place of the bad byte
+        row = len(io.StringIO(before, newline=newline).readlines())  # the bad byte's line
+        raise ParseError(f"{path}: {exc}", row=row) from None
+    return io.StringIO(text.removeprefix("\ufeff"), newline=newline)
+
+
+def _read_csv(
+    path: Path, headers: list[list[str]], expected: list[str], rows_name: str,
+    parse: Callable[[list[str], list[int], list[list[str]]], _T],
+) -> _T:
+    """``parse(header, lines, rows)``: the matched entry of ``headers``, and the
+    first line and cells of each record after it.
 
     One ``csv.reader`` reads the whole file, so quoted cells may hold
     commas, quotes and line breaks.  Blank and '#' lines are skipped
-    between records, never inside a quoted cell, and a record's line
-    number is that of its first physical line.  A record that the
-    reader cannot parse raises ParseError.
+    between records, never inside a quoted cell.  A record that the reader
+    cannot parse raises ParseError after ``parse`` has run on the rows
+    before it, so that a bad row before that record comes first.
     """
     first_line = 0  # of the record being read; 0 between records
 
@@ -81,15 +107,26 @@ def _data_rows(path: Path, lines: list[int]):
                 first_line = lineno
             yield line
 
-    with open(path, encoding="utf-8-sig", newline="") as handle:
-        try:
-            for cells in csv.reader(record_lines(handle)):
-                lines.append(first_line)
-                first_line = 0
-                yield cells
-        except csv.Error as exc:
-            # Such as a cell over csv.field_size_limit(): a malformed row.
-            raise ParseError(f"{path}: {exc}", row=first_line or None) from None
+    lines: list[int] = []
+    rows: list[list[str]] = []
+    error = None
+    try:
+        for cells in csv.reader(record_lines(_read_text(path, ""))):
+            lines.append(first_line)
+            rows.append(cells)
+            first_line = 0
+    except csv.Error as exc:
+        # Such as a cell over csv.field_size_limit(): a malformed row.
+        error = ParseError(f"{path}: {exc}", row=first_line or None)
+    if not rows:
+        raise error or ParseError(f"{path}: empty file; expected header {','.join(expected)}")
+    header = _match_header(rows[0], headers, path)
+    if len(rows) == 1:
+        raise error or ParseError(f"{path}: no {rows_name} rows after the header")
+    result = parse(header, lines[1:], rows[1:])
+    if error is not None:
+        raise error
+    return result
 
 
 def _match_header(cells: list[str], accepted: list[list[str]], path: Path) -> list[str]:
@@ -122,48 +159,26 @@ def read_counts_csv(path: str | Path, lines: list[int] | None = None) -> list[St
     distinguish it from malformed input.  When ``lines`` is given, the
     file line of each study row is appended to it.
     """
-    path = Path(path)
-    lines = [] if lines is None else lines
-    rows = _data_rows(path, lines)
-    try:
-        header_cells = next(rows)
-    except StopIteration:
-        raise ParseError(
-            f"{path}: empty file; expected header {','.join(COUNTS_HEADER)}"
-        ) from None
-    header = _match_header(header_cells, [COUNTS_HEADER_NAMED, COUNTS_HEADER], path)
-    lines.pop()  # of the header
 
-    has_names = header is COUNTS_HEADER_NAMED
-    studies = []
-    for cells in rows:
-        lineno = lines[-1]
-        if len(cells) != len(header):
-            raise ParseError(
-                f"expected {len(header)} fields, got {len(cells)}", row=lineno
-            )
-        study_id, outcomes, predictors, lags, covariates = cells[:5]
-        names = None
-        if has_names and cells[5].strip():
-            names = [n.strip() for n in cells[5].split(";")]
-        try:
-            studies.append(
-                StudyCounts(
-                    study_id=study_id.strip(),
-                    outcomes=_parse_int(outcomes, lineno, "outcomes"),
-                    predictors=_parse_int(predictors, lineno, "predictors"),
-                    lags=_parse_int(lags, lineno, "lags"),
-                    covariates=_parse_int(covariates, lineno, "covariates"),
-                    covariate_names=names,
-                )
-            )
-        except ParseError:
-            raise
-        except ValueError as exc:
-            raise ParseError(str(exc), row=lineno) from exc
-    if not studies:
-        raise ParseError(f"{path}: no study rows after the header")
-    return studies
+    def parse(header: list[str], row_lines: list[int], rows: list[list[str]]) -> list[StudyCounts]:
+        studies = []
+        for lineno, cells in zip(row_lines, rows):
+            if len(cells) != len(header):
+                raise ParseError(f"expected {len(header)} fields, got {len(cells)}", row=lineno)
+            names = None
+            if header is COUNTS_HEADER_NAMED and cells[5].strip():
+                names = [n.strip() for n in cells[5].split(";")]
+            counts = [_parse_int(c, lineno, name) for c, name in zip(cells[1:5], header[1:5])]
+            try:
+                studies.append(StudyCounts(cells[0].strip(), *counts, covariate_names=names))
+            except ValueError as exc:
+                raise ParseError(str(exc), row=lineno) from exc
+        if lines is not None:
+            lines.extend(row_lines)
+        return studies
+
+    headers = [COUNTS_HEADER_NAMED, COUNTS_HEADER]
+    return _read_csv(Path(path), headers, COUNTS_HEADER, "study", parse)
 
 
 def _floats(cells: Sequence[str]) -> tuple[list[float], int | None]:
@@ -180,7 +195,7 @@ def _floats(cells: Sequence[str]) -> tuple[list[float], int | None]:
     return values, None
 
 
-def _effects_columns(lines: list[int], cells: list[list[str]], width: int) -> EffectsTable:
+def _effects_columns(header: list[str], lines: list[int], cells: list[list[str]]) -> EffectsTable:
     """The effects table of the rows, or the ParseError of the first bad row in file order.
 
     The checks run in the order that one row's fields are checked: field
@@ -190,6 +205,7 @@ def _effects_columns(lines: list[int], cells: list[list[str]], width: int) -> Ef
     row's error; so the error raised at the end is the first bad row's,
     from the first check that row fails.  No cell is converted twice.
     """
+    width = len(header)
     n = len(cells)  # rows from n on are not checked further
     error = None
 
@@ -213,12 +229,11 @@ def _effects_columns(lines: list[int], cells: list[list[str]], width: int) -> Ef
         # A file holds a few distinct levels: parse each once, in the order
         # of the first row that holds it.
         levels = level_column[0][:n]
-        first_rows = dict(zip(reversed(levels), range(n - 1, -1, -1)))
-        distinct = sorted(first_rows, key=first_rows.__getitem__)
+        distinct = list(dict.fromkeys(levels))
         texts = [cell.strip() or "0.95" for cell in distinct]
         parsed, bad = _floats(texts)
         if bad is not None:
-            reject(first_rows[distinct[bad]], f"expected a number, got {texts[bad]!r}", "level")
+            reject(levels.index(distinct[bad]), f"expected a number, got {texts[bad]!r}", "level")
         level = np.array(list(map(dict(zip(distinct, parsed)).__getitem__, levels[:n])))
     else:
         level = np.full(n, 0.95)
@@ -257,27 +272,39 @@ def read_effects_csv(path: str | Path) -> EffectsTable:
     names the record's first line, and the column when a cell does not
     parse; a bad row before an unreadable record comes first.
     """
-    path = Path(path)
-    lines: list[int] = []
-    rows = _data_rows(path, lines)
-    try:
-        header_cells = next(rows)
-    except StopIteration:
-        raise ParseError(
-            f"{path}: empty file; expected header {','.join(EFFECTS_HEADER)}"
-        ) from None
-    width = len(_match_header(header_cells, [EFFECTS_HEADER, EFFECTS_HEADER_NO_LEVEL], path))
-    lines.clear()  # of the header
-    cells: list[list[str]] = []
-    try:
-        cells.extend(rows)  # keeps the rows read before an unreadable record
-    except ParseError:
-        if cells:
-            _effects_columns(lines, cells, width)  # a bad row before that record comes first
-        raise
-    if not cells:
-        raise ParseError(f"{path}: no effect rows after the header")
-    return _effects_columns(lines, cells, width)
+    headers = [EFFECTS_HEADER, EFFECTS_HEADER_NO_LEVEL]
+    return _read_csv(Path(path), headers, EFFECTS_HEADER, "effect", _effects_columns)
+
+
+_BOOLEANS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
+
+
+def read_sim_config(path: str | Path) -> dict:
+    """The SimConfig fields of a key=value file; a ParseError names the line at fault.
+
+    Blank and '#' lines are skipped.  Each key is a SimConfig field and may
+    appear once; its value is parsed as the field's type, and a bool field
+    takes 1/0, true/false or yes/no in any case.
+    """
+    types = typing.get_type_hints(SimConfig)
+    values: dict = {}
+    for lineno, line in enumerate(_read_text(path, None), start=1):
+        stripped = line.strip()
+        if not stripped or stripped.startswith("#"):
+            continue
+        if "=" not in stripped:
+            raise ParseError(f"{path}: expected key=value, got {stripped!r}", row=lineno)
+        key, _, raw = stripped.partition("=")
+        key, raw = key.strip(), raw.strip()
+        if key not in types:
+            raise ParseError(f"{path}: unknown config key {key!r}", row=lineno)
+        if key in values:
+            raise ParseError(f"{path}: repeated config key {key!r}", row=lineno)
+        try:
+            values[key] = _BOOLEANS[raw.lower()] if types[key] is bool else types[key](raw)
+        except (KeyError, ValueError):
+            raise ParseError(f"{path}: bad value for {key}: {raw!r}", row=lineno) from None
+    return values
 
 
 def _json_scalar(value) -> str:

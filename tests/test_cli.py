@@ -2,6 +2,7 @@
 
 import argparse
 import csv
+import dataclasses
 import io
 import json
 import subprocess
@@ -252,6 +253,22 @@ class TestCmdAudit:
         assert "alpha must lie in (0, 1)" in capsys.readouterr().err
         assert not outdir.exists()
 
+    def test_alpha_without_counts_exits_2(self, tmp_path, capsys):
+        # Alpha sets only the multiplicity threshold; without --counts it was once dropped.
+        outdir = tmp_path / "audit"
+        assert main(["audit", "--input", EFFECTS, "--alpha", "0.01", "--output", str(outdir)]) == 2
+        assert capsys.readouterr().err == (
+            "error: --alpha sets the multiplicity threshold and needs --counts\n"
+        )
+        assert not outdir.exists()
+
+    def test_alpha_with_counts_sets_the_multiplicity_threshold(self, tmp_path):
+        outdir = tmp_path / "audit"
+        argv = ["audit", "--input", EFFECTS, "--counts", COUNTS, "--alpha", "0.01"]
+        assert main([*argv, "--format", "json", "--output", str(outdir)]) == 0
+        report = json.loads((outdir / "report.json").read_text(encoding="utf-8"))
+        assert report["multiplicity"]["alpha"] == 0.01
+
 
     @pytest.mark.parametrize("name", ["report.json", "plot_data.csv", "report.md"])
     def test_matches_golden_bytes(self, tmp_path, name):
@@ -460,6 +477,21 @@ class TestCmdSimulate:
         assert main(["simulate", "--config", str(config_file), "--output", str(outdir)]) == 2
         assert f"{config_file}: repeated config key 'seed' (row 4)" in capsys.readouterr().err
         assert not outdir.exists()
+
+    def test_every_config_field_is_a_config_key(self, tmp_path):
+        config = {
+            "n_studies": 2, "tests_per_study": 3, "correlation": 0.25, "true_effect": 0.5,
+            "selection_rule": "report-random", "alpha": 0.1, "censor_at_alpha": True,
+            "replicates": 20, "seed": 4,
+        }
+        assert list(config) == [field.name for field in dataclasses.fields(SimConfig)]
+        config_file = tmp_path / "sim.cfg"
+        texts = {**config, "censor_at_alpha": "yes"}
+        config_file.write_text("".join(f"{k} = {v}\n" for k, v in texts.items()), encoding="utf-8")
+        outdir = tmp_path / "sim"
+        assert main(["simulate", "--config", str(config_file), "--output", str(outdir)]) == 0
+        summary = json.loads((outdir / "sim_summary.json").read_text(encoding="utf-8"))
+        assert summary["config"] == config
 
     def test_correlation_bound_exits_2(self, tmp_path, capsys):
         code = main(
@@ -735,9 +767,8 @@ def test_a_second_main_builds_no_parser(tmp_path, monkeypatch):
 def test_config_fields_are_simulate_flags():
     # _build_sim_config reads each field's flag by the field's name.
     args = cli.build_parser().parse_args(["simulate", "--output", "o"])
-    assert {name: getattr(args, name) for name in cli._CONFIG_FIELDS} == dict.fromkeys(
-        cli._CONFIG_FIELDS
-    )
+    names = [field.name for field in dataclasses.fields(SimConfig)]
+    assert {name: getattr(args, name) for name in names} == dict.fromkeys(names)
 
 
 def test_build_parser_without_a_command_builds_every_command():
@@ -763,14 +794,36 @@ def test_input_errors_share_one_type():
         record_from_statistic("far", 1e4, 0.1)
 
 
-@pytest.mark.parametrize("command", ["audit", "space"])
+@pytest.mark.parametrize("command", ["audit", "space", "simulate"])
 def test_undecodable_input_exits_2(tmp_path, capsys, command):
-    header = EFFECTS_HEADER if command == "audit" else COUNTS_HEADER
-    path = tmp_path / "latin1.csv"
-    path.write_bytes(",".join(header).encode() + b"\n\xe9tude,1\n")
-    assert main([command, "--input", str(path), "--output", str(tmp_path / "o")]) == 2
-    assert "can't decode byte 0xe9" in capsys.readouterr().err
+    # Line 2 holds a Latin-1 byte: in a cell, or in a config file's comment.
+    path = tmp_path / "latin1.txt"
+    if command == "simulate":
+        path.write_bytes(b"seed=1\n# r\xe9sum\xe9\n")
+        source = ["--config", str(path)]
+    else:
+        header = EFFECTS_HEADER if command == "audit" else COUNTS_HEADER
+        path.write_bytes(",".join(header).encode() + b"\n\xe9tude,1\n")
+        source = ["--input", str(path)]
+    assert main([command, *source, "--output", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: 'utf-8' codec can't decode byte 0xe9 in position ")
+    assert err.endswith(" (row 2)\n")
     assert not (tmp_path / "o").exists()
+
+
+def test_an_undecodable_file_is_rejected_before_its_rows(tmp_path, capsys):
+    # Line 3's interval is degenerate, and line 5 holds a Latin-1 byte: the
+    # file is rejected whole, naming the line of that byte.
+    rows = ["s1,a,1.5,1.2,1.875,0.95,0", "s2,b,1.0,1.0,1.0,0.95,0", "s3,c,2.0,1.5,2.5,0.95,0"]
+    text = "\n".join([",".join(EFFECTS_HEADER), *rows, ""]).encode()
+    path = tmp_path / "mixed.csv"
+    path.write_bytes(text + b"s4,caf\xe9,1.5,1.2,1.875,0.95,0\n")
+    assert main(["audit", "--input", str(path), "--output", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {path}: 'utf-8' codec can't decode byte 0xe9 in position {len(text) + 6}: "
+        "invalid continuation byte (row 5)\n"
+    )
 
 
 # Runs ``python -m metaudit`` with effect_audit's audit, as the CLI binds it,

@@ -194,6 +194,13 @@ class TestPFromRatioCi:
         with pytest.raises(ValueError, match="^study_id must be non-empty$"):
             record_from_statistic("", 1.0, 0.1)
 
+    @pytest.mark.parametrize("level", [1.0, math.nan, 1.5, 0.5, 0.3])
+    def test_a_bad_confidence_level_gives_the_record_message(self, level):
+        # Its critical value once failed first, with the normal quantile's message.
+        message = rf"^confidence_level must lie in \(0.5, 1\), got {level!r}$"
+        with pytest.raises(ValueError, match=message):
+            record_from_statistic("s", 1.0, 0.1, level)
+
 
 def scalar_ratio_interval(statistic, standard_error, confidence_level=0.95):
     """The per-row reference for effects_from_statistics: scalar math.exp per bound."""

@@ -6,6 +6,7 @@ replaced are kept below as references: the new code must give the same
 records, errors and bytes wherever the old code's output was valid.
 """
 
+import codecs
 import csv
 import io
 import json
@@ -452,6 +453,48 @@ class TestCsvContract:
         with pytest.raises(ParseError) as excinfo:
             read_effects_csv(path)
         assert (excinfo.value.row, excinfo.value.column) == where
+
+    def test_bad_counts_row_before_an_unreadable_record_comes_first(self, tmp_path):
+        path = tmp_path / "counts.csv"
+        big = '"' + "x" * (csv.field_size_limit() + 1) + '"'
+        rows = [",".join(COUNTS_HEADER), "a,1,1,1,1", "b,1,x,1,1", f"{big},1"]
+        path.write_text("\n".join(rows) + "\n", encoding="utf-8")
+        with pytest.raises(ParseError) as excinfo:
+            read_counts_csv(path)
+        assert (excinfo.value.row, excinfo.value.column) == (3, "predictors")
+
+    def test_undecodable_byte_past_the_first_decode_chunk_names_its_line(self, tmp_path):
+        # A streamed decode once gave an offset within its 8 KB chunk, and no line.
+        rows = [f"s{i},x,1.5,1.25,2.0,0.95,0" for i in range(2, 600)]
+        path = tmp_path / "effects.csv"
+        text = "\n".join([",".join(EFFECTS_HEADER), *rows, ""]).encode()
+        path.write_bytes(text + b"s600,\xe9,1.5,1.25,2.0,0.95,0\n")
+        assert len(text) > 8192
+        with pytest.raises(ParseError) as excinfo:
+            read_effects_csv(path)
+        assert excinfo.value.row == 600
+        assert str(excinfo.value) == (
+            f"{path}: 'utf-8' codec can't decode byte 0xe9 in position {len(text) + 5}: "
+            "invalid continuation byte (row 600)"
+        )
+
+    @pytest.mark.parametrize("ending", ["\n", "\r\n", "\r"])
+    @pytest.mark.parametrize(
+        "reader, head",
+        [
+            (read_effects_csv, ",".join(EFFECTS_HEADER)),
+            (read_counts_csv, ",".join(COUNTS_HEADER)),
+            (fileio.read_sim_config, "# config"),
+        ],
+        ids=["effects", "counts", "config"],
+    )
+    def test_undecodable_byte_after_a_byte_order_mark_names_its_line(self, tmp_path, reader, head, ending):
+        # The line is the reader's, and the offset the file's, mark included.
+        text = codecs.BOM_UTF8 + (head + ending).encode()
+        path = tmp_path / "bom.txt"
+        path.write_bytes(text + b"\xe9tude,1" + ending.encode())
+        with pytest.raises(ParseError, match=rf"in position {len(text)}: .* \(row 2\)$"):
+            reader(path)
 
     def test_spaces_csv_quotes_a_quoted_counts_id(self, tmp_path):
         counts = tmp_path / "counts.csv"
