@@ -123,24 +123,22 @@ class EffectsTable(Sequence):
         if len(set(lengths)) > 1 or not isinstance(self.ns, np.ndarray) or self.ns.dtype != bool:
             raise ValueError(f"EffectsTable needs columns of one length and a bool ns: {lengths}")
         level, low, ratio, high = self.level, self.ci_low, self.ratio, self.ci_high
-        # NaN fails every comparison; bounds that fail anyway may warn in high/low.
+        # The columns pick the rows that EffectRecord surely accepts; it decides the others,
+        # in row order.  NaN fails every comparison; bad bounds may warn in high/low.
         with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
             interval = (0.0 < low) & (low <= ratio) & (ratio <= high) & (high < math.inf)
             # |log x| < 745, where an ulp is at most 2^-43, and math.log is within about 1 ulp,
-            # so one rounded logarithm needs high/low - 1 < 2^-41: math.log runs within 2^-40.
-            near = np.flatnonzero(interval & (high / low <= 1.0 + 2.0**-40))
-            interval[near[_logs(low[near]) == _logs(high[near])]] = False
-            bad = ~((0.5 < level) & (level < 1.0) & (self.ns | interval))
-        if "" in self.study_ids:
-            bad[self.study_ids.index("")] = True
-        if bad.any():
-            index = int(bad.argmax())
+            # so one rounded logarithm needs high/low - 1 < 2^-41: past 2^-40 there are two.
+            interval &= high / low > 1.0 + 2.0**-40
+            sure = (0.5 < level) & (level < 1.0) & (self.ns | interval)
+        if "" in self.study_ids:  # EffectRecord rejects the first empty id; later rows go unread
+            sure[self.study_ids.index("")] = False
+        for index in np.flatnonzero(~sure).tolist():
             try:
                 self[index]
             except ValueError as exc:
                 exc.index = index
                 raise
-            raise AssertionError("the column check rejected a row that EffectRecord accepts")
         object.__setattr__(self, "study_ids", tuple(self.study_ids))
         object.__setattr__(self, "labels", tuple(self.labels))
         for column in (self.ratio, self.ci_low, self.ci_high, self.level, self.ns):

@@ -1,7 +1,7 @@
 """File formats: counts/effects CSV and simulate config parsing, and report serialization.
 
 Every input file is UTF-8, with or without a byte-order mark, and is
-decoded whole before any of it is parsed; a file that is not UTF-8 raises
+checked whole before any of it is parsed; a file that is not UTF-8 raises
 ParseError naming the line of its first bad byte.  CSV inputs are read as
 one stream by ``csv.reader``: a quoted cell may hold commas, doubled
 quotes and line breaks.  Blank lines and lines starting with '#' are
@@ -9,8 +9,10 @@ skipped between records.
 
 All output is UTF-8 with LF line endings and '.' decimal separators,
 independent of locale.  CSV cells holding a comma, a quote, CR or LF are
-quoted as ``csv.QUOTE_MINIMAL`` does, so every written CSV reads back as
-written.  JSON floats carry 17 significant digits and CSV floats use
+quoted as ``csv.QUOTE_MINIMAL`` does, and so is a cell that starts with '#'
+after its blanks, so every written CSV reads back as written.  Markdown
+tables write a study id's '|' as '\\|' and each of its line breaks as
+'<br>'.  JSON floats carry 17 significant digits and CSV floats use
 shortest round-trip form, so parsing any emitted file and re-serializing
 it reproduces the bytes exactly.
 """
@@ -66,20 +68,23 @@ class ParseError(InputError):
         super().__init__(f"{message}{suffix}")
 
 
-def _read_text(path: str | Path, newline: str | None) -> io.StringIO:
-    """The text of ``path``, UTF-8 with or without a byte-order mark, decoded whole into a
-    stream with ``open``'s ``newline`` meaning; bytes that are not UTF-8 raise ParseError.
+def _read_text(path: str | Path, newline: str | None) -> io.TextIOWrapper:
+    """The text of ``path``, UTF-8 with or without a byte-order mark, as a stream with
+    ``open``'s ``newline`` meaning; bytes that are not UTF-8 raise ParseError.
+
+    The bytes are decoded whole once, only to check them; the stream decodes
+    them again, a chunk at a time, so the whole text is never held as a str.
     """
     with open(path, "rb") as handle:
         data = handle.read()
     try:
         # "utf-8", not "utf-8-sig": the error's offset then counts the mark.
-        text = data.decode("utf-8")
+        data.decode("utf-8")
     except UnicodeDecodeError as exc:
         before = data[: exc.start].decode("utf-8") + "?"  # "?" in place of the bad byte
         row = len(io.StringIO(before, newline=newline).readlines())  # the bad byte's line
         raise ParseError(f"{path}: {exc}", row=row) from None
-    return io.StringIO(text.removeprefix("\ufeff"), newline=newline)
+    return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8-sig", newline=newline)
 
 
 def _read_csv(
@@ -443,17 +448,31 @@ def _needs_quotes(text: str) -> bool:
 
 
 def _csv_cell(text: str) -> str:
-    """Quote a cell only when it holds , " CR or LF, as csv.QUOTE_MINIMAL does."""
-    if _needs_quotes(text):
+    """Quote a cell only when it holds , " CR or LF, as csv.QUOTE_MINIMAL does, or when
+    it starts with '#' after str.strip's blanks, which the readers take for a comment."""
+    if _needs_quotes(text) or text.lstrip().startswith("#"):
         return '"' + text.replace('"', '""') + '"'
     return text
 
 
 def _csv_cells(texts: Sequence[str]) -> Sequence[str]:
     """``_csv_cell`` of each text; one scan of their joined text when none needs quotes."""
-    if _needs_quotes("".join(texts)):
+    joined = "".join(texts)
+    if _needs_quotes(joined) or "#" in joined:
         return list(map(_csv_cell, texts))
     return texts
+
+
+def _markdown_cells(texts: Sequence[str]) -> Sequence[str]:
+    """Table cells of ``texts``, '|' written as '\\|' and each CRLF, CR or LF as '<br>';
+    one scan of their joined text when none holds either."""
+    joined = "".join(texts)
+    if "|" not in joined and "\r" not in joined and "\n" not in joined:
+        return texts
+    return [
+        text.replace("|", "\\|").replace("\r\n", "<br>").replace("\r", "<br>").replace("\n", "<br>")
+        for text in texts
+    ]
 
 
 def write_spaces_csv(
@@ -478,9 +497,10 @@ def write_spaces_markdown(
         "| study | outcomes | predictors | lags | covariates | space1 | space2 | space3 |",
         "| --- | --- | --- | --- | --- | --- | --- | --- |",
     ]
-    for s, sp in zip(studies, spaces):
+    study_ids = _markdown_cells([s.study_id for s in studies])
+    for study_id, s, sp in zip(study_ids, studies, spaces):
         lines.append(
-            f"| {s.study_id} | {s.outcomes} | {s.predictors} | {s.lags} "
+            f"| {study_id} | {s.outcomes} | {s.predictors} | {s.lags} "
             f"| {s.covariates} | {sp.space1} | {sp.space2} | {sp.space3} |"
         )
     lines += [
@@ -597,7 +617,8 @@ def write_report_markdown(path: str | Path, document: dict) -> None:
     lines += ["", "## Ranked p-values", "", "| rank | study | p |", "| --- | --- | --- |"]
     study_ids, p, ranks = document["pvalues"].columns
     p_texts = map(format, p.tolist(), itertools.repeat(".6g"))
-    rows = _interleave(["| ", " | ", " | ", " |\n"], [list(map(str, ranks)), study_ids, p_texts])
+    columns = [list(map(str, ranks)), _markdown_cells(study_ids), p_texts]
+    rows = _interleave(["| ", " | ", " | ", " |\n"], columns)
     rows[-1] = " |"
     lines.append("".join(rows))
     lines += ["", "## Diagnostics", ""]

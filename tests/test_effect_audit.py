@@ -416,6 +416,78 @@ class TestEffectsTableChecksItsRows:
         assert str(got.value) == record_error(rows[0])
         assert got.value.index == 1  # the position that the reader turns into a line
 
+    def test_table_raises_exactly_when_a_rows_record_raises(self):
+        # The column pass only picks the rows that EffectRecord surely accepts.
+        # Over adversarial rows, a table must raise the error and .index of
+        # its first row whose EffectRecord raises, and accept every other table.
+        rng = random.Random(19)
+        garbage = [math.nan, math.inf, -math.inf, 0.0, -0.0, -1.5, 5e-324, 1e-310, 1.0, 2.0]
+        levels = [0.95] * 6 + [0.9, 0.5, 1.0, math.nan, math.nextafter(0.5, 1), math.nextafter(1, 0)]
+
+        def ulps(value, k):
+            for _ in range(abs(k)):
+                value = math.nextafter(value, math.copysign(math.inf, k))
+            return value
+
+        def numbers(kind):
+            if kind == 0:
+                return 1.5, 1.25, 2.0
+            if kind == 1:
+                return tuple(rng.choice(garbage) for _ in range(3))
+            if kind == 2:  # reversed bounds, or a ratio outside its bounds
+                return rng.choice([(1.5, 2.0, 1.25), (2.5, 1.25, 2.0), (1.0, 1.25, 2.0)])
+            low = rng.choice([1e-300, 1.0, 1e300]) * (1.0 + rng.uniform(-(2.0**-20), 2.0**-20))
+            if kind == 3:  # bounds 1-3 ulps apart
+                high = ulps(low, rng.randint(1, 3))
+            elif kind == 4:  # high/low just above or just below 1 + 2^-40
+                high = ulps(low * (1.0 + 2.0**-40), rng.randint(-3, 3))
+            else:  # relative gaps from 2^-54 to 2^-38
+                high = low * (1.0 + 2.0 ** rng.uniform(-54.0, -38.0))
+            return rng.choice([low, high]), low, high
+
+        def row(i):
+            kind = rng.choice([0, 0, 0, 0, 1, 2, 3, 4, 5])
+            ratio, low, high = numbers(kind)
+            return {
+                "study_id": "" if rng.random() < 0.05 else f"s{i}",
+                "ratio": ratio, "ci_low": low, "ci_high": high,
+                "confidence_level": rng.choice(levels),
+                "not_significant_flag": rng.random() < 0.2,  # ns rows keep their garbage numbers
+                "near": kind >= 3,
+            }
+
+        def first_error(rows):
+            for index, r in enumerate(rows):
+                numbers = {} if r["not_significant_flag"] else {
+                    name: r[name] for name in ("ratio", "ci_low", "ci_high")
+                }
+                try:
+                    EffectRecord(
+                        r["study_id"], "lab", **numbers, confidence_level=r["confidence_level"],
+                        not_significant_flag=r["not_significant_flag"],
+                    )
+                except ValueError as exc:
+                    return index, str(exc)
+            return None
+
+        outcomes, near_outcomes = [], set()
+        for trial in range(2000):
+            rows = [row(i) for i in range(rng.randint(1, 6))]
+            expected = first_error(rows)
+            try:
+                table_from_rows(rows)
+            except ValueError as exc:
+                assert (exc.index, str(exc)) == expected, rows
+            else:
+                assert expected is None, rows
+            outcomes.append(expected is None)
+            for r in rows:
+                if r["near"]:
+                    error = first_error([r])
+                    near_outcomes.add(error is None or "degenerate interval" in error[1])
+        assert 0.1 < sum(outcomes) / len(outcomes) < 0.9
+        assert near_outcomes == {True, False}  # accepted, and rejected for one logarithm
+
     def test_unequal_column_lengths_rejected(self):
         table = table_from_rows([GOOD_ROW, GOOD_ROW])
         with pytest.raises(ValueError, match=r"one length and a bool ns: \[2, 2, 1, 2, 2, 2, 2\]"):
@@ -1156,7 +1228,7 @@ class TestColumnarPathMatchesRecordPath:
         assert caught.value.index == 2
 
     def test_one_logarithm_rule_matches_math_log(self):
-        # The table's column check tries math.log only on rows whose bounds
+        # The table's column check leaves EffectRecord the rows whose bounds
         # lie within 2^-40 of each other.  Near 1e-300, 1 and 1e300, with
         # relative gaps from 2^-54 to 2^-38, it must reject exactly the pairs
         # whose logarithms round alike.

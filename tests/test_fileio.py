@@ -11,6 +11,7 @@ import csv
 import io
 import json
 import math
+import re
 from json.encoder import encode_basestring
 from pathlib import Path
 
@@ -56,10 +57,9 @@ GOLDEN_DIR = Path(__file__).parent / "golden"
 # Text that survives the effects CSV round trip: the reader strips each
 # cell and the writer does not protect surrounding whitespace, so values
 # with leading or trailing whitespace (str.strip's set, which includes
-# \x1c-\x1f and \x85) come back changed; a study id starting with '#'
-# makes its line a comment; an empty study id is rejected.
+# \x1c-\x1f and \x85) come back changed; an empty study id is rejected.
 CSV_TEXT = st.text(st.characters(blacklist_categories=("Cs",)), min_size=1).filter(
-    lambda text: text == text.strip() and not text.startswith("#")
+    lambda text: text == text.strip()
 )
 
 
@@ -338,6 +338,37 @@ class TestWriters:
         assert "ks-uniform" in text
         assert "reconstruction" in text
 
+    def test_markdown_tables_escape_pipes_and_line_breaks_in_study_ids(self, tmp_path):
+        effects = tmp_path / "effects.csv"
+        rows = ["a|b", '"s\n3"', '"c\r\nd"', '"e\rf"', "plain", "g", "h"]
+        effects.write_text(
+            "\n".join([",".join(EFFECTS_HEADER)] + [f"{sid},x,1.5,1.25,2.0,0.95,0" for sid in rows])
+            + "\n",
+            encoding="utf-8",
+        )
+        counts = tmp_path / "counts.csv"
+        counts.write_text(
+            ",".join(COUNTS_HEADER) + '\nx|y,1,2,3,4\n"p\nq",1,1,1,1\nplain,2,2,2,2\n',
+            encoding="utf-8",
+        )
+        out = tmp_path / "out"
+        args = ["--counts", str(counts), "--output", str(out / "audit")]
+        assert cli.main(["audit", "--input", str(effects), *args]) == 0
+        assert cli.main(["space", "--input", str(counts), "--output", str(out / "space")]) == 0
+        report = (out / "audit" / "report.md").read_text(encoding="utf-8")
+        spaces = (out / "space" / "spaces.md").read_text(encoding="utf-8")
+        for text in (report, spaces):
+            # A table is a run of lines after a blank line whose first line starts with "|".
+            tables = [b.split("\n") for b in text.rstrip("\n").split("\n\n") if b.startswith("|")]
+            assert tables
+            for table in tables:
+                pipes = [len(re.findall(r"(?<!\\)\|", line)) for line in table]
+                assert pipes == [pipes[0]] * len(table), table
+        for cell in ("a\\|b", "s<br>3", "c<br>d", "e<br>f"):
+            assert f" {cell} |" in report
+        for cell in ("x\\|y", "p<br>q"):
+            assert f"| {cell} |" in spaces
+
     def test_file_digest_stable(self, tmp_path):
         path = tmp_path / "f.txt"
         path.write_text("stable contents\n", encoding="utf-8")
@@ -409,6 +440,22 @@ class TestCsvContract:
             encoding="utf-8",
         )
         assert read_effects_csv(path)[0].label == "first\n\n# not a comment"
+
+    def test_effects_writer_quotes_an_id_read_as_a_comment(self, tmp_path):
+        records = [
+            EffectRecord(study_id=sid, label=label, ratio=1.5, ci_low=1.25, ci_high=2.0)
+            for sid, label in (("#1", "#a"), ("s2", "b"), (" #3", "c"), ("4#", "d"))
+        ]
+        path = tmp_path / "effects.csv"
+        write_effects_csv(path, records)
+        assert path.read_text(encoding="utf-8").splitlines()[1:] == [
+            '"#1","#a",1.5,1.25,2.0,0.95,0',
+            "s2,b,1.5,1.25,2.0,0.95,0",
+            '" #3",c,1.5,1.25,2.0,0.95,0',
+            "4#,d,1.5,1.25,2.0,0.95,0",
+        ]
+        # The reader strips each cell, so " #3" comes back as "#3".
+        assert read_effects_csv(path).study_ids == ("#1", "s2", "#3", "4#")
 
     def test_effects_writer_quotes_comma_label(self, tmp_path):
         records = [
@@ -496,6 +543,30 @@ class TestCsvContract:
         with pytest.raises(ParseError, match=rf"in position {len(text)}: .* \(row 2\)$"):
             reader(path)
 
+    @pytest.mark.parametrize("bom", [b"", codecs.BOM_UTF8], ids=["plain", "bom"])
+    @pytest.mark.parametrize(
+        "reader, head, line, bad",
+        [
+            (read_effects_csv, ",".join(EFFECTS_HEADER), "s{},x,1.5,1.25,2.0,0.95,0", "b,x,oops,1,2,0.95,0"),
+            (fileio.read_sim_config, "# config", "# line {}", "seed=x"),
+        ],
+        ids=["effects", "config"],
+    )
+    def test_crlf_across_the_decode_chunk_ends_one_line(self, tmp_path, bom, reader, head, line, bad):
+        # The stream decodes 8 KiB at a time: a CR that ends one chunk and the LF that
+        # starts the next must end one line, or every later line number is one off.
+        lines = [head]
+        while len(bom) + len("\r\n".join(lines)) < 8000:
+            lines.append(line.format(len(lines) + 1))
+        start = len(bom) + len("\r\n".join(lines)) + 2  # of the next line, whose CR is byte 8191
+        lines.append(line.format("x" * (8191 - start - len(line.format("")))))
+        path = tmp_path / "crlf.txt"
+        path.write_bytes(bom + "\r\n".join([*lines, bad, ""]).encode())
+        assert path.read_bytes()[8191:8193] == b"\r\n"
+        with pytest.raises(ParseError) as excinfo:
+            reader(path)
+        assert excinfo.value.row == len(lines) + 1
+
     def test_spaces_csv_quotes_a_quoted_counts_id(self, tmp_path):
         counts = tmp_path / "counts.csv"
         counts.write_text(
@@ -537,7 +608,7 @@ def reference_csv_value(value) -> str:
     if isinstance(value, float):
         return float.__repr__(value)
     text = str(value)
-    if any(char in text for char in ',"\r\n'):
+    if any(char in text for char in ',"\r\n') or text.lstrip().startswith("#"):
         return '"' + text.replace('"', '""') + '"'
     return text
 
@@ -590,6 +661,8 @@ class TestEffectsWriterMatchesReference:
             ("d\ne", "plain", 2.0, 1.0, 4.0),
             ('say "hi"', 'five "5"', 2.0, 1.0, 4.0),
             ("f", "line\r\nbreak", 1.0, 0.5, 2.0),
+            ("#g", "plain", 1.0, 0.5, 2.0),
+            ("h", "# note", 1.0, 0.5, 2.0),
         ]
         # In chunks of 2 rows, only the first chunk has no cell to quote.
         table = EffectsTable.from_records(
