@@ -131,14 +131,12 @@ def cmd_audit(args: argparse.Namespace) -> int:
         raise InputError("--alpha sets the multiplicity threshold and needs --counts")
     table = _read_effects(args.input)
     digests = [fileio.file_digest(args.input)]
-    studies = spaces = summary = None
+    counts = None
     if args.counts:
-        studies, spaces, summary = _read_spaces(args.counts)
+        counts = _read_spaces(args.counts)
         digests.append(fileio.file_digest(args.counts))
-    report = audit(table, spaces=summary, alpha=args.alpha or 0.05)
-    document = fileio.build_report_document(
-        report, digests, studies=studies, spaces=spaces, summary=summary
-    )
+    report = audit(table, spaces=counts[2] if counts else None, alpha=args.alpha)
+    document = fileio.build_report_document(report, digests, counts)
     written = _write_outputs(args, [
         ("json", "report.json", fileio.write_report_json, document),
         ("csv", "plot_data.csv", fileio.write_plot_csv, report),
@@ -173,13 +171,13 @@ def _build_sim_config(args: argparse.Namespace) -> SimConfig:
     return SimConfig(**values)
 
 
-def _emitted_effects(config: SimConfig, result: SimResult) -> EffectsTable:
+def _emitted_effects(result: SimResult) -> EffectsTable:
     """The effects table of the reported studies.
 
     A statistic whose ratio interval leaves the positive floating-point
     range raises InputError.
     """
-    reported = result.reported
+    config, reported = result.config, result.reported
     # "k<K>-r<replicate, 6 digits>-s<study>"; one % template formats faster
     # than an f-string per row.
     study_ids = tuple(
@@ -195,16 +193,15 @@ def _emitted_effects(config: SimConfig, result: SimResult) -> EffectsTable:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    config = _build_sim_config(args)
-    result = run_simulation(config)
+    result = run_simulation(_build_sim_config(args))
     # Build the emitted columns and the emit target's directory first, so
     # that a statistic off the ratio scale fails before any file is written.
     if args.emit_effects:
-        emitted = _emitted_effects(config, result)
+        emitted = _emitted_effects(result)
         Path(args.emit_effects).parent.mkdir(parents=True, exist_ok=True)
     written = _write_outputs(args, [
         ("csv", "sim_results.csv", fileio.write_sim_csv, result),
-        ("json", "sim_summary.json", fileio.write_sim_summary_json, config, result),
+        ("json", "sim_summary.json", fileio.write_sim_summary_json, result),
     ])
     if args.emit_effects:
         fileio.write_effects_csv(args.emit_effects, emitted)

@@ -182,22 +182,23 @@ class EffectsTable(Sequence):
     __hash__ = None
 
 
+@dataclass(eq=False, frozen=True)
 class PValuePlot:
     """Rank-ordered p-values with the uniform reference line i/(n+1).
 
     A table in rank order: rank i = 1..n holds ``p[i - 1]`` (a float
     array), the p-value of study ``study_ids[i - 1]``.  The reference
     i/(n+1) is a function of n and is not stored; p must ascend within
-    [0, 1], and is made read-only so that it stays checked.
+    [0, 1], and is made read-only, and the plot frozen, so that it stays checked.
     """
 
-    def __init__(
-        self,
-        excluded_ns_count: int,
-        n: int,
-        p: np.ndarray,
-        study_ids: list[str] | None = None,
-    ):
+    excluded_ns_count: int
+    n: int
+    p: np.ndarray
+    study_ids: list[str] | None = None
+
+    def __post_init__(self) -> None:
+        n, p, study_ids = self.n, self.p, self.study_ids
         if len(p) != n:
             raise ValueError(f"a plot of n = {n} needs n p-values")
         if n and not (0.0 <= p[0] and p[-1] <= 1.0 and (p[:-1] <= p[1:]).all()):
@@ -205,10 +206,8 @@ class PValuePlot:
         if study_ids is not None and len(study_ids) != n:
             raise ValueError(f"a plot of n = {n} needs n study ids, got {len(study_ids)}")
         p.flags.writeable = False
-        self.p = p
-        self.study_ids = [] if study_ids is None else study_ids
-        self.excluded_ns_count = excluded_ns_count
-        self.n = n
+        if study_ids is None:
+            object.__setattr__(self, "study_ids", [])
 
     def reference(self) -> np.ndarray:
         """The uniform reference i/(n+1), i = 1..n: the same doubles as Python's i / (n + 1)."""
@@ -649,7 +648,7 @@ def multiplicity_report(
 def audit(
     records: Sequence[EffectRecord],
     spaces: SpaceSummary | None = None,
-    alpha: float = 0.05,
+    alpha: float | None = None,
 ) -> AuditReport:
     """Run the full diagnostic pipeline over a set of effect records.
 
@@ -658,8 +657,13 @@ def audit(
     bilinearity and hockey-stick diagnostics that the plot supports at its
     size.  When a cross-study space summary is given, its median
     total-analyses count becomes the correction factor of the multiplicity
-    report.
+    report at threshold ``alpha`` (default 0.05); ``alpha`` without
+    ``spaces`` raises InputError.
     """
+    if alpha is None:
+        alpha = 0.05
+    elif spaces is None:
+        raise InputError("alpha sets the multiplicity threshold and needs spaces")
     plot = build_pvalue_plot(records)
     uniformity = uniformity_test(plot)
     bilinearity = (

@@ -538,13 +538,12 @@ def _section(result) -> dict | None:
 def build_report_document(
     report: AuditReport,
     digests: list[dict],
-    studies: list[StudyCounts] | None = None,
-    spaces: list[SearchSpace] | None = None,
-    summary: SpaceSummary | None = None,
+    counts: tuple[list[StudyCounts], list[SearchSpace], SpaceSummary] | None = None,
 ) -> dict:
     """Assemble the schema-versioned report JSON document.
 
-    ``pvalues`` is the one ranked table, a JsonTable over the plot's
+    ``counts`` is the ``(studies, spaces, summary)`` of a counts file, or
+    None.  ``pvalues`` is the one ranked table, a JsonTable over the plot's
     columns; a reader derives the reference i/(n+1) from ``plot.n``.
     """
     plot = report.plot
@@ -560,11 +559,19 @@ def build_report_document(
             f"{plot.excluded_ns_count} records flagged not-significant "
             "were excluded from the plot and all diagnostics."
         )
-    document = {
+    spaces = space_summary = None
+    if counts is not None:
+        studies, study_spaces, summary = counts
+        spaces = [
+            {"study_id": s.study_id, "space1": sp.space1, "space2": sp.space2, "space3": sp.space3}
+            for s, sp in zip(studies, study_spaces)
+        ]
+        space_summary = space_summary_document(summary)
+    return {
         "schema": REPORT_SCHEMA,
         "inputs_digest": digests,
-        "spaces": None,
-        "space_summary": space_summary_document(summary) if summary else None,
+        "spaces": spaces,
+        "space_summary": space_summary,
         "pvalues": JsonTable(
             (plot.study_ids, plot.p, range(1, plot.n + 1)), ("study_id", "p", "rank")
         ),
@@ -577,17 +584,6 @@ def build_report_document(
         "multiplicity": _section(report.multiplicity),
         "notes": notes,
     }
-    if studies is not None and spaces is not None:
-        document["spaces"] = [
-            {
-                "study_id": s.study_id,
-                "space1": sp.space1,
-                "space2": sp.space2,
-                "space3": sp.space3,
-            }
-            for s, sp in zip(studies, spaces)
-        ]
-    return document
 
 
 def write_report_json(path: str | Path, document: dict) -> None:
@@ -668,10 +664,10 @@ def write_sim_csv(path: str | Path, result: SimResult) -> None:
     _write_chunked(Path(path), "replicate,study,p,estimate", len(columns[0]), lines)
 
 
-def sim_summary_document(config: SimConfig, result: SimResult) -> dict:
+def sim_summary_document(result: SimResult) -> dict:
     return {
         "schema": REPORT_SCHEMA,
-        "config": asdict(config),
+        "config": asdict(result.config),
         "publication_rate": result.publication_rate,
         "bias": result.bias,
         "abs_bias": result.abs_bias,
@@ -682,8 +678,8 @@ def sim_summary_document(config: SimConfig, result: SimResult) -> dict:
     }
 
 
-def write_sim_summary_json(path: str | Path, config: SimConfig, result: SimResult) -> None:
-    write_text(path, json_dumps(sim_summary_document(config, result)))
+def write_sim_summary_json(path: str | Path, result: SimResult) -> None:
+    write_text(path, json_dumps(sim_summary_document(result)))
 
 
 def write_effects_csv(path: str | Path, records: Sequence[EffectRecord]) -> None:

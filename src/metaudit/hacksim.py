@@ -60,7 +60,7 @@ _X_TOL = 1e-9
 _X_SATURATE = 26.0
 
 
-@dataclass
+@dataclass(frozen=True)
 class SimConfig:
     """Parameters of one simulation scenario.
 
@@ -69,7 +69,7 @@ class SimConfig:
     statistics; ``true_effect`` shifts every statistic on the z scale, with
     0 the null.  ``censor_at_alpha`` drops studies whose selected p-value
     fails the publication screen from the reported lists.  A field out of
-    its range raises InputError.
+    its range raises InputError, and the config is frozen after the check.
     """
 
     n_studies: int = 1
@@ -110,15 +110,15 @@ class SimConfig:
         return self.replicates * self.n_studies * (self.tests_per_study + 1)
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class SimResult:
     """Aggregated outcome of a simulation run.
 
     One entry per simulated study in replicate order, stored as read-only
     columns: ``replicate``, ``study``, ``p`` (selected p-value),
     ``estimate`` (selected z statistic) and ``published`` (p < alpha).
-    ``reported`` masks the reported studies: the published ones when
-    censoring is on, all studies otherwise.
+    ``reported`` masks the reported studies: the published ones when the
+    run's ``config`` censors at alpha, all studies otherwise.
     ``bias`` is the signed mean estimate minus the true effect;
     ``mean_abs_estimate`` exposes the magnitude summary that the signed
     mean hides under the null.
@@ -129,7 +129,7 @@ class SimResult:
     p: np.ndarray = field(repr=False)
     estimate: np.ndarray = field(repr=False)
     published: np.ndarray = field(repr=False)
-    censored: bool
+    config: SimConfig
     publication_rate: float
     bias: float
     abs_bias: float
@@ -146,7 +146,7 @@ class SimResult:
     @property
     def reported(self) -> np.ndarray:
         """Boolean mask of the reported studies."""
-        return self.published if self.censored else np.ones(self.n_total, dtype=bool)
+        return self.published if self.config.censor_at_alpha else np.ones(self.n_total, dtype=bool)
 
 
 class _RekeyedPhilox:
@@ -296,7 +296,7 @@ def run_simulation(config: SimConfig) -> SimResult:
         column.flags.writeable = False
     return SimResult(
         *columns,
-        censored=config.censor_at_alpha,
+        config=config,
         publication_rate=int(np.count_nonzero(published)) / n_total,
         bias=bias,
         abs_bias=abs_bias,

@@ -363,11 +363,7 @@ def ks_uniform_test(values: Sequence[float]) -> TestResult:
     n = len(values)
     if n == 0:
         raise ValueError("ks_uniform_test needs at least one value")
-    v = None
-    if isinstance(values, np.ndarray) and values.dtype == np.float64:
-        v = values
-    elif set(map(type, values)) == {float}:
-        v = np.array(values, dtype=float)
+    v = values if isinstance(values, np.ndarray) and values.dtype == np.float64 else None
     if v is None or not ((0.0 <= v) & (v <= 1.0)).all():
         # Names the first bad value; ints, bools and float subclasses pass.
         for value in values:

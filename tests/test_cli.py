@@ -124,6 +124,7 @@ class TestCmdAudit:
             "sim_k10_censor/audit/report.json",
             "sim_k10_censor/sim_summary.json",
             "sim_random_k4/sim_summary.json",
+            "sim_first_sig_k25/sim_summary.json",
             "space_nawrot/space_summary.json",
         ],
         ids=lambda golden: golden or "audit_with_counts",
@@ -584,6 +585,10 @@ SIMULATE_GOLDEN = {
     "sim_random_k4": [
         "--n-studies", "3", "--k", "4", "--rule", "report-random",
         "--replicates", "200", "--seed", "7",
+    ],
+    "sim_first_sig_k25": [
+        "--n-studies", "3", "--k", "25", "--correlation", "0.4", "--true-effect", "1",
+        "--rule", "report-first-significant", "--replicates", "100", "--seed", "11",
     ],
 }
 

@@ -1051,11 +1051,34 @@ class TestAudit:
         assert report.multiplicity is not None
         assert report.multiplicity.m == pytest.approx(6784.0)
         assert report.multiplicity.adjusted_alpha == pytest.approx(0.05 / 6784)
+        at_alpha = audit(records, spaces=summary, alpha=0.001).multiplicity
+        assert (at_alpha.alpha, at_alpha.adjusted_alpha) == (0.001, 0.001 / at_alpha.m)
+
+    def test_alpha_without_spaces_rejected(self):
+        # alpha sets only the multiplicity threshold; without spaces it was
+        # once dropped, and the report was that of the default.
+        records = [record_with_p(f"s{i:02d}", (i + 1) / 15) for i in range(14)]
+        with pytest.raises(InputError, match="alpha sets the multiplicity threshold and needs spaces"):
+            audit(records, alpha=0.001)
 
     def test_plot_p_values_are_read_only(self):
         report = audit([record_with_p(f"s{i}", 0.1 * (i + 1)) for i in range(7)])
         with pytest.raises(ValueError, match="read-only"):
             report.plot.p[0] = 0.99
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("p", np.array([0.9, 0.1, 0.5, 0.2, 0.7, 0.05])), ("n", 3), ("study_ids", list("abc"))],
+    )
+    def test_checked_plot_cannot_be_rebound(self, field, value):
+        # Rebound, unranked p once gave a hockey-stick breakpoint of 2 with
+        # left slope -0.8, and n = 3 a reference of 3 values for 6 points.
+        ranked = [0.05, 0.1, 0.2, 0.5, 0.7, 0.9]
+        plot = PValuePlot(0, 6, np.array(ranked), list("abcdef"))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(plot, field, value)
+        assert (plot.n, plot.study_ids, plot.p.tolist()) == (6, list("abcdef"), ranked)
+        assert PValuePlot(0, 0, np.array([])).study_ids == []
 
     def test_small_n_skips_hockey_and_flags_uniformity(self):
         records = [record_with_p(f"s{i}", 0.1 * (i + 1)) for i in range(4)]

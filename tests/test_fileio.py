@@ -649,7 +649,7 @@ class TestEffectsWriterMatchesReference:
             n_studies=2, tests_per_study=10, selection_rule=rule, replicates=300,
             censor_at_alpha=True, seed=5,
         )
-        table = cli._emitted_effects(config, run_simulation(config))
+        table = cli._emitted_effects(run_simulation(config))
         assert len(table) > 2
         self.assert_matches_reference(tmp_path, monkeypatch, table)
 

@@ -6,6 +6,7 @@ uniformity of unselected p-values) or high-precision quadrature oracles
 compare full result objects bit for bit.
 """
 
+import dataclasses
 import itertools
 import math
 import random
@@ -145,6 +146,17 @@ class TestSimConfigValidation:
         assert config.selection_rule in SELECTION_RULES
         assert config.total_draws() == 1000 * 1 * 2
 
+    @pytest.mark.parametrize(
+        "field, value", [("correlation", 1.5), ("selection_rule", "bogus"), ("replicates", 7)]
+    )
+    def test_checked_config_cannot_be_rebound(self, field, value):
+        # Rebound after the check, correlation 1.5 once died in math.sqrt and
+        # an unknown rule in an UnboundLocalError inside run_simulation.
+        config = SimConfig(tests_per_study=3, replicates=5)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(config, field, value)
+        assert config == SimConfig(tests_per_study=3, replicates=5)
+
 
 class TestSimulateStudy:
     def test_single_test_reports_the_sole_draw(self):
@@ -226,6 +238,18 @@ class TestRunSimulation:
             )
         replayed = [by_replicate[r] for r in range(config.replicates)]
         assert replayed == [(rec[2], rec[3]) for rec in records(result)]
+
+    @pytest.mark.parametrize("censor", [False, True])
+    def test_result_carries_its_config(self, censor):
+        config = SimConfig(tests_per_study=4, replicates=50, censor_at_alpha=censor, seed=3)
+        result = run_simulation(config)
+        assert result.config is config
+        for field, value in [("config", SimConfig()), ("p", np.zeros(50)), ("bias", 0.0)]:
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(result, field, value)
+        assert not hasattr(result, "censored")
+        expected = result.published if censor else np.ones(50, dtype=bool)
+        assert result.reported.tolist() == expected.tolist()
 
     def test_publication_rate_ignores_censoring(self):
         base = dict(tests_per_study=10, replicates=5000, seed=8)
@@ -362,6 +386,18 @@ class TestBatchedMatchesScalar:
         _, _, p, _, published = records(result)[20]
         assert published == bool(ulps)
         assert (p == smallest) == bool(ulps)
+
+    @pytest.mark.parametrize("delta", [0.0, 3.0, 37.5, 38.2])
+    @pytest.mark.parametrize("alpha", [5e-324, 1e-320, 2.2e-308, 1e-300, 1e-12, 0.999999])
+    def test_first_significant_at_extreme_alpha(self, alpha, delta):
+        # Down to the smallest subnormal alpha, the bounds that settle most
+        # draws without erfc must pick what erfc picks; at delta 37.5-38.2
+        # the drawn p-values themselves reach the subnormal range and 0.
+        config = SimConfig(
+            n_studies=3, tests_per_study=10, correlation=0.3, true_effect=delta,
+            selection_rule="report-first-significant", alpha=alpha, replicates=30, seed=4,
+        )
+        assert records(run_simulation(config)) == scalar_records(config)
 
     def test_random_rule_draws_each_pick_after_its_study(self):
         config = SimConfig(
