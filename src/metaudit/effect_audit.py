@@ -24,6 +24,7 @@ from metaudit.searchspace import SpaceSummary
 from metaudit.statkernel import (
     InputError,
     TestResult,
+    _check_real,
     ks_uniform_test,
     ols_columns,
     std_normal_quantile,
@@ -55,6 +56,8 @@ class EffectRecord:
     Studies that reported only "not significant" carry
     ``not_significant_flag=True`` and may leave the numeric fields unset;
     such records are excluded from conversion and counted separately.
+    ``study_id`` and ``label`` are strs.  The one mutable value type of
+    the package: ``p_from_ratio_ci`` checks a record again.
     """
 
     study_id: str
@@ -66,8 +69,13 @@ class EffectRecord:
     not_significant_flag: bool = False
 
     def __post_init__(self) -> None:
+        for name in ("study_id", "label"):
+            value = getattr(self, name)
+            if not isinstance(value, str):
+                raise ValueError(f"{name} must be a str, got {value!r}")
         if not self.study_id:
             raise ValueError("study_id must be non-empty")
+        _check_real("confidence_level", self.confidence_level)
         if not 0.5 < self.confidence_level < 1.0:
             raise ValueError(
                 f"confidence_level must lie in (0.5, 1), got {self.confidence_level!r}"
@@ -76,7 +84,8 @@ class EffectRecord:
             return
         for name in ("ratio", "ci_low", "ci_high"):
             value = getattr(self, name)
-            if value is None or not math.isfinite(value) or value <= 0.0:
+            _check_real(f"study {self.study_id!r}: {name}", value)
+            if not math.isfinite(value) or value <= 0.0:
                 raise ValueError(
                     f"study {self.study_id!r}: {name} must be a positive real, got {value!r}"
                 )
@@ -133,6 +142,10 @@ class EffectsTable(Sequence):
             sure = (0.5 < level) & (level < 1.0) & (self.ns | interval)
         if "" in self.study_ids:  # EffectRecord rejects the first empty id; later rows go unread
             sure[self.study_ids.index("")] = False
+        try:
+            "".join(self.study_ids), "".join(self.labels)
+        except TypeError:  # an id or label is not a str, so some row fails: read every row
+            sure[:] = False
         for index in np.flatnonzero(~sure).tolist():
             try:
                 self[index]
@@ -214,7 +227,7 @@ class PValuePlot:
         return np.arange(1, self.n + 1) / (self.n + 1)
 
 
-@dataclass
+@dataclass(frozen=True)
 class HockeyStickFit:
     """Best two-segment piecewise-linear fit to the ranked p-values."""
 
@@ -224,7 +237,7 @@ class HockeyStickFit:
     sse: float
 
 
-@dataclass
+@dataclass(frozen=True)
 class MultiplicityReport:
     alpha: float
     m: float
@@ -233,7 +246,7 @@ class MultiplicityReport:
     n_significant_adjusted: int
 
 
-@dataclass
+@dataclass(frozen=True)
 class AuditReport:
     """Full diagnostic bundle for one set of effect records."""
 

@@ -34,7 +34,7 @@ from itertools import islice
 
 import numpy as np
 
-from metaudit.statkernel import InputError
+from metaudit.statkernel import InputError, _check_int, _check_real
 
 _SQRT_HALF = math.sqrt(0.5)
 
@@ -68,8 +68,9 @@ class SimConfig:
     explores; ``correlation`` is the equicorrelation among a study's K test
     statistics; ``true_effect`` shifts every statistic on the z scale, with
     0 the null.  ``censor_at_alpha`` drops studies whose selected p-value
-    fails the publication screen from the reported lists.  A field out of
-    its range raises InputError, and the config is frozen after the check.
+    fails the publication screen from the reported lists.  A field of the
+    wrong type or out of its range raises InputError naming it, and the
+    config is frozen after the check.
     """
 
     n_studies: int = 1
@@ -84,9 +85,10 @@ class SimConfig:
 
     def __post_init__(self) -> None:
         for name in ("n_studies", "tests_per_study", "replicates"):
-            value = getattr(self, name)
-            if not isinstance(value, int) or isinstance(value, bool) or value < 1:
-                raise InputError(f"{name} must be a positive integer, got {value!r}")
+            _check_int(name, getattr(self, name), 1, error=InputError)
+        _check_int("seed", self.seed, 0, U64_MAX, "a 64-bit unsigned integer", InputError)
+        for name in ("correlation", "true_effect", "alpha"):
+            _check_real(name, getattr(self, name), InputError)
         if not 0.0 <= self.correlation < 1.0:
             raise InputError(
                 f"correlation must be < 1 and >= 0, got {self.correlation!r}"
@@ -102,9 +104,6 @@ class SimConfig:
             raise InputError(f"alpha must lie in (0, 1), got {self.alpha!r}")
         if not isinstance(self.censor_at_alpha, bool):
             raise InputError(f"censor_at_alpha must be a bool, got {self.censor_at_alpha!r}")
-        seed = self.seed
-        if not isinstance(seed, int) or isinstance(seed, bool) or not 0 <= seed <= U64_MAX:
-            raise InputError(f"seed must be a 64-bit unsigned integer, got {seed!r}")
 
     def total_draws(self) -> int:
         return self.replicates * self.n_studies * (self.tests_per_study + 1)

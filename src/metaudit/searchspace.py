@@ -13,7 +13,7 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 
-from metaudit.statkernel import quantile_type6
+from metaudit.statkernel import _check_int, quantile_type6
 
 logger = logging.getLogger(__name__)
 
@@ -32,13 +32,13 @@ class SearchSpaceOverflowError(OverflowError):
         super().__init__(f"search space overflow for study {study_id!r}: {detail}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class StudyCounts:
     """Per-study tallies of the knobs an analyst could turn.
 
     ``lags`` counts lag *configurations* tested, with the no-lag analysis
     counted as 1; it is not the maximum lag index.  ``covariate_names``,
-    when given, must list exactly ``covariates`` names.
+    when given, must be a list or tuple of exactly ``covariates`` strs.
     """
 
     study_id: str
@@ -52,24 +52,28 @@ class StudyCounts:
         if not isinstance(self.study_id, str) or not self.study_id.strip():
             raise ValueError("study_id must be a nonempty identifier")
         for name in ("outcomes", "predictors", "lags"):
-            value = getattr(self, name)
-            if not isinstance(value, int) or isinstance(value, bool) or value < 1:
-                raise ValueError(f"{name} must be a positive integer, got {value!r}")
-        if not isinstance(self.covariates, int) or isinstance(self.covariates, bool) or self.covariates < 0:
-            raise ValueError(f"covariates must be a nonnegative integer, got {self.covariates!r}")
+            _check_int(name, getattr(self, name), 1)
+        _check_int("covariates", self.covariates, 0, kind="a nonnegative integer")
         if self.covariates > MAX_COVARIATES:
             raise SearchSpaceOverflowError(
                 self.study_id,
                 f"covariates={self.covariates} exceeds the limit of {MAX_COVARIATES}",
             )
-        if self.covariate_names is not None and len(self.covariate_names) != self.covariates:
+        names = self.covariate_names
+        if names is None:
+            return
+        if not isinstance(names, (list, tuple)) or not all(isinstance(n, str) for n in names):
+            raise ValueError(
+                f"study {self.study_id!r}: covariate_names must be a list of strs, got {names!r}"
+            )
+        if len(names) != self.covariates:
             raise ValueError(
                 f"study {self.study_id!r}: covariate_names lists "
-                f"{len(self.covariate_names)} names but covariates={self.covariates}"
+                f"{len(names)} names but covariates={self.covariates}"
             )
 
 
-@dataclass
+@dataclass(frozen=True)
 class SearchSpace:
     """The three search-space sizes for one study.
 
@@ -83,7 +87,7 @@ class SearchSpace:
     space3: int
 
 
-@dataclass
+@dataclass(frozen=True)
 class FiveNumberSummary:
     minimum: float
     lower_quartile: float
@@ -92,7 +96,7 @@ class FiveNumberSummary:
     maximum: float
 
 
-@dataclass
+@dataclass(frozen=True)
 class SpaceSummary:
     """Cross-study five-number summaries, one per space column."""
 

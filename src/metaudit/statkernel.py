@@ -7,9 +7,10 @@ Kolmogorov-Smirnov uniformity test, and (n+1)-position
 linear-interpolation quantiles.  ``ols_fit`` forms its elementwise terms
 with NumPy and adds every sum with ``math.fsum``, whose exactly rounded
 result does not depend on the order of the terms, so its bits are those
-of the equivalent pure-Python loops.  The package's ``InputError`` is
-defined here too: this module imports nothing from the package, so every
-module can import it without a cycle.
+of the equivalent pure-Python loops.  The package's ``InputError`` and
+the int and real field checks of its value types are defined here too:
+this module imports nothing from the package, so every module can import
+them without a cycle.
 """
 
 from __future__ import annotations
@@ -47,7 +48,34 @@ class RankDeficiencyError(ValueError):
         )
 
 
-@dataclass
+def _check_int(
+    name: str,
+    value: object,
+    low: int,
+    high: float = math.inf,
+    kind: str = "a positive integer",
+    error: type[ValueError] = ValueError,
+) -> None:
+    """Raise ``error`` naming the field unless ``value`` is an int, not a bool, in [low, high]."""
+    if not isinstance(value, int) or isinstance(value, bool) or not low <= value <= high:
+        raise error(f"{name} must be {kind}, got {value!r}")
+
+
+def _check_real(name: str, value: object, error: type[ValueError] = ValueError) -> None:
+    """Raise ``error`` naming the field unless ``value`` is an int or float, not a bool.
+
+    Float subclasses such as ``np.float64`` pass, and the value is kept as
+    given; an int past the largest float is rejected.
+    """
+    if (
+        not isinstance(value, (int, float))
+        or isinstance(value, bool)
+        or isinstance(value, int) and not abs(value) <= sys.float_info.max
+    ):
+        raise error(f"{name} must be a real number, got {value!r}")
+
+
+@dataclass(frozen=True)
 class TestResult:
     """Outcome of one diagnostic test.
 
@@ -63,11 +91,15 @@ class TestResult:
     verdict: str | None = None
 
     def __post_init__(self) -> None:
+        _check_real("statistic", self.statistic)
+        _check_real("p_value", self.p_value)
+        if self.df is not None:
+            _check_real("df", self.df)
         if not 0.0 <= self.p_value <= 1.0:
             raise ValueError(f"p_value {self.p_value} outside [0, 1]")
 
 
-@dataclass
+@dataclass(frozen=True)
 class OlsFit:
     """Least-squares fit with per-coefficient inference (df = n - k)."""
 

@@ -8,6 +8,7 @@ records, errors and bytes wherever the old code's output was valid.
 
 import codecs
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -876,7 +877,7 @@ class TestJsonTableMatchesReference:
     def test_report_of_a_plot_without_study_ids_rejected(self):
         records = [record_from_statistic(f"s{i}", 0.3 * i, 0.1) for i in range(1, 8)]
         report = audit(records)
-        report.plot = PValuePlot(0, report.plot.n, report.plot.p)
+        report = dataclasses.replace(report, plot=PValuePlot(0, report.plot.n, report.plot.p))
         with pytest.raises(ValueError, match=r"\[0, 7, 7\]"):
             build_report_document(report, digests=[])
 
