@@ -11,10 +11,10 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
+import logging
 import math
 import os
 import sys
-from collections.abc import Sequence
 from pathlib import Path
 
 from metaudit import fileio
@@ -68,33 +68,19 @@ def _info(message: str) -> None:
     print(_styled(sys.stdout, message, 1))
 
 
-def _warn_duplicate_ids(study_ids: Sequence[str], lines: list[int], source: str = "") -> None:
-    """Warn when rows share a study id; every row is still used."""
-    duplicates = len(study_ids) - len(set(study_ids))
-    if not duplicates:
-        return
-    first_line: dict[str, int] = {}
-    for line, study_id in zip(lines, study_ids):
-        if study_id in first_line:
-            _warn(
-                f"{source}{duplicates} duplicate study ids (first: {study_id!r}, "
-                f"rows {first_line[study_id]} and {line})"
-            )
-            return
-        first_line[study_id] = line
+class _WarningLines(logging.Handler):
+    """Prints each WARNING the package logs as a ``warning:`` line; added once, on import."""
+
+    def emit(self, record: logging.LogRecord) -> None:
+        _warn(record.getMessage())
 
 
-def _read_effects(path: str) -> EffectsTable:
-    table = fileio.read_effects_csv(path)
-    _warn_duplicate_ids(table.study_ids, table.lines)
-    return table
+logging.getLogger("metaudit").addHandler(_WarningLines(logging.WARNING))
 
 
 def _read_spaces(path: str) -> tuple[list[StudyCounts], list[SearchSpace], SpaceSummary]:
     """The studies of a counts CSV, their search spaces and the spaces' summary."""
-    lines: list[int] = []
-    studies = fileio.read_counts_csv(path, lines)
-    _warn_duplicate_ids([s.study_id for s in studies], lines, f"{path}: ")
+    studies = fileio.read_counts_csv(path)
     spaces = [compute_spaces(s) for s in studies]
     return studies, spaces, summarize_spaces(spaces)
 
@@ -129,7 +115,7 @@ def cmd_space(args: argparse.Namespace) -> int:
 def cmd_audit(args: argparse.Namespace) -> int:
     if args.alpha is not None and not args.counts:
         raise InputError("--alpha sets the multiplicity threshold and needs --counts")
-    table = _read_effects(args.input)
+    table = fileio.read_effects_csv(args.input)
     digests = [fileio.file_digest(args.input)]
     counts = None
     if args.counts:
@@ -150,7 +136,7 @@ def cmd_audit(args: argparse.Namespace) -> int:
 
 
 def cmd_plot(args: argparse.Namespace) -> int:
-    table = _read_effects(args.input)
+    table = fileio.read_effects_csv(args.input)
     plot = build_pvalue_plot(table)
     svg = render_pvalue_plot(plot, alpha=args.alpha)
     target = Path(args.output)

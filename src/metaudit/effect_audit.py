@@ -24,6 +24,7 @@ from metaudit.searchspace import SpaceSummary
 from metaudit.statkernel import (
     InputError,
     TestResult,
+    _check_bool,
     _check_real,
     ks_uniform_test,
     ols_columns,
@@ -54,10 +55,10 @@ class EffectRecord:
     """One study's reported ratio statistic.
 
     Studies that reported only "not significant" carry
-    ``not_significant_flag=True`` and may leave the numeric fields unset;
+    ``not_significant_flag=True`` and may leave the numeric fields None;
     such records are excluded from conversion and counted separately.
-    ``study_id`` and ``label`` are strs.  The one mutable value type of
-    the package: ``p_from_ratio_ci`` checks a record again.
+    ``study_id`` and ``label`` are strs, the id not blank.  The one mutable
+    value type of the package: ``p_from_ratio_ci`` checks a record again.
     """
 
     study_id: str
@@ -73,22 +74,24 @@ class EffectRecord:
             value = getattr(self, name)
             if not isinstance(value, str):
                 raise ValueError(f"{name} must be a str, got {value!r}")
-        if not self.study_id:
+        if not self.study_id.strip():
             raise ValueError("study_id must be non-empty")
         _check_real("confidence_level", self.confidence_level)
         if not 0.5 < self.confidence_level < 1.0:
             raise ValueError(
                 f"confidence_level must lie in (0.5, 1), got {self.confidence_level!r}"
             )
-        if self.not_significant_flag:
-            return
+        _check_bool("not_significant_flag", self.not_significant_flag)
         for name in ("ratio", "ci_low", "ci_high"):
             value = getattr(self, name)
-            _check_real(f"study {self.study_id!r}: {name}", value)
-            if not math.isfinite(value) or value <= 0.0:
+            if value is not None or not self.not_significant_flag:
+                _check_real(f"study {self.study_id!r}: {name}", value)
+            if not self.not_significant_flag and (not math.isfinite(value) or value <= 0.0):
                 raise ValueError(
                     f"study {self.study_id!r}: {name} must be a positive real, got {value!r}"
                 )
+        if self.not_significant_flag:
+            return
         if not self.ci_low <= self.ratio <= self.ci_high:
             raise ValueError(
                 f"study {self.study_id!r}: ratio {self.ratio} outside its interval "
@@ -107,15 +110,13 @@ class EffectsTable(Sequence):
     ``study_ids`` and ``labels`` are sequences of str, stored as tuples;
     ``ratio``, ``ci_low``, ``ci_high`` and ``level`` are float arrays, and
     ``ns`` a bool mask of the not-significant rows, whose three numeric
-    entries are NaN.  ``lines`` holds each row's line number in the file
-    it was read from, or is None.  Construction checks that the columns
-    have one length and ``ns`` is bool, and raises the ``EffectRecord``
-    ValueError of the first row that breaks its contract, with that row's
-    position as the error's ``index``.  The checked rows cannot be edited:
-    the table is frozen, so no field can be rebound, and the five arrays
-    are made read-only, as ``SimResult``'s columns are.  Indexing builds
-    the row's ``EffectRecord``, and a table equals any sequence of equal
-    records.
+    entries are NaN.  Construction checks that the columns have one length
+    and ``ns`` is bool, and raises the ``EffectRecord`` ValueError of the
+    first row that breaks its contract, with that row's position as the
+    error's ``index``.  The checked rows cannot be edited: the table is
+    frozen, so no field can be rebound, and the five arrays are made
+    read-only, as ``SimResult``'s columns are.  Indexing builds the row's
+    ``EffectRecord``, and a table equals any sequence of equal records.
     """
 
     study_ids: Sequence[str]
@@ -125,10 +126,9 @@ class EffectsTable(Sequence):
     ci_high: np.ndarray
     level: np.ndarray
     ns: np.ndarray
-    lines: list[int] | None = None
 
     def __post_init__(self) -> None:
-        lengths = [len(column) for column in vars(self).values() if column is not None]
+        lengths = list(map(len, vars(self).values()))
         if len(set(lengths)) > 1 or not isinstance(self.ns, np.ndarray) or self.ns.dtype != bool:
             raise ValueError(f"EffectsTable needs columns of one length and a bool ns: {lengths}")
         level, low, ratio, high = self.level, self.ci_low, self.ratio, self.ci_high
@@ -140,10 +140,10 @@ class EffectsTable(Sequence):
             # so one rounded logarithm needs high/low - 1 < 2^-41: past 2^-40 there are two.
             interval &= high / low > 1.0 + 2.0**-40
             sure = (0.5 < level) & (level < 1.0) & (self.ns | interval)
-        if "" in self.study_ids:  # EffectRecord rejects the first empty id; later rows go unread
-            sure[self.study_ids.index("")] = False
         try:
-            "".join(self.study_ids), "".join(self.labels)
+            "".join(self.labels)
+            if not all(map(str.strip, self.study_ids)):  # EffectRecord rejects the first blank id
+                sure[list(map(str.strip, self.study_ids)).index("")] = False
         except TypeError:  # an id or label is not a str, so some row fails: read every row
             sure[:] = False
         for index in np.flatnonzero(~sure).tolist():
@@ -643,6 +643,8 @@ def multiplicity_report(
     ``m`` is the size of the analysis search space being corrected for;
     the adjusted threshold is alpha / m and counts are strict.
     """
+    _check_real("alpha", alpha)
+    _check_real("m", m)
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha!r}")
     if not m >= 1:

@@ -10,11 +10,11 @@ skipped between records.
 All output is UTF-8 with LF line endings and '.' decimal separators,
 independent of locale.  CSV cells holding a comma, a quote, CR or LF are
 quoted as ``csv.QUOTE_MINIMAL`` does, and so is a cell that starts with '#'
-after its blanks, so every written CSV reads back as written.  Markdown
-tables write a study id's '|' as '\\|' and each of its line breaks as
-'<br>'.  JSON floats carry 17 significant digits and CSV floats use
-shortest round-trip form, so parsing any emitted file and re-serializing
-it reproduces the bytes exactly.
+after its blanks, so every written CSV reads back as written, but for the
+blanks around its cells, which readers strip.  Markdown tables write a study
+id's '|' as '\\|' and each of its line breaks as '<br>'.  JSON floats carry
+17 significant digits and CSV floats use shortest round-trip form, so
+parsing any emitted file and re-serializing it reproduces the bytes exactly.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ import hashlib
 import importlib.resources
 import io
 import itertools
+import logging
 import math
 import typing
 from collections.abc import Callable, Sequence
@@ -46,6 +47,8 @@ EFFECTS_HEADER_NO_LEVEL = [c for c in EFFECTS_HEADER if c != "level"]
 REPORT_SCHEMA = "metaudit/2"
 
 _T = typing.TypeVar("_T")
+
+logger = logging.getLogger(__name__)
 
 
 def bundled_data_path(name: str) -> Path:
@@ -98,7 +101,9 @@ def _read_csv(
     commas, quotes and line breaks.  Blank and '#' lines are skipped
     between records, never inside a quoted cell.  A record that the reader
     cannot parse raises ParseError after ``parse`` has run on the rows
-    before it, so that a bad row before that record comes first.
+    before it, so that a bad row before that record comes first.  A file
+    that parses whole logs one warning when rows share a study id, the
+    first cell of both formats; every row is kept.
     """
     first_line = 0  # of the record being read; 0 between records
 
@@ -131,6 +136,16 @@ def _read_csv(
     result = parse(header, lines[1:], rows[1:])
     if error is not None:
         raise error
+    ids = [cells[0].strip() for cells in rows[1:]]
+    if len(set(ids)) < len(ids):
+        first: dict[str, int] = {}  # the line of each id's first row
+        for line, study_id in zip(lines[1:], ids):
+            if first.setdefault(study_id, line) != line:
+                break
+        logger.warning(
+            "%s: %d duplicate study ids (first: %r, rows %d and %d)",
+            path, len(ids) - len(set(ids)), study_id, first[study_id], line,
+        )
     return result
 
 
@@ -154,15 +169,14 @@ def _parse_int(cell: str, row: int, column: str) -> int:
         raise ParseError(f"expected an integer, got {cell!r}", row=row, column=column) from None
 
 
-def read_counts_csv(path: str | Path, lines: list[int] | None = None) -> list[StudyCounts]:
+def read_counts_csv(path: str | Path) -> list[StudyCounts]:
     """Parse a study-counts CSV into StudyCounts rows.
 
     Header is matched case-insensitively; the trailing covariate_names
     column is optional and holds a semicolon-separated name list.  Lines
     starting with '#' are comments.  Overflow (covariates beyond the
     64-bit guard) propagates as SearchSpaceOverflowError so callers can
-    distinguish it from malformed input.  When ``lines`` is given, the
-    file line of each study row is appended to it.
+    distinguish it from malformed input.
     """
 
     def parse(header: list[str], row_lines: list[int], rows: list[list[str]]) -> list[StudyCounts]:
@@ -178,8 +192,6 @@ def read_counts_csv(path: str | Path, lines: list[int] | None = None) -> list[St
                 studies.append(StudyCounts(cells[0].strip(), *counts, covariate_names=names))
             except ValueError as exc:
                 raise ParseError(str(exc), row=lineno) from exc
-        if lines is not None:
-            lines.extend(row_lines)
         return studies
 
     headers = [COUNTS_HEADER_NAMED, COUNTS_HEADER]
@@ -259,7 +271,7 @@ def _effects_columns(header: list[str], lines: list[int], cells: list[list[str]]
     try:
         table = EffectsTable(
             tuple(map(str.strip, study_ids[:n])), tuple(map(str.strip, labels[:n])), *columns,
-            level=level[:n], ns=ns[:n], lines=lines[:n],
+            level=level[:n], ns=ns[:n],
         )
     except ValueError as exc:
         raise ParseError(str(exc), row=lines[exc.index]) from exc

@@ -34,7 +34,7 @@ from itertools import islice
 
 import numpy as np
 
-from metaudit.statkernel import InputError, _check_int, _check_real
+from metaudit.statkernel import InputError, _check_bool, _check_int, _check_real
 
 _SQRT_HALF = math.sqrt(0.5)
 
@@ -102,8 +102,7 @@ class SimConfig:
             )
         if not 0.0 < self.alpha < 1.0:
             raise InputError(f"alpha must lie in (0, 1), got {self.alpha!r}")
-        if not isinstance(self.censor_at_alpha, bool):
-            raise InputError(f"censor_at_alpha must be a bool, got {self.censor_at_alpha!r}")
+        _check_bool("censor_at_alpha", self.censor_at_alpha, InputError)
 
     def total_draws(self) -> int:
         return self.replicates * self.n_studies * (self.tests_per_study + 1)

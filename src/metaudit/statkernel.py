@@ -8,7 +8,7 @@ linear-interpolation quantiles.  ``ols_fit`` forms its elementwise terms
 with NumPy and adds every sum with ``math.fsum``, whose exactly rounded
 result does not depend on the order of the terms, so its bits are those
 of the equivalent pure-Python loops.  The package's ``InputError`` and
-the int and real field checks of its value types are defined here too:
+the int, real and bool field checks of its value types are defined here too:
 this module imports nothing from the package, so every module can import
 them without a cycle.
 """
@@ -73,6 +73,12 @@ def _check_real(name: str, value: object, error: type[ValueError] = ValueError) 
         or isinstance(value, int) and not abs(value) <= sys.float_info.max
     ):
         raise error(f"{name} must be a real number, got {value!r}")
+
+
+def _check_bool(name: str, value: object, error: type[ValueError] = ValueError) -> None:
+    """Raise ``error`` naming the field unless ``value`` is a bool (``np.bool_`` is not)."""
+    if not isinstance(value, bool):
+        raise error(f"{name} must be a bool, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -152,25 +158,18 @@ def _beta_continued_fraction(a: float, b: float, x: float) -> float:
     h = d
     for m in range(1, 4001):
         m2 = 2 * m
-        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + aa * d
-        if abs(d) < tiny:
-            d = tiny
-        c = 1.0 + aa / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        h *= d * c
-        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + aa * d
-        if abs(d) < tiny:
-            d = tiny
-        c = 1.0 + aa / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
+        even = m * (b - m) * x / ((qam + m2) * (a + m2))
+        odd = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
+        for aa in (even, odd):  # one Lentz update per coefficient
+            d = 1.0 + aa * d
+            if abs(d) < tiny:
+                d = tiny
+            c = 1.0 + aa / c
+            if abs(c) < tiny:
+                c = tiny
+            d = 1.0 / d
+            delta = d * c
+            h *= delta
         if abs(delta - 1.0) < 3e-16:
             return h
     raise ArithmeticError(

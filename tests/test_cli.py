@@ -190,11 +190,22 @@ class TestCmdAudit:
         for command, out in (("audit", "dup"), ("plot", "dup.svg")):
             assert main([command, "--input", str(dup), "--output", str(tmp_path / out)]) == 0
             err = capsys.readouterr().err
-            assert "warning: 2 duplicate study ids (first: 'a', rows 3 and 6)" in err
+            assert f"warning: {dup}: 2 duplicate study ids (first: 'a', rows 3 and 6)" in err
         # Every row is still ranked.
         document = json.loads((tmp_path / "dup" / "report.json").read_text(encoding="utf-8"))
         assert sorted(rec["study_id"] for rec in document["pvalues"]) == ["a", "a", "b"]
         assert document["plot"]["excluded_ns_count"] == 2
+
+    def test_every_run_prints_one_warning_line(self, tmp_path, capsys):
+        # The CLI's warning handler is added once per process, not once per run.
+        dup = tmp_path / "dup.csv"
+        dup.write_text(
+            f"{','.join(EFFECTS_HEADER)}\na,x,1.1,1.0,1.21,0.95,0\na,x,,,,0.95,1\n", encoding="utf-8"
+        )
+        for _ in range(3):
+            assert main(["plot", "--input", str(dup), "--output", str(tmp_path / "p.svg")]) == 0
+            warning = f"warning: {dup}: 1 duplicate study ids (first: 'a', rows 2 and 3)\n"
+            assert capsys.readouterr().err == warning
 
     @pytest.mark.parametrize("command", ["space", "audit"])
     def test_duplicate_counts_ids_warn_and_keep_every_row(self, tmp_path, capsys, command):

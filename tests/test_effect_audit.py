@@ -363,6 +363,14 @@ class TestEffectRecordValidation:
         with pytest.raises(ValueError):
             record("x", 1.1, 1.2, 1.0)
 
+    @pytest.mark.parametrize("field", ["ratio", "ci_low", "ci_high"])
+    def test_an_ns_records_numbers_are_none_or_reals(self, field):
+        # A str once passed, and the table built from the record died in NumPy naming no study.
+        for bad in ("x", True):
+            with pytest.raises(ValueError, match=rf"^study 'ns': {field} must be a real number"):
+                EffectRecord("ns", **{field: bad}, not_significant_flag=True)
+        EffectRecord("ns", **{field: -math.inf}, not_significant_flag=True)  # any real is kept
+
 
 GOOD_ROW = {"study_id": "good", "ratio": 1.5, "ci_low": 1.25, "ci_high": 2.0, "confidence_level": 0.95}
 NS_ROW = {"study_id": "ns", "ratio": math.nan, "ci_low": math.nan, "ci_high": math.nan,
@@ -371,6 +379,7 @@ NS_ROW = {"study_id": "ns", "ratio": math.nan, "ci_low": math.nan, "ci_high": ma
 BAD_ROWS = {
     "level-0.3": {"confidence_level": 0.3},
     "empty-id": {"study_id": ""},
+    "blank-id": {"study_id": " \t"},
     "negative-ci_low": {"ci_low": -1.25},
     "nan-ratio": {"ratio": math.nan},
     "inf-ci_high": {"ci_high": math.inf},
@@ -512,6 +521,13 @@ class TestEffectsTableChecksItsRows:
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(table, name, np.array([-1.0]))
         assert table == [EffectRecord(label="lab", **GOOD_ROW)]
+
+    def test_takes_no_line_numbers(self):
+        # A reader's lines stay in the reader, which warns of repeated ids itself.
+        table = table_from_rows([GOOD_ROW])
+        with pytest.raises(TypeError, match="lines"):
+            EffectsTable(table.study_ids, table.labels, table.ratio, table.ci_low,
+                         table.ci_high, level=table.level, ns=table.ns, lines=[2])
 
     @pytest.mark.parametrize("ns", [np.zeros(2, dtype=int), [False, False]], ids=["int", "list"])
     def test_ns_that_is_not_a_bool_array_rejected(self, ns):
@@ -1023,6 +1039,19 @@ class TestMultiplicityReport:
         with pytest.raises(ValueError):
             multiplicity_report([0.1], alpha=alpha, m=10)
 
+    @pytest.mark.parametrize(
+        "alpha, m, message",
+        [
+            ("0.05", 10, "alpha must be a real number, got '0.05'"),
+            (0.05, "10", "m must be a real number, got '10'"),
+            (0.05, True, "m must be a real number, got True"),
+        ],
+    )
+    def test_alpha_and_m_are_reals(self, alpha, m, message):
+        # A str once escaped as a bare TypeError, and m=True was taken as 1.
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            multiplicity_report([0.1], alpha, m)
+
 
 class TestAudit:
     def test_null_records_pass_diagnostics(self):
@@ -1053,6 +1082,13 @@ class TestAudit:
         assert report.multiplicity.adjusted_alpha == pytest.approx(0.05 / 6784)
         at_alpha = audit(records, spaces=summary, alpha=0.001).multiplicity
         assert (at_alpha.alpha, at_alpha.adjusted_alpha) == (0.001, 0.001 / at_alpha.m)
+
+    def test_a_str_alpha_is_a_value_error(self, corpus_studies):
+        # It once escaped as a bare TypeError.
+        summary = summarize_spaces([compute_spaces(s) for s in corpus_studies])
+        records = [record_with_p(f"s{i:02d}", (i + 1) / 15) for i in range(14)]
+        with pytest.raises(ValueError, match="^alpha must be a real number, got '0.05'$"):
+            audit(records, spaces=summary, alpha="0.05")
 
     def test_alpha_without_spaces_rejected(self):
         # alpha sets only the multiplicity threshold; without spaces it was

@@ -11,6 +11,7 @@ import csv
 import dataclasses
 import io
 import json
+import logging
 import math
 import re
 from json.encoder import encode_basestring
@@ -27,6 +28,7 @@ from metaudit.effect_audit import (
     EffectsTable,
     PValuePlot,
     audit,
+    effects_from_statistics,
     record_from_statistic,
 )
 from metaudit.fileio import (
@@ -231,6 +233,48 @@ class TestReadEffectsCsv:
         second = tmp_path / "again.csv"
         write_effects_csv(second, back)
         assert second.read_bytes() == path.read_bytes()
+
+    @pytest.mark.parametrize("study_id", [" ", "\t\x1f"])
+    def test_a_blank_id_is_never_written(self, tmp_path, study_id):
+        # It was once written, read back as "" and refused by the reader.
+        path = tmp_path / "effects.csv"
+        with pytest.raises(ValueError, match="^study_id must be non-empty$"):
+            write_effects_csv(path, [EffectRecord(study_id, ratio=1.5, ci_low=1.2, ci_high=1.875)])
+        with pytest.raises(ValueError, match="^study_id must be non-empty$") as got:
+            write_effects_csv(path, effects_from_statistics(["s", study_id], ["", ""], [1, 2], 0.1))
+        assert got.value.index == 1
+        assert not path.exists()
+
+
+class TestRepeatedIdsWarnOnce:
+    EFFECTS = [",".join(EFFECTS_HEADER), "a,x,1.1,1.0,1.21,0.95,0", "# note", "b,x,,,,0.95,1"]
+    COUNTS = [",".join(COUNTS_HEADER), "a,1,2,1,3", "", "b,2,2,1,0"]
+
+    @staticmethod
+    def logged(caplog, read, path):
+        with caplog.at_level(logging.WARNING, logger="metaudit"):
+            read(path)
+        return [(r.name, r.levelno, r.getMessage()) for r in caplog.records]
+
+    @pytest.mark.parametrize("read, lines", [(read_effects_csv, EFFECTS), (read_counts_csv, COUNTS)])
+    def test_a_repeated_id_logs_one_warning_and_keeps_every_row(self, tmp_path, caplog, read, lines):
+        path = tmp_path / "in.csv"
+        # Ids are compared stripped, as they are read.
+        path.write_text("\n".join(lines + [" " + lines[3], lines[1]]) + "\n", encoding="utf-8")
+        message = f"{path}: 2 duplicate study ids (first: 'b', rows 4 and 5)"
+        assert self.logged(caplog, read, path) == [("metaudit.fileio", logging.WARNING, message)]
+        assert [row.study_id for row in read(path)] == list("abba")
+
+    @pytest.mark.parametrize("read, lines", [(read_effects_csv, EFFECTS), (read_counts_csv, COUNTS)])
+    def test_a_clean_file_and_a_failed_read_log_nothing(self, tmp_path, caplog, read, lines):
+        path = tmp_path / "in.csv"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        assert self.logged(caplog, read, path) == []
+        # The repeat comes before the bad row: the read fails, and warns of nothing.
+        path.write_text("\n".join(lines + [lines[1], "c,x,1"]) + "\n", encoding="utf-8")
+        with pytest.raises(ParseError, match=r"\(row 6\)"):
+            self.logged(caplog, read, path)
+        assert caplog.records == []
 
 
 class TestJsonSerialization:

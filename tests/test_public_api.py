@@ -132,6 +132,17 @@ def test_a_wrong_typed_field_raises_the_class_error_naming_it(cls, field, bad):
 
 
 @pytest.mark.parametrize(
+    "cls, field", [(SimConfig, "censor_at_alpha"), (EffectRecord, "not_significant_flag")]
+)
+@pytest.mark.parametrize("bad", ["no", 1, np.bool_(True), None], ids=repr)
+def test_a_bool_field_takes_only_a_bool(cls, field, bad):
+    # A str flag once passed, and build_pvalue_plot counted its row as excluded.
+    error = InputError if cls is SimConfig else ValueError
+    with pytest.raises(error, match=rf"^{field} must be a bool, got {re.escape(repr(bad))}$"):
+        cls(**{**VALID_FIELDS[cls], field: bad})
+
+
+@pytest.mark.parametrize(
     "build, field",
     [
         (lambda: SimConfig(true_effect=10**400), "true_effect"),
