@@ -25,6 +25,7 @@ from metaudit.statkernel import (
     InputError,
     TestResult,
     _check_bool,
+    _check_int,
     _check_real,
     ks_uniform_test,
     ols_columns,
@@ -50,15 +51,14 @@ class NoPlottableRecordsError(ValueError):
     """Every input record was flagged not-significant; nothing to plot."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class EffectRecord:
     """One study's reported ratio statistic.
 
     Studies that reported only "not significant" carry
     ``not_significant_flag=True`` and may leave the numeric fields None;
     such records are excluded from conversion and counted separately.
-    ``study_id`` and ``label`` are strs, the id not blank.  The one mutable
-    value type of the package: ``p_from_ratio_ci`` checks a record again.
+    ``study_id`` and ``label`` are strs, the id not blank.
     """
 
     study_id: str
@@ -159,19 +159,19 @@ class EffectsTable(Sequence):
 
     @classmethod
     def from_records(cls, records: Iterable[EffectRecord]) -> EffectsTable:
+        """The table of ``records``, in order; a table is returned as it is."""
+        if isinstance(records, EffectsTable):
+            return records
         records = list(records)
-
-        def column(name: str) -> np.ndarray:
-            return np.array([getattr(r, name) for r in records], dtype=float)
-
-        ns = np.array([r.not_significant_flag for r in records], dtype=bool)
-        numbers = [column(name) for name in ("ratio", "ci_low", "ci_high")]
-        for numbers_column in numbers:
-            numbers_column[ns] = math.nan  # None, or numbers an ns row need not carry
-        return cls(
-            [r.study_id for r in records], [r.label for r in records], *numbers,
-            level=column("confidence_level"), ns=ns,
+        ids, labels = ([getattr(r, name) for r in records] for name in ("study_id", "label"))
+        *numbers, level = (
+            np.array([getattr(r, name) for r in records], dtype=float)
+            for name in ("ratio", "ci_low", "ci_high", "confidence_level")
         )
+        ns = np.array([r.not_significant_flag for r in records], dtype=bool)
+        for column in numbers:
+            column[ns] = math.nan  # None, or numbers an ns row need not carry
+        return cls(ids, labels, *numbers, level=level, ns=ns)
 
     def __len__(self) -> int:
         return len(self.study_ids)
@@ -188,39 +188,45 @@ class EffectsTable(Sequence):
         )
 
     def __eq__(self, other) -> bool:
-        if not isinstance(other, (EffectsTable, list, tuple)):
+        if not isinstance(other, Sequence):
             return NotImplemented
         return len(self) == len(other) and all(map(operator.eq, self, other))
-
-    __hash__ = None
 
 
 @dataclass(eq=False, frozen=True)
 class PValuePlot:
     """Rank-ordered p-values with the uniform reference line i/(n+1).
 
-    A table in rank order: rank i = 1..n holds ``p[i - 1]`` (a float
-    array), the p-value of study ``study_ids[i - 1]``.  The reference
-    i/(n+1) is a function of n and is not stored; p must ascend within
-    [0, 1], and is made read-only, and the plot frozen, so that it stays checked.
+    A table in rank order: rank i = 1..n holds ``p[i - 1]`` (a float64
+    array), the p-value of study ``study_ids[i - 1]`` (a tuple of strs, empty
+    for a plot without ids).  The reference i/(n+1) is a function of n and is
+    not stored; p must ascend within [0, 1], and is made read-only, and the plot frozen.
     """
 
     excluded_ns_count: int
     n: int
     p: np.ndarray
-    study_ids: list[str] | None = None
+    study_ids: Sequence[str] = ()
 
     def __post_init__(self) -> None:
-        n, p, study_ids = self.n, self.p, self.study_ids
+        n, p = self.n, self.p
+        for name in ("excluded_ns_count", "n"):
+            _check_int(name, getattr(self, name), 0, kind="a nonnegative integer")
+        if not isinstance(p, np.ndarray) or p.dtype != np.float64:
+            raise ValueError(f"p must be a float64 array, got {getattr(p, 'dtype', type(p))}")
         if len(p) != n:
             raise ValueError(f"a plot of n = {n} needs n p-values")
         if n and not (0.0 <= p[0] and p[-1] <= 1.0 and (p[:-1] <= p[1:]).all()):
             raise ValueError("the p-values of a plot must ascend within [0, 1]")
-        if study_ids is not None and len(study_ids) != n:
+        try:
+            study_ids = tuple(self.study_ids)
+            "".join(study_ids)
+        except TypeError:
+            raise ValueError("study_ids must be a sequence of strs") from None
+        if study_ids and len(study_ids) != n:
             raise ValueError(f"a plot of n = {n} needs n study ids, got {len(study_ids)}")
         p.flags.writeable = False
-        if study_ids is None:
-            object.__setattr__(self, "study_ids", [])
+        object.__setattr__(self, "study_ids", study_ids)
 
     def reference(self) -> np.ndarray:
         """The uniform reference i/(n+1), i = 1..n: the same doubles as Python's i / (n + 1)."""
@@ -396,7 +402,7 @@ def record_from_statistic(
     )[0]
 
 
-def _rank(p: np.ndarray, study_ids: Sequence[str]) -> tuple[np.ndarray, list[str]]:
+def _rank(p: np.ndarray, study_ids: Sequence[str]) -> tuple[np.ndarray, tuple[str, ...]]:
     """Sort p ascending, ties broken by study id: the order of sorted((p, id)).
 
     A stable argsort keeps tied p-values in input order; each run of equal
@@ -415,7 +421,7 @@ def _rank(p: np.ndarray, study_ids: Sequence[str]) -> tuple[np.ndarray, list[str
         stops = (tied[np.concatenate((breaks, [len(tied) - 1]))] + 2).tolist()
         for start, stop in zip(starts, stops):
             order[start:stop] = sorted(order[start:stop], key=study_ids.__getitem__)
-    return ranked, list(map(study_ids.__getitem__, order))
+    return ranked, tuple(map(study_ids.__getitem__, order))
 
 
 def build_pvalue_plot(records: Sequence[EffectRecord]) -> PValuePlot:
@@ -428,7 +434,7 @@ def build_pvalue_plot(records: Sequence[EffectRecord]) -> PValuePlot:
     """
     if not records:
         raise NoPlottableRecordsError("no effect records given")
-    table = records if isinstance(records, EffectsTable) else EffectsTable.from_records(records)
+    table = EffectsTable.from_records(records)
     numeric = ~table.ns
     n = int(np.count_nonzero(numeric))
     if not n:
@@ -681,17 +687,9 @@ def audit(
         raise InputError("alpha sets the multiplicity threshold and needs spaces")
     plot = build_pvalue_plot(records)
     uniformity = uniformity_test(plot)
-    bilinearity = (
-        bilinearity_test(plot) if plot.n >= MIN_POINTS_BILINEARITY else None
-    )
+    bilinearity = bilinearity_test(plot) if plot.n >= MIN_POINTS_BILINEARITY else None
     hockey = hockey_stick_fit(plot) if plot.n >= MIN_POINTS_HOCKEY_STICK else None
     multiplicity = None
     if spaces is not None:
         multiplicity = multiplicity_report(plot.p, alpha, spaces.space3.median)
-    return AuditReport(
-        plot=plot,
-        uniformity=uniformity,
-        bilinearity=bilinearity,
-        hockey_stick=hockey,
-        multiplicity=multiplicity,
-    )
+    return AuditReport(plot, uniformity, bilinearity, hockey, multiplicity)

@@ -700,7 +700,7 @@ def write_effects_csv(path: str | Path, records: Sequence[EffectRecord]) -> None
     ``records`` may be an ``EffectsTable``; a list of records becomes one.
     Rows with ns=1 leave their three numbers empty.
     """
-    table = records if isinstance(records, EffectsTable) else EffectsTable.from_records(records)
+    table = EffectsTable.from_records(records)
     numbers = (table.ratio, table.ci_low, table.ci_high)
 
     def lines(start: int, stop: int) -> list[str]:

@@ -38,7 +38,7 @@ class StudyCounts:
 
     ``lags`` counts lag *configurations* tested, with the no-lag analysis
     counted as 1; it is not the maximum lag index.  ``covariate_names``,
-    when given, must be a list or tuple of exactly ``covariates`` strs.
+    when given, is a list or tuple of exactly ``covariates`` strs, kept as a tuple.
     """
 
     study_id: str
@@ -46,7 +46,7 @@ class StudyCounts:
     predictors: int
     lags: int
     covariates: int
-    covariate_names: list[str] | None = None
+    covariate_names: tuple[str, ...] | None = None
 
     def __post_init__(self) -> None:
         if not isinstance(self.study_id, str) or not self.study_id.strip():
@@ -71,6 +71,7 @@ class StudyCounts:
                 f"study {self.study_id!r}: covariate_names lists "
                 f"{len(names)} names but covariates={self.covariates}"
             )
+        object.__setattr__(self, "covariate_names", tuple(names))
 
 
 @dataclass(frozen=True)

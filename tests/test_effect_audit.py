@@ -70,6 +70,10 @@ def record_with_p(study_id: str, p: float, se: float = 0.1) -> EffectRecord:
     )
 
 
+# Six p-values in rank order.
+RANKED = [0.05, 0.1, 0.2, 0.5, 0.7, 0.9]
+
+
 def plot_from_pvalues(pvalues: list[float]) -> PValuePlot:
     return PValuePlot(0, len(pvalues), np.array(sorted(pvalues), dtype=float))
 
@@ -167,11 +171,13 @@ class TestPFromRatioCi:
             p_from_ratio_ci(record("d", 1.2, 1.2, 1.2))
 
     def test_rejects_ratio_moved_outside_its_interval(self):
-        # The record was valid when built; the conversion must still check it.
+        # A checked record cannot be moved, and an edited copy is checked as it is made.
         rec = record("moved", 1.5, 1.25, 2.0)
-        rec.ratio = 3.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            rec.ratio = 3.0
         with pytest.raises(ValueError, match=r"^study 'moved': ratio 3.0 outside its interval"):
-            p_from_ratio_ci(rec)
+            dataclasses.replace(rec, ratio=3.0)
+        assert rec.ratio == 1.5
 
     def test_rejects_ratio_outside_interval(self):
         with pytest.raises(ValueError):
@@ -547,7 +553,7 @@ class TestBuildPValuePlot:
         plot = build_pvalue_plot(records)
         assert plot.n == 3
         assert plot.p.tolist() == pytest.approx([0.2, 0.6, 0.9], rel=1e-9)
-        assert plot.study_ids == ["b", "c", "a"]
+        assert plot.study_ids == ("b", "c", "a")
 
     def test_reference_line_n3(self):
         plot = build_pvalue_plot([record_with_p(s, 0.5) for s in "abc"])
@@ -572,6 +578,29 @@ class TestBuildPValuePlot:
         with pytest.raises(ValueError, match=match):
             PValuePlot(excluded_ns_count=0, **kwargs)
 
+    @pytest.mark.parametrize(
+        "field, bad, match",
+        [
+            # Once accepted: the report said "-3 records flagged not-significant were excluded".
+            ("excluded_ns_count", -3, "^excluded_ns_count must be a nonnegative integer, got -3$"),
+            # Once written to report.json as "excluded_ns_count": true.
+            ("excluded_ns_count", True, "^excluded_ns_count must be a nonnegative integer, got True$"),
+            # Once accepted, and hockey_stick_fit failed on "slice indices must be integers".
+            ("n", 6.0, "^n must be a nonnegative integer, got 6.0$"),
+            # Once an AttributeError: 'bool' object has no attribute 'all'.
+            ("p", RANKED, "^p must be a float64 array, got <class 'list'>$"),
+            # Once accepted, and uniformity_test called its 0.1 outside [0, 1].
+            ("p", np.array(RANKED, dtype=np.float32), "^p must be a float64 array, got float32$"),
+            # Once accepted, to reach report.json as "study_id": 5.
+            ("study_ids", (5, *"bcdef"), "^study_ids must be a sequence of strs$"),
+        ],
+        ids=["negative-excluded", "bool-excluded", "float-n", "list-p", "float32-p", "int-id"],
+    )
+    def test_a_wrong_typed_field_rejected_naming_it(self, field, bad, match):
+        valid = dict(excluded_ns_count=0, n=6, p=np.array(RANKED), study_ids=tuple("abcdef"))
+        with pytest.raises(ValueError, match=match):
+            PValuePlot(**{**valid, field: bad})
+
     @pytest.mark.parametrize("keyword", ["points", "reference_line"])
     def test_one_constructor_form(self, keyword):
         with pytest.raises(TypeError, match=keyword):
@@ -591,7 +620,7 @@ class TestBuildPValuePlot:
     def test_tie_break_by_study_id(self):
         records = [record_with_p("zz", 0.4), record_with_p("aa", 0.4)]
         report = audit(records + [record_with_p("mm", 0.1)])
-        assert report.plot.study_ids == ["mm", "aa", "zz"]
+        assert report.plot.study_ids == ("mm", "aa", "zz")
 
     def test_all_ns_raises(self):
         records = [EffectRecord(study_id="ns", not_significant_flag=True)]
@@ -1113,8 +1142,8 @@ class TestAudit:
         plot = PValuePlot(0, 6, np.array(ranked), list("abcdef"))
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(plot, field, value)
-        assert (plot.n, plot.study_ids, plot.p.tolist()) == (6, list("abcdef"), ranked)
-        assert PValuePlot(0, 0, np.array([])).study_ids == []
+        assert (plot.n, plot.study_ids, plot.p.tolist()) == (6, tuple("abcdef"), ranked)
+        assert PValuePlot(0, 0, np.array([])).study_ids == ()
 
     def test_small_n_skips_hockey_and_flags_uniformity(self):
         records = [record_with_p(f"s{i}", 0.1 * (i + 1)) for i in range(4)]
@@ -1149,7 +1178,7 @@ class TestAudit:
         records.append(EffectRecord(study_id="ns", not_significant_flag=True))
         report = audit(records)
         assert calls == [[r.ratio for r in records[:10]]]
-        assert report.plot.study_ids == [r.study_id for r in records[:10]]
+        assert report.plot.study_ids == tuple(r.study_id for r in records[:10])
         assert report.plot.excluded_ns_count == 1
 
     def test_one_critical_value_per_confidence_level(self, monkeypatch):
@@ -1197,7 +1226,7 @@ def reference_ranked_pvalues(records):
     """
     numeric = [r for r in records if not r.not_significant_flag]
     ranked = sorted((reference_p_from_ratio_ci(r), r.study_id) for r in numeric)
-    return [sid for _, sid in ranked], [repr(p) for p, _ in ranked], len(records) - len(numeric)
+    return tuple(sid for _, sid in ranked), [repr(p) for p, _ in ranked], len(records) - len(numeric)
 
 
 def columnar_ranked_pvalues(records):
@@ -1255,7 +1284,7 @@ class TestColumnarPathMatchesRecordPath:
             assert (ids, ps, 0) == reference_ranked_pvalues(records)
         assert set(ps[: len(floor)]) == {repr(P_FLOOR)}
         assert set(ps[-len(null) :]) == {"1.0"}
-        assert ids[: len(floor)] == sorted(TIE_IDS)
+        assert ids[: len(floor)] == tuple(sorted(TIE_IDS))
 
     def test_tie_heavy_golden_input(self):
         records = list(fileio.read_effects_csv(GOLDEN / "ties" / "effects.csv"))

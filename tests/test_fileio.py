@@ -76,7 +76,7 @@ class TestReadCountsCsv:
             assert (study.outcomes, study.predictors, study.lags, study.covariates) == (
                 outcomes, predictors, lags, covars
             )
-            assert study.covariate_names == CORPUS_NAMES[study_id]
+            assert study.covariate_names == tuple(CORPUS_NAMES[study_id])
 
     def test_header_case_insensitive(self, tmp_path):
         path = tmp_path / "counts.csv"

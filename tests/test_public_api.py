@@ -4,6 +4,7 @@ every public value type is checked once and frozen after."""
 import ast
 import dataclasses
 import importlib
+import operator
 import re
 from pathlib import Path
 
@@ -18,16 +19,21 @@ from metaudit import (
     SimConfig,
     StudyCounts,
     audit,
+    build_pvalue_plot,
+    bundled_data_path,
     compute_spaces,
+    covariate_tally,
     ols_fit,
     record_from_statistic,
     summarize_spaces,
 )
+from metaudit.fileio import read_effects_csv, write_effects_csv
 from metaudit.searchspace import FiveNumberSummary
 
 Result = metaudit.TestResult  # a Test* name in the module would be collected as a test class
 
 README = Path(__file__).parent.parent / "README.md"
+README_BLOCKS = re.findall(r"```python\n(.*?)```", README.read_text(encoding="utf-8"), re.S)
 
 
 def test_every_name_in_all_resolves():
@@ -37,10 +43,9 @@ def test_every_name_in_all_resolves():
 
 
 def test_names_the_readme_imports_exist():
-    blocks = re.findall(r"```python\n(.*?)```", README.read_text(encoding="utf-8"), re.S)
     imported = [
         (node.module, alias.name)
-        for block in blocks
+        for block in README_BLOCKS
         for node in ast.walk(ast.parse(block))
         if isinstance(node, ast.ImportFrom)
         for alias in node.names
@@ -48,6 +53,20 @@ def test_names_the_readme_imports_exist():
     assert ("metaudit", "run_simulation") in imported
     for module, name in imported:
         assert hasattr(importlib.import_module(module), name), f"{module}.{name}"
+
+
+def test_the_readme_python_blocks_run_as_written(tmp_path, monkeypatch):
+    # Each block runs on its own, in a fresh namespace, and its commented figures hold.
+    monkeypatch.chdir(tmp_path)
+    namespaces = [{} for _ in README_BLOCKS]
+    for block, namespace in zip(README_BLOCKS, namespaces):
+        exec(compile(block, "README.md", "exec"), namespace)
+    api, simulation = namespaces
+    assert (api["space"].space1, api["space"].space2, api["space"].space3) == (28, 8192, 229376)
+    assert f"{api['p']:.4f}" == "0.3601"
+    write_effects_csv("records.csv", list(api["table"]))
+    assert Path("copy.csv").read_bytes() == Path("records.csv").read_bytes()
+    assert simulation["result"].publication_rate == 0.39786
 
 
 # --- Checked once, frozen after -------------------------------------------------
@@ -62,9 +81,9 @@ VALUE_TYPES = [
 @pytest.mark.parametrize(
     "cls", [*VALUE_TYPES, FiveNumberSummary], ids=lambda cls: cls.__name__
 )
-def test_every_public_value_type_but_the_effect_row_is_frozen(cls):
+def test_every_public_value_type_is_frozen(cls):
     # A report part that could be rebound after audit would reach report.json unchecked.
-    assert cls.__dataclass_params__.frozen is (cls is not EffectRecord)
+    assert cls.__dataclass_params__.frozen
 
 
 def _built_values():
@@ -95,6 +114,54 @@ def test_a_built_value_cannot_be_rebound(name):
     with pytest.raises(dataclasses.FrozenInstanceError):
         setattr(value, field, new)
     assert getattr(value, field) is before
+
+
+def test_checked_sequences_are_tuples():
+    # A checked list in a frozen value could still be edited in place.
+    values = _built_values()
+    report, counts = values["AuditReport"][0], values["StudyCounts"][0]
+    table = read_effects_csv(bundled_data_path("example_effects.csv"))
+    for sequence in (report.plot.study_ids, table.study_ids, table.labels, counts.covariate_names):
+        assert type(sequence) is tuple
+
+
+EDITS = {
+    # build_pvalue_plot once counted the row as excluded.
+    "record-flag": (
+        lambda values: setattr(values["record"], "not_significant_flag", "no"),
+        dataclasses.FrozenInstanceError,
+    ),
+    # NumPy once raised "could not convert string to float: 'x'", naming no study.
+    "record-ratio": (
+        lambda values: setattr(values["record"], "ratio", "x"), dataclasses.FrozenInstanceError
+    ),
+    # report.json once got "study_id": 5.
+    "plot-id": (lambda values: operator.setitem(values["plot"].study_ids, 0, 5), TypeError),
+    # build_report_document once raised "JsonTable keys ... [8, 7, 7]".
+    "plot-append": (lambda values: values["plot"].study_ids.append("x"), AttributeError),
+    # covariate_tally once counted a third name for a study with two covariates.
+    "names-append": (lambda values: values["counts"].covariate_names.append("z"), AttributeError),
+}
+
+
+@pytest.mark.parametrize("edit", list(EDITS))
+def test_an_edit_after_the_check_fails_at_the_edit(edit):
+    records = [record_from_statistic(f"s{i}", 0.3 * i, 0.1) for i in range(1, 8)]
+    counts = StudyCounts("s", 2, 3, 1, 2, covariate_names=["Age", "Sex"])
+    plot = audit(records).plot
+    apply, error = EDITS[edit]
+    with pytest.raises(error):
+        apply({"record": records[0], "plot": plot, "counts": counts})
+    ranked = tuple(f"s{i}" for i in range(7, 0, -1))
+    assert plot.study_ids == build_pvalue_plot(records).study_ids == ranked
+    assert build_pvalue_plot(records).excluded_ns_count == 0
+    assert covariate_tally([counts]) == {"Age": 1, "Sex": 1}
+
+
+def test_an_effects_table_is_unhashable():
+    # It equals a list of its records, which has no hash either.
+    with pytest.raises(TypeError, match="unhashable"):
+        hash(read_effects_csv(bundled_data_path("example_effects.csv")))
 
 
 VALID_FIELDS = {
