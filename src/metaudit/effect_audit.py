@@ -22,6 +22,7 @@ import numpy as np
 
 from metaudit.searchspace import SpaceSummary
 from metaudit.statkernel import (
+    _SQRT_HALF,
     InputError,
     TestResult,
     _check_bool,
@@ -31,8 +32,6 @@ from metaudit.statkernel import (
     ols_columns,
     std_normal_quantile,
 )
-
-_SQRT_HALF = math.sqrt(0.5)
 
 # Lower clamp keeps downstream log-scale report math out of the subnormal
 # range; upper clamp absorbs rounding past 1.
@@ -197,7 +196,7 @@ class EffectsTable(Sequence):
 class PValuePlot:
     """Rank-ordered p-values with the uniform reference line i/(n+1).
 
-    A table in rank order: rank i = 1..n holds ``p[i - 1]`` (a float64
+    A table in rank order: rank i = 1..n holds ``p[i - 1]`` (a 1-D float64
     array), the p-value of study ``study_ids[i - 1]`` (a tuple of strs, empty
     for a plot without ids).  The reference i/(n+1) is a function of n and is
     not stored; p must ascend within [0, 1], and is made read-only, and the plot frozen.
@@ -214,10 +213,14 @@ class PValuePlot:
             _check_int(name, getattr(self, name), 0, kind="a nonnegative integer")
         if not isinstance(p, np.ndarray) or p.dtype != np.float64:
             raise ValueError(f"p must be a float64 array, got {getattr(p, 'dtype', type(p))}")
+        if p.ndim != 1:
+            raise ValueError(f"p must be a 1-D array, got {p.ndim} dimensions")
         if len(p) != n:
             raise ValueError(f"a plot of n = {n} needs n p-values")
         if n and not (0.0 <= p[0] and p[-1] <= 1.0 and (p[:-1] <= p[1:]).all()):
             raise ValueError("the p-values of a plot must ascend within [0, 1]")
+        if isinstance(self.study_ids, str):
+            raise ValueError("study_ids must be a sequence of strs, not a str")
         try:
             study_ids = tuple(self.study_ids)
             "".join(study_ids)

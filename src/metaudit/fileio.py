@@ -603,11 +603,16 @@ def write_report_json(path: str | Path, document: dict) -> None:
 
 
 def write_plot_csv(path: str | Path, report: AuditReport) -> None:
+    """One row per rank: the ranked p-value and its uniform reference i/(n+1)."""
     plot = report.plot
-    # tolist() yields Python floats, whose !r is their shortest round-trip text.
-    rows = zip(range(1, plot.n + 1), plot.p.tolist(), plot.reference().tolist())
-    lines = ["rank,p,reference\n"] + [f"{rank},{p!r},{ref!r}\n" for rank, p, ref in rows]
-    write_text(path, "".join(lines))
+    columns = (plot.p, plot.reference())
+
+    def lines(start: int, stop: int) -> list[str]:
+        # tolist() yields Python floats, whose !r is their shortest round-trip text.
+        rows = zip(range(start + 1, stop + 1), *(column[start:stop].tolist() for column in columns))
+        return [f"{rank},{p!r},{ref!r}\n" for rank, p, ref in rows]
+
+    _write_chunked(Path(path), "rank,p,reference", plot.n, lines)
 
 
 def _fmt(value: float) -> str:

@@ -16,34 +16,33 @@ the study's normals (report-random).
 Reproducibility contract: every replicate draws from its own
 counter-based Philox stream keyed by (seed, replicate index), so
 identical configs give bit-identical results regardless of execution
-order, and aggregation always reduces in replicate order.
+order, and the summaries are exact sums (``math.fsum``) of the columns.
 
 ``run_simulation`` keeps one Philox generator and re-keys it in place for
 each replicate.  It draws a block of replicates, selects across the whole
 block with NumPy, and stores the selected studies as columns; a block
 holds about 2**16 draws, so memory grows with the number of studies, not
-with the draws.  The tests keep a scalar, study-by-study simulator as its
-reference.
+with the draws.  A ``SimResult`` stores only those columns and its config,
+and computes its index columns and summaries from them.  The tests keep a
+scalar, study-by-study simulator as its reference.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import islice
 
 import numpy as np
 
-from metaudit.statkernel import InputError, _check_bool, _check_int, _check_real
-
-_SQRT_HALF = math.sqrt(0.5)
+from metaudit.searchspace import U64_MAX
+from metaudit.statkernel import _SQRT_HALF, InputError, _check_bool, _check_int, _check_real
 
 SELECTION_RULES = ("report-min-p", "report-first-significant", "report-random")
 
 # Pre-flight budget: replicates * n_studies * (tests_per_study + 1) draws.
 MAX_TOTAL_DRAWS = 10**9
-
-U64_MAX = 2**64 - 1
 
 # Normal draws per block of replicates (a whole replicate if it is larger).
 # Larger blocks run no faster, and their temporaries outgrow the result
@@ -110,28 +109,37 @@ class SimConfig:
 
 @dataclass(frozen=True, eq=False)
 class SimResult:
-    """Aggregated outcome of a simulation run.
+    """Outcome of a simulation run: three columns and the config they came from.
 
-    One entry per simulated study in replicate order, stored as read-only
-    columns: ``replicate``, ``study``, ``p`` (selected p-value),
-    ``estimate`` (selected z statistic) and ``published`` (p < alpha).
-    ``reported`` masks the reported studies: the published ones when the
-    run's ``config`` censors at alpha, all studies otherwise.
-    ``bias`` is the signed mean estimate minus the true effect;
-    ``mean_abs_estimate`` exposes the magnitude summary that the signed
-    mean hides under the null.
+    ``p`` (selected p-value), ``estimate`` (selected z statistic) and
+    ``published`` (p < alpha) hold one entry per simulated study in
+    replicate order, ``config.replicates * config.n_studies`` in all, and are
+    made read-only.  Everything else is computed from them, once per result,
+    so a ``dataclasses.replace`` copy cannot disagree with itself: the index
+    columns ``replicate`` and ``study``; the ``reported`` mask (the published
+    studies when ``config`` censors at alpha, else all); ``publication_rate``;
+    ``bias``, the mean reported estimate minus the true effect; ``abs_bias``;
+    and ``mean_abs_estimate``, the magnitude the signed mean hides under the
+    null.  The means are exact (``math.fsum``), NaN when none is reported.
     """
 
-    replicate: np.ndarray = field(repr=False)
-    study: np.ndarray = field(repr=False)
     p: np.ndarray = field(repr=False)
     estimate: np.ndarray = field(repr=False)
     published: np.ndarray = field(repr=False)
     config: SimConfig
-    publication_rate: float
-    bias: float
-    abs_bias: float
-    mean_abs_estimate: float
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.config, SimConfig):
+            raise InputError(f"config must be a SimConfig, got {type(self.config).__name__}")
+        size = self.config.replicates * self.config.n_studies
+        for name, dtype in (("p", np.float64), ("estimate", np.float64), ("published", np.bool_)):
+            column = getattr(self, name)
+            if not isinstance(column, np.ndarray) or column.dtype != dtype or column.shape != (size,):
+                raise InputError(
+                    f"{name} must be a {np.dtype(dtype)} array of replicates * n_studies = "
+                    f"{size} entries, got {getattr(column, 'shape', type(column).__name__)}"
+                )
+            column.flags.writeable = False
 
     @property
     def n_total(self) -> int:
@@ -145,6 +153,40 @@ class SimResult:
     def reported(self) -> np.ndarray:
         """Boolean mask of the reported studies."""
         return self.published if self.config.censor_at_alpha else np.ones(self.n_total, dtype=bool)
+
+    @cached_property
+    def replicate(self) -> np.ndarray:
+        return _read_only(np.repeat(np.arange(self.config.replicates), self.config.n_studies))
+
+    @cached_property
+    def study(self) -> np.ndarray:
+        return _read_only(np.tile(np.arange(self.config.n_studies), self.config.replicates))
+
+    @cached_property
+    def publication_rate(self) -> float:
+        return self.n_published / self.n_total
+
+    @cached_property
+    def bias(self) -> float:
+        return _mean(self.estimate[self.reported]) - self.config.true_effect
+
+    @cached_property
+    def abs_bias(self) -> float:
+        return self.mean_abs_estimate - abs(self.config.true_effect)
+
+    @cached_property
+    def mean_abs_estimate(self) -> float:
+        return _mean(np.abs(self.estimate[self.reported]))
+
+
+def _read_only(column: np.ndarray) -> np.ndarray:
+    column.flags.writeable = False
+    return column
+
+
+def _mean(values: np.ndarray) -> float:
+    """The exact mean of ``values``, NaN when there are none."""
+    return math.fsum(values.tolist()) / len(values) if len(values) else math.nan
 
 
 class _RekeyedPhilox:
@@ -217,10 +259,10 @@ def run_simulation(config: SimConfig) -> SimResult:
     """Run the configured number of independent replicates.
 
     Identical configs produce bit-identical results: each replicate uses
-    its keyed stream and all floating-point reductions run in replicate
-    order, so the results equal those of simulating the studies one by one
-    in replicate order.  A config of more than ``MAX_TOTAL_DRAWS`` draws
-    raises InputError before any is made.
+    its keyed stream, so the columns equal those of simulating the studies
+    one by one in replicate order, and the result computes its summaries
+    from them.  A config of more than ``MAX_TOTAL_DRAWS`` draws raises
+    InputError before any is made.
     """
     if config.total_draws() > MAX_TOTAL_DRAWS:
         raise InputError(
@@ -272,31 +314,4 @@ def run_simulation(config: SimConfig) -> SimResult:
         estimates[span] = z[rows, chosen]
         pvalues[span] = np.fromiter(map(math.erfc, x[rows, chosen].tolist()), float, len(rows))
 
-    published = pvalues < config.alpha
-    reported = published if config.censor_at_alpha else slice(None)
-    selected = estimates[reported]
-    if len(selected):
-        mean_estimate = math.fsum(selected.tolist()) / len(selected)
-        mean_abs = math.fsum(np.abs(selected).tolist()) / len(selected)
-        bias = mean_estimate - config.true_effect
-        abs_bias = mean_abs - abs(config.true_effect)
-    else:
-        bias = abs_bias = mean_abs = math.nan
-
-    columns = (
-        np.repeat(np.arange(config.replicates), n_studies),
-        np.tile(np.arange(n_studies), config.replicates),
-        pvalues,
-        estimates,
-        published,
-    )
-    for column in columns:
-        column.flags.writeable = False
-    return SimResult(
-        *columns,
-        config=config,
-        publication_rate=int(np.count_nonzero(published)) / n_total,
-        bias=bias,
-        abs_bias=abs_bias,
-        mean_abs_estimate=mean_abs,
-    )
+    return SimResult(pvalues, estimates, pvalues < config.alpha, config)

@@ -80,12 +80,15 @@ class SearchSpace:
 
     space1 = outcomes * predictors * lags (questions at issue),
     space2 = 2^covariates (covariate-inclusion models),
-    space3 = space1 * space2 (total analyses).
+    space3 = space1 * space2 (total analyses), computed from the other two.
     """
 
     space1: int
     space2: int
-    space3: int
+
+    @property
+    def space3(self) -> int:
+        return self.space1 * self.space2
 
 
 @dataclass(frozen=True)
@@ -113,15 +116,15 @@ def compute_spaces(counts: StudyCounts) -> SearchSpace:
     these counts feed threshold division downstream, so silent truncation
     would corrupt the audit.
     """
-    space1 = counts.outcomes * counts.predictors * counts.lags
-    space2 = 1 << counts.covariates
-    space3 = space1 * space2
-    if space3 > U64_MAX:
+    spaces = SearchSpace(
+        space1=counts.outcomes * counts.predictors * counts.lags, space2=1 << counts.covariates
+    )
+    if spaces.space3 > U64_MAX:
         raise SearchSpaceOverflowError(
             counts.study_id,
-            f"total analyses {space3} exceeds the 64-bit unsigned range",
+            f"total analyses {spaces.space3} exceeds the 64-bit unsigned range",
         )
-    return SearchSpace(space1=space1, space2=space2, space3=space3)
+    return spaces
 
 
 def _summary(column: list[int]) -> FiveNumberSummary:

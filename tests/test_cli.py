@@ -305,6 +305,21 @@ class TestCmdAudit:
         assert main(["audit", "--input", str(effects), "--output", str(outdir)]) == 0
         assert (outdir / name).read_bytes() == (GOLDEN_DIR / "sim_k10_censor" / "audit" / name).read_bytes()
 
+    @pytest.mark.parametrize("chunk_rows", [1, 7])
+    def test_chunk_size_does_not_change_plot_data(self, tmp_path, monkeypatch, chunk_rows):
+        monkeypatch.setattr(fileio, "_CHUNK_ROWS", chunk_rows)
+        goldens = {
+            EFFECTS: GOLDEN_DIR / "example_plot_data.csv",
+            GOLDEN_DIR / "ties" / "effects.csv": GOLDEN_DIR / "ties" / "plot_data.csv",
+            GOLDEN_DIR / "sim_k10_censor" / "sim_effects.csv": (
+                GOLDEN_DIR / "sim_k10_censor" / "audit" / "plot_data.csv"
+            ),
+        }
+        for effects, golden in goldens.items():
+            outdir = tmp_path / golden.parent.name
+            assert main(["audit", "--input", str(effects), "--format", "csv", "--output", str(outdir)]) == 0
+            assert (outdir / "plot_data.csv").read_bytes() == golden.read_bytes(), golden
+
     @pytest.mark.parametrize("effects", ["ties/effects.csv", "sim_k10_censor/sim_effects.csv"])
     def test_pvalues_hold_the_whole_plot(self, tmp_path, effects):
         # pvalues is the one ranked table: the plot's points and its

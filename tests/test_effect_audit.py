@@ -572,6 +572,8 @@ class TestBuildPValuePlot:
                 "must ascend within",
             ),
             ({"p": np.array([-0.5, 3.0]), "n": 2}, "must ascend within"),
+            # Once NumPy's "truth value of an array ... is ambiguous", naming no field.
+            ({"p": np.array([[0.1, 0.2], [0.3, 0.4]]), "n": 2}, "^p must be a 1-D array"),
         ],
     )
     def test_wrong_number_of_points_or_ids_rejected(self, kwargs, match):
@@ -593,8 +595,15 @@ class TestBuildPValuePlot:
             ("p", np.array(RANKED, dtype=np.float32), "^p must be a float64 array, got float32$"),
             # Once accepted, to reach report.json as "study_id": 5.
             ("study_ids", (5, *"bcdef"), "^study_ids must be a sequence of strs$"),
+            # Once accepted as the plot of one-character ids "a" to "f".
+            ("study_ids", "abcdef", "^study_ids must be a sequence of strs, not a str$"),
+            # Once accepted, a column of six one-element rows.
+            ("p", np.array(RANKED).reshape(6, 1), "^p must be a 1-D array, got 2 dimensions$"),
         ],
-        ids=["negative-excluded", "bool-excluded", "float-n", "list-p", "float32-p", "int-id"],
+        ids=[
+            "negative-excluded", "bool-excluded", "float-n", "list-p", "float32-p", "int-id",
+            "str-ids", "column-p",
+        ],
     )
     def test_a_wrong_typed_field_rejected_naming_it(self, field, bad, match):
         valid = dict(excluded_ns_count=0, n=6, p=np.array(RANKED), study_ids=tuple("abcdef"))

@@ -3,6 +3,7 @@ every public value type is checked once and frozen after."""
 
 import ast
 import dataclasses
+import functools
 import importlib
 import operator
 import re
@@ -25,6 +26,7 @@ from metaudit import (
     covariate_tally,
     ols_fit,
     record_from_statistic,
+    run_simulation,
     summarize_spaces,
 )
 from metaudit.fileio import read_effects_csv, write_effects_csv
@@ -93,14 +95,16 @@ def _built_values():
     records = [record_from_statistic(f"s{i}", 0.3 * i, 0.1) for i in range(1, 8)]
     report = audit(records, summary)
     fit = ols_fit([[1.0, x] for x in range(5)], [0.0, 1.1, 1.9, 3.2, 3.9])
+    result = run_simulation(SimConfig(tests_per_study=3, replicates=20, seed=2))
     return {
+        "SimResult": (result, "published", ~result.published),
         "TestResult": (report.uniformity, "p_value", 0.9),
         "OlsFit": (fit, "df", 99),
         "HockeyStickFit": (report.hockey_stick, "breakpoint", 99),
         "MultiplicityReport": (report.multiplicity, "adjusted_alpha", 0.5),
         "AuditReport": (report, "bilinearity", None),
         "StudyCounts": (counts, "covariates", 50),
-        "SearchSpace": (spaces, "space3", 1),
+        "SearchSpace": (spaces, "space1", 1),
         "FiveNumberSummary": (summary.space1, "median", 0.0),
         "SpaceSummary": (summary, "space3", summary.space1),
     }
@@ -114,6 +118,32 @@ def test_a_built_value_cannot_be_rebound(name):
     with pytest.raises(dataclasses.FrozenInstanceError):
         setattr(value, field, new)
     assert getattr(value, field) is before
+
+
+# Each fact is stored once: what follows from the fields is computed from them.
+STORED = {
+    "SimResult": ("p", "estimate", "published", "config"),
+    "SearchSpace": ("space1", "space2"),
+}
+COMPUTED = {
+    "SimResult": ("replicate", "study", "publication_rate", "bias", "abs_bias", "mean_abs_estimate"),
+    "SearchSpace": ("space3",),
+}
+
+
+@pytest.mark.parametrize("name", list(STORED))
+def test_derived_values_are_computed_not_stored(name):
+    # A stored copy of a derived value once disagreed with the fields it came from.
+    value = _built_values()[name][0]
+    assert tuple(field.name for field in dataclasses.fields(value)) == STORED[name]
+    for attr in COMPUTED[name]:
+        assert isinstance(vars(type(value))[attr], (property, functools.cached_property)), attr
+        before = getattr(value, attr)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(value, attr, before)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(value, attr)
+        assert np.array_equal(getattr(value, attr), before)
 
 
 def test_checked_sequences_are_tuples():

@@ -1,5 +1,6 @@
 """Tests for search-space counting and summarization."""
 
+import dataclasses
 import logging
 
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from metaudit.searchspace import (
     MAX_COVARIATES,
     U64_MAX,
+    SearchSpace,
     SearchSpaceOverflowError,
     StudyCounts,
     compute_spaces,
@@ -83,6 +85,14 @@ class TestComputeSpaces:
             )
         )
         assert one_more.space2 == 2 * spaces.space2
+
+    def test_space3_is_computed_so_it_cannot_disagree(self):
+        # SearchSpace(space1=1, space2=2, space3=5) was once accepted.
+        with pytest.raises(TypeError, match="space3"):
+            SearchSpace(space1=1, space2=2, space3=5)
+        spaces = SearchSpace(space1=1, space2=2)
+        assert spaces.space3 == 2
+        assert dataclasses.replace(spaces, space2=8).space3 == 8
 
     def test_overflow_guard_raises_with_study_id(self):
         counts = StudyCounts(
