@@ -117,11 +117,12 @@ def cmd_audit(args: argparse.Namespace) -> int:
         raise InputError("--alpha sets the multiplicity threshold and needs --counts")
     table = fileio.read_effects_csv(args.input)
     digests = [fileio.file_digest(args.input)]
-    counts = None
+    counts = summary = None
     if args.counts:
-        counts = _read_spaces(args.counts)
+        studies, spaces, summary = _read_spaces(args.counts)
+        counts = (studies, spaces)
         digests.append(fileio.file_digest(args.counts))
-    report = audit(table, spaces=counts[2] if counts else None, alpha=args.alpha)
+    report = audit(table, spaces=summary, alpha=args.alpha)
     document = fileio.build_report_document(report, digests, counts)
     written = _write_outputs(args, [
         ("json", "report.json", fileio.write_report_json, document),

@@ -198,26 +198,23 @@ class PValuePlot:
 
     A table in rank order: rank i = 1..n holds ``p[i - 1]`` (a 1-D float64
     array), the p-value of study ``study_ids[i - 1]`` (a tuple of strs, empty
-    for a plot without ids).  The reference i/(n+1) is a function of n and is
-    not stored; p must ascend within [0, 1], and is made read-only, and the plot frozen.
+    for a plot without ids).  n is ``len(p)``, and the reference i/(n+1) a
+    function of n; neither is stored.  p must ascend within [0, 1], and is
+    made read-only, and the plot frozen.
     """
 
     excluded_ns_count: int
-    n: int
     p: np.ndarray
     study_ids: Sequence[str] = ()
 
     def __post_init__(self) -> None:
-        n, p = self.n, self.p
-        for name in ("excluded_ns_count", "n"):
-            _check_int(name, getattr(self, name), 0, kind="a nonnegative integer")
+        p = self.p
+        _check_int("excluded_ns_count", self.excluded_ns_count, 0, kind="a nonnegative integer")
         if not isinstance(p, np.ndarray) or p.dtype != np.float64:
             raise ValueError(f"p must be a float64 array, got {getattr(p, 'dtype', type(p))}")
         if p.ndim != 1:
             raise ValueError(f"p must be a 1-D array, got {p.ndim} dimensions")
-        if len(p) != n:
-            raise ValueError(f"a plot of n = {n} needs n p-values")
-        if n and not (0.0 <= p[0] and p[-1] <= 1.0 and (p[:-1] <= p[1:]).all()):
+        if len(p) and not (0.0 <= p[0] and p[-1] <= 1.0 and (p[:-1] <= p[1:]).all()):
             raise ValueError("the p-values of a plot must ascend within [0, 1]")
         if isinstance(self.study_ids, str):
             raise ValueError("study_ids must be a sequence of strs, not a str")
@@ -226,10 +223,15 @@ class PValuePlot:
             "".join(study_ids)
         except TypeError:
             raise ValueError("study_ids must be a sequence of strs") from None
-        if study_ids and len(study_ids) != n:
-            raise ValueError(f"a plot of n = {n} needs n study ids, got {len(study_ids)}")
+        if study_ids and len(study_ids) != len(p):
+            raise ValueError(f"a plot of n = {len(p)} needs n study ids, got {len(study_ids)}")
         p.flags.writeable = False
         object.__setattr__(self, "study_ids", study_ids)
+
+    @property
+    def n(self) -> int:
+        """The number of plotted p-values."""
+        return len(self.p)
 
     def reference(self) -> np.ndarray:
         """The uniform reference i/(n+1), i = 1..n: the same doubles as Python's i / (n + 1)."""
@@ -257,13 +259,42 @@ class MultiplicityReport:
 
 @dataclass(frozen=True)
 class AuditReport:
-    """Full diagnostic bundle for one set of effect records."""
+    """The diagnostics of one p-value plot, computed from what the report stores.
+
+    It stores ``plot``, ``spaces`` (a ``SpaceSummary`` or None) and ``alpha``
+    (None means 0.05), and builds the four sections from them: the tests the
+    plot has the points for and, given ``spaces``, the multiplicity report at
+    ``alpha``, corrected by the median space3.  So ``dataclasses.replace(report,
+    plot=other)`` is the report of ``other``.  ``alpha`` without ``spaces``
+    raises InputError.
+    """
 
     plot: PValuePlot
-    uniformity: TestResult
-    bilinearity: TestResult | None
-    hockey_stick: HockeyStickFit | None
-    multiplicity: MultiplicityReport | None
+    spaces: SpaceSummary | None = None
+    alpha: float | None = None
+    uniformity: TestResult = dataclasses.field(init=False)
+    bilinearity: TestResult | None = dataclasses.field(init=False)
+    hockey_stick: HockeyStickFit | None = dataclasses.field(init=False)
+    multiplicity: MultiplicityReport | None = dataclasses.field(init=False)
+
+    def __post_init__(self) -> None:
+        plot, spaces, alpha = self.plot, self.spaces, self.alpha
+        if not isinstance(plot, PValuePlot):
+            raise ValueError(f"plot must be a PValuePlot, got {type(plot).__name__}")
+        if spaces is not None and not isinstance(spaces, SpaceSummary):
+            raise ValueError(f"spaces must be a SpaceSummary or None, got {type(spaces).__name__}")
+        if alpha is not None and spaces is None:
+            raise InputError("alpha sets the multiplicity threshold and needs spaces")
+        sections = {
+            "uniformity": uniformity_test(plot),
+            "bilinearity": bilinearity_test(plot) if plot.n >= MIN_POINTS_BILINEARITY else None,
+            "hockey_stick": hockey_stick_fit(plot) if plot.n >= MIN_POINTS_HOCKEY_STICK else None,
+            "multiplicity": None if spaces is None else multiplicity_report(
+                plot.p, 0.05 if alpha is None else alpha, spaces.space3.median
+            ),
+        }
+        for name, section in sections.items():
+            object.__setattr__(self, name, section)
 
 
 @functools.lru_cache(maxsize=64)
@@ -450,7 +481,7 @@ def build_pvalue_plot(records: Sequence[EffectRecord]) -> PValuePlot:
         study_ids = list(itertools.compress(study_ids, numeric.tolist()))
         columns = tuple(column[numeric] for column in columns)
     p, ranked_ids = _rank(_pvalues(*columns), study_ids)
-    return PValuePlot(len(table) - n, n, p, ranked_ids)
+    return PValuePlot(len(table) - n, p, ranked_ids)
 
 
 def uniformity_test(plot: PValuePlot) -> TestResult:
@@ -674,25 +705,11 @@ def audit(
     spaces: SpaceSummary | None = None,
     alpha: float | None = None,
 ) -> AuditReport:
-    """Run the full diagnostic pipeline over a set of effect records.
+    """The ``AuditReport`` of the p-value plot of ``records``.
 
     ``records`` may be an ``EffectsTable``.  Converts every non-flagged
-    record to a p-value, builds the plot, and runs the uniformity,
-    bilinearity and hockey-stick diagnostics that the plot supports at its
-    size.  When a cross-study space summary is given, its median
-    total-analyses count becomes the correction factor of the multiplicity
-    report at threshold ``alpha`` (default 0.05); ``alpha`` without
-    ``spaces`` raises InputError.
+    record to a p-value and builds the plot; the report runs the
+    diagnostics on it, and the multiplicity report when ``spaces`` is
+    given, at threshold ``alpha`` (default 0.05).
     """
-    if alpha is None:
-        alpha = 0.05
-    elif spaces is None:
-        raise InputError("alpha sets the multiplicity threshold and needs spaces")
-    plot = build_pvalue_plot(records)
-    uniformity = uniformity_test(plot)
-    bilinearity = bilinearity_test(plot) if plot.n >= MIN_POINTS_BILINEARITY else None
-    hockey = hockey_stick_fit(plot) if plot.n >= MIN_POINTS_HOCKEY_STICK else None
-    multiplicity = None
-    if spaces is not None:
-        multiplicity = multiplicity_report(plot.p, alpha, spaces.space3.median)
-    return AuditReport(plot, uniformity, bilinearity, hockey, multiplicity)
+    return AuditReport(build_pvalue_plot(records), spaces, alpha)

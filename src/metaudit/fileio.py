@@ -550,13 +550,15 @@ def _section(result) -> dict | None:
 def build_report_document(
     report: AuditReport,
     digests: list[dict],
-    counts: tuple[list[StudyCounts], list[SearchSpace], SpaceSummary] | None = None,
+    counts: tuple[list[StudyCounts], list[SearchSpace]] | None = None,
 ) -> dict:
     """Assemble the schema-versioned report JSON document.
 
-    ``counts`` is the ``(studies, spaces, summary)`` of a counts file, or
-    None.  ``pvalues`` is the one ranked table, a JsonTable over the plot's
-    columns; a reader derives the reference i/(n+1) from ``plot.n``.
+    ``counts`` is the ``(studies, spaces)`` of a counts file, or None; its
+    summary is ``report.spaces``, the one the multiplicity report used, so
+    counts without it raise ValueError.  ``pvalues`` is the one ranked table,
+    a JsonTable over the plot's columns; a reader derives the reference
+    i/(n+1) from ``plot.n``.
     """
     plot = report.plot
     notes = [
@@ -573,12 +575,14 @@ def build_report_document(
         )
     spaces = space_summary = None
     if counts is not None:
-        studies, study_spaces, summary = counts
+        if report.spaces is None:
+            raise ValueError("counts need a report audited with their space summary")
+        studies, study_spaces = counts
         spaces = [
             {"study_id": s.study_id, "space1": sp.space1, "space2": sp.space2, "space3": sp.space3}
             for s, sp in zip(studies, study_spaces)
         ]
-        space_summary = space_summary_document(summary)
+        space_summary = space_summary_document(report.spaces)
     return {
         "schema": REPORT_SCHEMA,
         "inputs_digest": digests,

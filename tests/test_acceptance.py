@@ -50,7 +50,7 @@ SIM_FILES = ("sim_results.csv", "sim_summary.json")
 
 
 def plot_from_pvalues(pvalues):
-    return PValuePlot(0, len(pvalues), np.array(sorted(pvalues), dtype=float))
+    return PValuePlot(0, np.array(sorted(pvalues), dtype=float))
 
 
 def exact_quadratic_fit(pvalues):

@@ -289,6 +289,13 @@ class TestCmdAudit:
         assert (outdir / name).read_bytes() == (GOLDEN_DIR / f"example_{name}").read_bytes()
 
     @pytest.mark.parametrize("name", ["report.json", "plot_data.csv", "report.md"])
+    def test_explicit_alpha_matches_golden_bytes(self, tmp_path, name):
+        outdir = tmp_path / "audit"
+        argv = ["audit", "--input", EFFECTS, "--counts", COUNTS, "--alpha", "0.01"]
+        assert main([*argv, "--output", str(outdir)]) == 0
+        assert (outdir / name).read_bytes() == (GOLDEN_DIR / "example_alpha" / name).read_bytes()
+
+    @pytest.mark.parametrize("name", ["report.json", "plot_data.csv", "report.md"])
     def test_tie_heavy_input_matches_golden_bytes(self, tmp_path, name):
         # P_FLOOR clamps, p = 1.0 rows and exact ties whose ids sort against
         # file order, every level form, ns rows and a multi-line label.

@@ -22,6 +22,7 @@ from metaudit import effect_audit, fileio
 from metaudit.effect_audit import (
     INSUFFICIENT_DATA,
     P_FLOOR,
+    AuditReport,
     EffectRecord,
     EffectsTable,
     HockeyStickFit,
@@ -75,7 +76,7 @@ RANKED = [0.05, 0.1, 0.2, 0.5, 0.7, 0.9]
 
 
 def plot_from_pvalues(pvalues: list[float]) -> PValuePlot:
-    return PValuePlot(0, len(pvalues), np.array(sorted(pvalues), dtype=float))
+    return PValuePlot(0, np.array(sorted(pvalues), dtype=float))
 
 
 def exact_ols(design, response):
@@ -562,18 +563,17 @@ class TestBuildPValuePlot:
     @pytest.mark.parametrize(
         "kwargs, match",
         [
-            ({"p": np.array([0.1, 0.2]), "n": 3}, "needs n p-values"),
             # Once accepted, to fail later inside json_dumps.
-            ({"p": np.array([0.1, 0.2, 0.4]), "study_ids": ["a"], "n": 3}, "needs n study ids"),
-            ({"p": np.array([0.1, 0.2, 0.4]), "study_ids": list("abcd"), "n": 3}, "needs n study ids"),
+            ({"p": np.array([0.1, 0.2, 0.4]), "study_ids": ["a"]}, "needs n study ids"),
+            ({"p": np.array([0.1, 0.2, 0.4]), "study_ids": list("abcd")}, "needs n study ids"),
             # Once accepted, and taken as ranked by the diagnostics.
             (
-                {"p": np.array([0.9, 0.1, 0.5, 0.2, 0.7, 0.05]), "study_ids": list("abcdef"), "n": 6},
+                {"p": np.array([0.9, 0.1, 0.5, 0.2, 0.7, 0.05]), "study_ids": list("abcdef")},
                 "must ascend within",
             ),
-            ({"p": np.array([-0.5, 3.0]), "n": 2}, "must ascend within"),
+            ({"p": np.array([-0.5, 3.0])}, "must ascend within"),
             # Once NumPy's "truth value of an array ... is ambiguous", naming no field.
-            ({"p": np.array([[0.1, 0.2], [0.3, 0.4]]), "n": 2}, "^p must be a 1-D array"),
+            ({"p": np.array([[0.1, 0.2], [0.3, 0.4]])}, "^p must be a 1-D array"),
         ],
     )
     def test_wrong_number_of_points_or_ids_rejected(self, kwargs, match):
@@ -587,8 +587,6 @@ class TestBuildPValuePlot:
             ("excluded_ns_count", -3, "^excluded_ns_count must be a nonnegative integer, got -3$"),
             # Once written to report.json as "excluded_ns_count": true.
             ("excluded_ns_count", True, "^excluded_ns_count must be a nonnegative integer, got True$"),
-            # Once accepted, and hockey_stick_fit failed on "slice indices must be integers".
-            ("n", 6.0, "^n must be a nonnegative integer, got 6.0$"),
             # Once an AttributeError: 'bool' object has no attribute 'all'.
             ("p", RANKED, "^p must be a float64 array, got <class 'list'>$"),
             # Once accepted, and uniformity_test called its 0.1 outside [0, 1].
@@ -601,19 +599,19 @@ class TestBuildPValuePlot:
             ("p", np.array(RANKED).reshape(6, 1), "^p must be a 1-D array, got 2 dimensions$"),
         ],
         ids=[
-            "negative-excluded", "bool-excluded", "float-n", "list-p", "float32-p", "int-id",
+            "negative-excluded", "bool-excluded", "list-p", "float32-p", "int-id",
             "str-ids", "column-p",
         ],
     )
     def test_a_wrong_typed_field_rejected_naming_it(self, field, bad, match):
-        valid = dict(excluded_ns_count=0, n=6, p=np.array(RANKED), study_ids=tuple("abcdef"))
+        valid = dict(excluded_ns_count=0, p=np.array(RANKED), study_ids=tuple("abcdef"))
         with pytest.raises(ValueError, match=match):
             PValuePlot(**{**valid, field: bad})
 
     @pytest.mark.parametrize("keyword", ["points", "reference_line"])
     def test_one_constructor_form(self, keyword):
         with pytest.raises(TypeError, match=keyword):
-            PValuePlot(0, 1, np.array([0.5]), **{keyword: [(1, 0.5)]})
+            PValuePlot(0, np.array([0.5]), **{keyword: [(1, 0.5)]})
 
     def test_ns_records_excluded_and_counted(self):
         records = [record_with_p(f"s{i:02d}", (i + 1) / 15) for i in range(12)]
@@ -916,7 +914,7 @@ def counted_hockey_stick_fit(monkeypatch, plot: PValuePlot) -> tuple[HockeyStick
 )
 def test_tied_plots_at_scale_fit_only_the_winner(monkeypatch, p, k):
     # Every k is a candidate here; only the winner is fitted.
-    fit, calls = counted_hockey_stick_fit(monkeypatch, PValuePlot(0, len(p), p))
+    fit, calls = counted_hockey_stick_fit(monkeypatch, PValuePlot(0, p))
     assert calls == [fit.breakpoint, len(p) - fit.breakpoint]
     assert k is None or fit.breakpoint == k
 
@@ -1135,6 +1133,68 @@ class TestAudit:
         with pytest.raises(InputError, match="alpha sets the multiplicity threshold and needs spaces"):
             audit(records, alpha=0.001)
 
+    # The README's seven records, and seven whose p-values sit near 1.
+    README_RECORDS = [record_from_statistic(f"s{i}", 0.3 * i, 0.1) for i in range(1, 8)]
+    NEAR_NULL_RECORDS = [record_from_statistic(f"s{i}", 0.05 * i, 0.1) for i in range(1, 8)]
+
+    def test_a_copy_with_another_plot_reports_on_that_plot(self, corpus_studies):
+        # The copy once kept the old sections: KS p 0.301 and breakpoint 4.
+        summary = summarize_spaces([compute_spaces(s) for s in corpus_studies])
+        report = audit(self.README_RECORDS, summary, 0.01)
+        other = build_pvalue_plot(self.NEAR_NULL_RECORDS)
+        copy = dataclasses.replace(report, plot=other)
+        expected = audit(self.NEAR_NULL_RECORDS, summary, 0.01)
+        for name in ("uniformity", "bilinearity", "hockey_stick", "multiplicity"):
+            assert getattr(copy, name) == getattr(expected, name), name
+        assert f"{copy.uniformity.p_value:.2g}" == "0.00049"
+        assert copy.hockey_stick.breakpoint == 3
+        assert report.hockey_stick.breakpoint == 4
+
+    def test_a_section_cannot_be_given(self):
+        report = audit(self.README_RECORDS)
+        other = audit(self.NEAR_NULL_RECORDS).uniformity
+        with pytest.raises(ValueError, match="uniformity"):
+            dataclasses.replace(report, uniformity=other)
+        with pytest.raises(TypeError, match="uniformity"):
+            AuditReport(report.plot, uniformity=other)
+        assert [f.name for f in dataclasses.fields(AuditReport) if f.init] == [
+            "plot", "spaces", "alpha",
+        ]
+
+    def test_a_report_checks_what_it_is_given(self, corpus_studies):
+        plot = build_pvalue_plot(self.README_RECORDS)
+        with pytest.raises(InputError, match="alpha sets the multiplicity threshold and needs spaces"):
+            AuditReport(plot, alpha=0.01)
+        with pytest.raises(ValueError, match="^plot must be a PValuePlot, got str$"):
+            AuditReport("x")
+        summary = summarize_spaces([compute_spaces(s) for s in corpus_studies])
+        with pytest.raises(ValueError, match="^spaces must be a SpaceSummary or None, got list$"):
+            AuditReport(plot, [summary])
+
+    def test_each_diagnostic_runs_once_per_report(self, monkeypatch, corpus_studies):
+        calls = []
+        order = ["uniformity_test", "bilinearity_test", "hockey_stick_fit", "multiplicity_report"]
+        for name in order:
+            original = getattr(effect_audit, name)
+
+            def counted(first, *args, name=name, original=original):  # a plot, or its p
+                calls.append((name, len(getattr(first, "p", first))))
+                return original(first, *args)
+
+            monkeypatch.setattr(effect_audit, name, counted)
+        summary = summarize_spaces([compute_spaces(s) for s in corpus_studies])
+        report = audit(self.README_RECORDS, summary)
+        assert calls == [(name, 7) for name in order]
+        plot = build_pvalue_plot(self.README_RECORDS[:5])
+        dataclasses.replace(report, plot=plot)
+        assert calls[4:] == [(name, 5) for name in order if name != "hockey_stick_fit"]
+
+    def test_ns_records_checked_before_alpha(self):
+        # alpha without spaces once raised first; the plot is built first now.
+        records = [EffectRecord(study_id="ns1", not_significant_flag=True)]
+        with pytest.raises(NoPlottableRecordsError):
+            audit(records, alpha=0.01)
+
     def test_plot_p_values_are_read_only(self):
         report = audit([record_with_p(f"s{i}", 0.1 * (i + 1)) for i in range(7)])
         with pytest.raises(ValueError, match="read-only"):
@@ -1148,11 +1208,11 @@ class TestAudit:
         # Rebound, unranked p once gave a hockey-stick breakpoint of 2 with
         # left slope -0.8, and n = 3 a reference of 3 values for 6 points.
         ranked = [0.05, 0.1, 0.2, 0.5, 0.7, 0.9]
-        plot = PValuePlot(0, 6, np.array(ranked), list("abcdef"))
+        plot = PValuePlot(0, np.array(ranked), list("abcdef"))
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(plot, field, value)
         assert (plot.n, plot.study_ids, plot.p.tolist()) == (6, tuple("abcdef"), ranked)
-        assert PValuePlot(0, 0, np.array([])).study_ids == ()
+        assert PValuePlot(0, np.array([])).study_ids == ()
 
     def test_small_n_skips_hockey_and_flags_uniformity(self):
         records = [record_with_p(f"s{i}", 0.1 * (i + 1)) for i in range(4)]

@@ -52,7 +52,12 @@ from metaudit.fileio import (
     write_spaces_csv,
 )
 from metaudit.hacksim import SimConfig, run_simulation
-from metaudit.searchspace import SearchSpaceOverflowError, StudyCounts, compute_spaces
+from metaudit.searchspace import (
+    SearchSpaceOverflowError,
+    StudyCounts,
+    compute_spaces,
+    summarize_spaces,
+)
 from tests.conftest import CORPUS_NAMES, CORPUS_ROWS
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -324,6 +329,23 @@ class TestJsonSerialization:
         document = build_report_document(report, digests=[])
         first = json_dumps(document)
         assert json_dumps(json.loads(first)) == first
+
+
+    def test_report_space_summary_is_the_audited_one(self, corpus_studies):
+        # The summary was once passed twice, so multiplicity.m could disagree with it.
+        records = [record_from_statistic(f"s{i}", 0.3 * i, 0.1) for i in range(1, 8)]
+        spaces = [compute_spaces(s) for s in corpus_studies]
+        summary = summarize_spaces(spaces[:3])
+        document = build_report_document(audit(records, summary), [], (corpus_studies, spaces))
+        assert document["space_summary"] == fileio.space_summary_document(summary)
+        assert document["multiplicity"]["m"] == document["space_summary"]["space3"]["median"]
+        assert len(document["spaces"]) == len(corpus_studies)
+
+    def test_counts_without_the_report_spaces_rejected(self, corpus_studies):
+        records = [record_from_statistic(f"s{i}", 0.3 * i, 0.1) for i in range(1, 8)]
+        spaces = [compute_spaces(s) for s in corpus_studies]
+        with pytest.raises(ValueError, match="counts need a report audited with their space summary"):
+            build_report_document(audit(records), [], (corpus_studies, spaces))
 
 
 class TestWriters:
@@ -921,7 +943,7 @@ class TestJsonTableMatchesReference:
     def test_report_of_a_plot_without_study_ids_rejected(self):
         records = [record_from_statistic(f"s{i}", 0.3 * i, 0.1) for i in range(1, 8)]
         report = audit(records)
-        report = dataclasses.replace(report, plot=PValuePlot(0, report.plot.n, report.plot.p))
+        report = dataclasses.replace(report, plot=PValuePlot(0, report.plot.p))
         with pytest.raises(ValueError, match=r"\[0, 7, 7\]"):
             build_report_document(report, digests=[])
 

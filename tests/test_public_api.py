@@ -103,6 +103,7 @@ def _built_values():
         "HockeyStickFit": (report.hockey_stick, "breakpoint", 99),
         "MultiplicityReport": (report.multiplicity, "adjusted_alpha", 0.5),
         "AuditReport": (report, "bilinearity", None),
+        "PValuePlot": (report.plot, "excluded_ns_count", 5),
         "StudyCounts": (counts, "covariates", 50),
         "SearchSpace": (spaces, "space1", 1),
         "FiveNumberSummary": (summary.space1, "median", 0.0),
@@ -124,10 +125,12 @@ def test_a_built_value_cannot_be_rebound(name):
 STORED = {
     "SimResult": ("p", "estimate", "published", "config"),
     "SearchSpace": ("space1", "space2"),
+    "PValuePlot": ("excluded_ns_count", "p", "study_ids"),
 }
 COMPUTED = {
     "SimResult": ("replicate", "study", "publication_rate", "bias", "abs_bias", "mean_abs_estimate"),
     "SearchSpace": ("space3",),
+    "PValuePlot": ("n",),
 }
 
 
