@@ -127,7 +127,7 @@ def cmd_audit(args: argparse.Namespace) -> int:
     written = _write_outputs(args, [
         ("json", "report.json", fileio.write_report_json, document),
         ("csv", "plot_data.csv", fileio.write_plot_csv, report),
-        ("md", "report.md", fileio.write_report_markdown, document),
+        ("md", "report.md", fileio.write_report_markdown, report),
     ])
     _info(
         f"audit: {report.plot.n} p-values "

@@ -15,8 +15,9 @@ import functools
 import itertools
 import math
 import operator
-from collections.abc import Iterable, Sequence
+from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -258,16 +259,48 @@ class MultiplicityReport:
 
 
 @dataclass(frozen=True)
+class ReportSection:
+    """A row of ``AuditReport.SECTIONS``: ``compute(report)`` runs on a plot of at least
+    ``min_points`` points, and the section is None on a smaller one.  ``group`` is "tests"
+    or None (top level); ``note``, if any, joins the report's notes."""
+
+    name: str
+    group: str | None
+    min_points: int
+    compute: Callable[[AuditReport], object]
+    note: str | None = None
+
+
+@dataclass(frozen=True)
 class AuditReport:
     """The diagnostics of one p-value plot, computed from what the report stores.
 
     It stores ``plot``, ``spaces`` (a ``SpaceSummary`` or None) and ``alpha``
-    (None means 0.05), and builds the four sections from them: the tests the
-    plot has the points for and, given ``spaces``, the multiplicity report at
-    ``alpha``, corrected by the median space3.  So ``dataclasses.replace(report,
-    plot=other)`` is the report of ``other``.  ``alpha`` without ``spaces``
-    raises InputError.
+    (None means 0.05), and builds each section of ``SECTIONS``, in report
+    order, from them: the tests the plot has the points for and, given
+    ``spaces``, the multiplicity report at ``alpha``, corrected by the median
+    space3.  So ``dataclasses.replace(report, plot=other)`` is the report of
+    ``other``.  ``alpha`` without ``spaces`` raises InputError.
+
+    The JSON and markdown writers read ``SECTIONS`` too.  To add a section:
+    1. add its ``ReportSection`` to the table, "tests" sections first;
+    2. declare its typed ``init=False`` field at the same place;
+    3. regenerate, in that change, the goldens it changes (tests/golden/README.md).
+    Each ``compute`` calls its diagnostic by module name, so a patched name runs.
     """
+
+    SECTIONS: ClassVar[tuple[ReportSection, ...]] = (
+        ReportSection("uniformity", "tests", 0, lambda r: uniformity_test(r.plot)),
+        ReportSection("bilinearity", "tests", MIN_POINTS_BILINEARITY,
+                      lambda r: bilinearity_test(r.plot),
+                      "the bilinearity diagnostic is a reconstruction: ordinary least squares of "
+                      "sorted p-values on rank and rank squared, with a t test on the quadratic term."),
+        ReportSection("hockey_stick", "tests", MIN_POINTS_HOCKEY_STICK,
+                      lambda r: hockey_stick_fit(r.plot)),
+        ReportSection("multiplicity", None, 0, lambda r: None if r.spaces is None else (
+            multiplicity_report(r.plot.p, 0.05 if r.alpha is None else r.alpha,
+                                r.spaces.space3.median))),
+    )
 
     plot: PValuePlot
     spaces: SpaceSummary | None = None
@@ -285,16 +318,9 @@ class AuditReport:
             raise ValueError(f"spaces must be a SpaceSummary or None, got {type(spaces).__name__}")
         if alpha is not None and spaces is None:
             raise InputError("alpha sets the multiplicity threshold and needs spaces")
-        sections = {
-            "uniformity": uniformity_test(plot),
-            "bilinearity": bilinearity_test(plot) if plot.n >= MIN_POINTS_BILINEARITY else None,
-            "hockey_stick": hockey_stick_fit(plot) if plot.n >= MIN_POINTS_HOCKEY_STICK else None,
-            "multiplicity": None if spaces is None else multiplicity_report(
-                plot.p, 0.05 if alpha is None else alpha, spaces.space3.median
-            ),
-        }
-        for name, section in sections.items():
-            object.__setattr__(self, name, section)
+        for section in self.SECTIONS:
+            result = section.compute(self) if plot.n >= section.min_points else None
+            object.__setattr__(self, section.name, result)
 
 
 @functools.lru_cache(maxsize=64)

@@ -34,10 +34,16 @@ from pathlib import Path
 
 import numpy as np
 
-from metaudit.effect_audit import AuditReport, EffectRecord, EffectsTable
+from metaudit.effect_audit import (
+    AuditReport,
+    EffectRecord,
+    EffectsTable,
+    HockeyStickFit,
+    MultiplicityReport,
+)
 from metaudit.hacksim import SimConfig, SimResult
 from metaudit.searchspace import SearchSpace, SpaceSummary, StudyCounts
-from metaudit.statkernel import InputError
+from metaudit.statkernel import InputError, TestResult
 
 COUNTS_HEADER = ["study_id", "outcomes", "predictors", "lags", "covariates"]
 COUNTS_HEADER_NAMED = COUNTS_HEADER + ["covariate_names"]
@@ -542,9 +548,24 @@ def write_space_summary_json(path: str | Path, summary: SpaceSummary) -> None:
     write_text(path, json_dumps(space_summary_document(summary)))
 
 
-def _section(result) -> dict | None:
-    """A report section: the dataclass's fields in their declared order, or None."""
-    return None if result is None else asdict(result)
+def _pvalue_table(plot) -> JsonTable:
+    """The one ranked table: each plotted p-value with its study id and rank."""
+    return JsonTable((plot.study_ids, plot.p, range(1, plot.n + 1)), ("study_id", "p", "rank"))
+
+
+def _report_notes(report: AuditReport) -> list[str]:
+    """The conversion note, each section's note in table order, then the excluded count."""
+    notes = [
+        "p-values derive from reported ratio confidence intervals via the "
+        "log-scale normal approximation.",
+        *(section.note for section in report.SECTIONS if section.note),
+    ]
+    if report.plot.excluded_ns_count:
+        notes.append(
+            f"{report.plot.excluded_ns_count} records flagged not-significant "
+            "were excluded from the plot and all diagnostics."
+        )
+    return notes
 
 
 def build_report_document(
@@ -558,21 +579,10 @@ def build_report_document(
     summary is ``report.spaces``, the one the multiplicity report used, so
     counts without it raise ValueError.  ``pvalues`` is the one ranked table,
     a JsonTable over the plot's columns; a reader derives the reference
-    i/(n+1) from ``plot.n``.
+    i/(n+1) from ``plot.n``.  The sections follow ``report.SECTIONS``: the
+    "tests" group under ``tests``, then each top-level section.
     """
     plot = report.plot
-    notes = [
-        "p-values derive from reported ratio confidence intervals via the "
-        "log-scale normal approximation.",
-        "the bilinearity diagnostic is a reconstruction: ordinary least "
-        "squares of sorted p-values on rank and rank squared, with a t test "
-        "on the quadratic term.",
-    ]
-    if plot.excluded_ns_count:
-        notes.append(
-            f"{plot.excluded_ns_count} records flagged not-significant "
-            "were excluded from the plot and all diagnostics."
-        )
     spaces = space_summary = None
     if counts is not None:
         if report.spaces is None:
@@ -583,22 +593,20 @@ def build_report_document(
             for s, sp in zip(studies, study_spaces)
         ]
         space_summary = space_summary_document(report.spaces)
+    sections = {"tests": {}}  # each a dict of its dataclass's fields in order, or None
+    for section in report.SECTIONS:
+        result = getattr(report, section.name)
+        group = sections if section.group is None else sections[section.group]
+        group[section.name] = None if result is None else asdict(result)
     return {
         "schema": REPORT_SCHEMA,
         "inputs_digest": digests,
         "spaces": spaces,
         "space_summary": space_summary,
-        "pvalues": JsonTable(
-            (plot.study_ids, plot.p, range(1, plot.n + 1)), ("study_id", "p", "rank")
-        ),
+        "pvalues": _pvalue_table(plot),
         "plot": {"n": plot.n, "excluded_ns_count": plot.excluded_ns_count},
-        "tests": {
-            "uniformity": _section(report.uniformity),
-            "bilinearity": _section(report.bilinearity),
-            "hockey_stick": _section(report.hockey_stick),
-        },
-        "multiplicity": _section(report.multiplicity),
-        "notes": notes,
+        **sections,
+        "notes": _report_notes(report),
     }
 
 
@@ -623,52 +631,52 @@ def _fmt(value: float) -> str:
     return format(value, ".6g")
 
 
-def write_report_markdown(path: str | Path, document: dict) -> None:
-    """Render the report document as a human-readable markdown summary."""
-    lines = ["# Reliability audit", ""]
-    plot = document["plot"]
-    lines.append(
-        f"{plot['n']} usable p-values; {plot['excluded_ns_count']} "
-        "not-significant records excluded."
-    )
-    lines += ["", "## Ranked p-values", "", "| rank | study | p |", "| --- | --- | --- |"]
-    study_ids, p, ranks = document["pvalues"].columns
+# The markdown lines of a section, by its result type.
+_MARKDOWN_LINES = {
+    TestResult: lambda name, test: [
+        f"- {name} ({test.method}): statistic {_fmt(test.statistic)}, p {_fmt(test.p_value)}"
+        + (f" [{test.verdict}]" if test.verdict else "")
+    ],
+    HockeyStickFit: lambda name, fit: [
+        f"- {name}: breakpoint {fit.breakpoint}, left slope {_fmt(fit.left_slope)}, "
+        f"right slope {_fmt(fit.right_slope)}, SSE {_fmt(fit.sse)}"
+    ],
+    MultiplicityReport: lambda name, counts: [
+        f"- search-space correction factor m = {_fmt(counts.m)}",
+        f"- adjusted alpha = {_fmt(counts.adjusted_alpha)}",
+        f"- significant at alpha: {counts.n_significant_raw}",
+        f"- significant after adjustment: {counts.n_significant_adjusted}",
+    ],
+}
+
+
+def write_report_markdown(path: str | Path, report: AuditReport) -> None:
+    """Render the report as a human-readable markdown summary: each section of
+    ``report.SECTIONS`` in its result type's format, a "tests" section under
+    Diagnostics and a top-level one, unless None, under its own heading."""
+    plot = report.plot
+    lines = [
+        "# Reliability audit", "",
+        f"{plot.n} usable p-values; {plot.excluded_ns_count} not-significant records excluded.",
+        "", "## Ranked p-values", "", "| rank | study | p |", "| --- | --- | --- |",
+    ]
+    study_ids, p, ranks = _pvalue_table(plot).columns
     p_texts = map(format, p.tolist(), itertools.repeat(".6g"))
     columns = [list(map(str, ranks)), _markdown_cells(study_ids), p_texts]
     rows = _interleave(["| ", " | ", " | ", " |\n"], columns)
     rows[-1] = " |"
     lines.append("".join(rows))
     lines += ["", "## Diagnostics", ""]
-    for name in ("uniformity", "bilinearity", "hockey_stick"):
-        section = document["tests"][name]
-        if section is None:
-            lines.append(f"- {name}: not run (too few points)")
-        elif name == "hockey_stick":
-            lines.append(
-                f"- hockey_stick: breakpoint {section['breakpoint']}, "
-                f"left slope {_fmt(section['left_slope'])}, "
-                f"right slope {_fmt(section['right_slope'])}, "
-                f"SSE {_fmt(section['sse'])}"
-            )
-        else:
-            verdict = f" [{section['verdict']}]" if section["verdict"] else ""
-            lines.append(
-                f"- {name} ({section['method']}): statistic "
-                f"{_fmt(section['statistic'])}, p {_fmt(section['p_value'])}{verdict}"
-            )
-    multiplicity = document["multiplicity"]
-    if multiplicity is not None:
-        lines += [
-            "",
-            "## Multiplicity",
-            "",
-            f"- search-space correction factor m = {_fmt(multiplicity['m'])}",
-            f"- adjusted alpha = {_fmt(multiplicity['adjusted_alpha'])}",
-            f"- significant at alpha: {multiplicity['n_significant_raw']}",
-            f"- significant after adjustment: {multiplicity['n_significant_adjusted']}",
-        ]
+    for section in report.SECTIONS:  # the "tests" group first
+        result = getattr(report, section.name)
+        if result is not None and section.group is None:
+            lines += ["", f"## {section.name.replace('_', ' ').capitalize()}", ""]
+        if result is not None:
+            lines += _MARKDOWN_LINES[type(result)](section.name, result)
+        elif section.group is not None:
+            lines.append(f"- {section.name}: not run (too few points)")
     lines += ["", "## Notes", ""]
-    lines += [f"- {note}" for note in document["notes"]]
+    lines += [f"- {note}" for note in _report_notes(report)]
     write_text(path, "\n".join(lines) + "\n")
 
 

@@ -164,6 +164,13 @@ class TestCmdAudit:
         assert document["tests"]["uniformity"]["verdict"] == "insufficient data"
         assert document["tests"]["bilinearity"] is None
         assert document["tests"]["hockey_stick"] is None
+        lines = (outdir / "report.md").read_text(encoding="utf-8").splitlines()
+        assert next(line for line in lines if line.startswith("- uniformity ")).endswith(
+            "[insufficient data]"
+        )
+        assert "- bilinearity: not run (too few points)" in lines
+        assert "- hockey_stick: not run (too few points)" in lines
+        assert "## Multiplicity" not in lines
 
     @pytest.mark.parametrize("command", ["audit", "space"])
     def test_oversized_cell_exits_2(self, tmp_path, capsys, command):
@@ -303,6 +310,15 @@ class TestCmdAudit:
         effects = GOLDEN_DIR / "ties" / "effects.csv"
         assert main(["audit", "--input", str(effects), "--counts", COUNTS, "--output", str(outdir)]) == 0
         assert (outdir / name).read_bytes() == (GOLDEN_DIR / "ties" / name).read_bytes()
+
+    @pytest.mark.parametrize("name", ["report.json", "plot_data.csv", "report.md"])
+    def test_small_input_matches_golden_bytes(self, tmp_path, name):
+        # Four points: uniformity's verdict is "insufficient data", bilinearity
+        # runs at its minimum and hockey_stick is not run; one ns row.
+        outdir = tmp_path / "audit"
+        effects = GOLDEN_DIR / "tiny" / "effects.csv"
+        assert main(["audit", "--input", str(effects), "--counts", COUNTS, "--output", str(outdir)]) == 0
+        assert (outdir / name).read_bytes() == (GOLDEN_DIR / "tiny" / name).read_bytes()
 
     @pytest.mark.parametrize("name", ["report.json", "plot_data.csv", "report.md"])
     def test_simulated_effects_match_golden_bytes(self, tmp_path, name):

@@ -16,6 +16,7 @@ import math
 import re
 from json.encoder import encode_basestring
 from pathlib import Path
+from typing import ClassVar
 
 import numpy as np
 import pytest
@@ -24,10 +25,13 @@ from hypothesis import strategies as st
 
 from metaudit import cli, fileio
 from metaudit.effect_audit import (
+    AuditReport,
     EffectRecord,
     EffectsTable,
     PValuePlot,
+    ReportSection,
     audit,
+    build_pvalue_plot,
     effects_from_statistics,
     record_from_statistic,
 )
@@ -47,6 +51,7 @@ from metaudit.fileio import (
     read_effects_csv,
     write_effects_csv,
     write_plot_csv,
+    write_report_json,
     write_report_markdown,
     write_sim_csv,
     write_spaces_csv,
@@ -58,6 +63,7 @@ from metaudit.searchspace import (
     compute_spaces,
     summarize_spaces,
 )
+from metaudit.statkernel import TestResult as Result  # a Test* name would be collected
 from tests.conftest import CORPUS_NAMES, CORPUS_ROWS
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -396,9 +402,8 @@ class TestWriters:
     def test_markdown_report_sections(self, tmp_path):
         records = [record_from_statistic(f"s{i:02d}", 0.4 * i, 0.1) for i in range(1, 8)]
         report = audit(records)
-        document = build_report_document(report, digests=[])
         path = tmp_path / "report.md"
-        write_report_markdown(path, document)
+        write_report_markdown(path, report)
         text = path.read_text(encoding="utf-8")
         assert "# Reliability audit" in text
         assert "## Diagnostics" in text
@@ -441,6 +446,82 @@ class TestWriters:
         path.write_text("stable contents\n", encoding="utf-8")
         assert file_digest(path) == file_digest(path)
         assert len(file_digest(path)["sha256"]) == 64
+
+
+# --- One table of report sections ----------------------------------------------
+
+# A throwaway section: the share of p-values below 0.05, with a note.
+EXTRA = ReportSection(
+    "low_share", None, 3,
+    lambda r: Result(float((r.plot.p < 0.05).mean()), 1.0, method="low-share"),
+    note="low_share is a throwaway section.",
+)
+
+
+@dataclasses.dataclass(frozen=True)
+class ReportWithExtra(AuditReport):
+    """AuditReport with EXTRA after its top-level sections: one entry plus its field."""
+
+    SECTIONS: ClassVar = (*AuditReport.SECTIONS, EXTRA)
+    low_share: Result | None = dataclasses.field(init=False)
+
+
+@dataclasses.dataclass(frozen=True)
+class ReportWithExtraInTests(AuditReport):
+    """AuditReport with EXTRA in the "tests" group, after hockey_stick."""
+
+    SECTIONS: ClassVar = (
+        *AuditReport.SECTIONS[:3], dataclasses.replace(EXTRA, group="tests"), AuditReport.SECTIONS[3]
+    )
+    low_share: Result | None = dataclasses.field(init=False)
+
+
+def section_keys(document: dict) -> list[str]:
+    """The report document's tests keys, then its top-level section keys."""
+    keys = list(document)
+    return [*document["tests"], *keys[keys.index("tests") + 1 : keys.index("notes")]]
+
+
+class TestReportSectionTable:
+    RECORDS = [record_from_statistic(f"s{i}", 0.3 * i, 0.1) for i in range(1, 8)]
+
+    def test_the_table_names_the_fields_and_the_document_keys(self, corpus_studies):
+        names = [section.name for section in AuditReport.SECTIONS]
+        assert names == ["uniformity", "bilinearity", "hockey_stick", "multiplicity"]
+        assert names == [f.name for f in dataclasses.fields(AuditReport) if not f.init]
+        summary = summarize_spaces([compute_spaces(s) for s in corpus_studies])
+        for spaces in (None, summary):
+            document = build_report_document(audit(self.RECORDS, spaces), digests=[])
+            assert section_keys(document) == names
+
+    @pytest.mark.parametrize("cls", [ReportWithExtra, ReportWithExtraInTests])
+    def test_a_new_section_is_one_entry_and_its_field(self, tmp_path, cls):
+        report = cls(build_pvalue_plot(self.RECORDS))
+        assert report.low_share == Result(1 / 7, 1.0, method="low-share")
+        document = build_report_document(report, digests=[])
+        write_report_json(tmp_path / "report.json", document)
+        write_report_markdown(tmp_path / "report.md", report)
+        written = json.loads((tmp_path / "report.json").read_text(encoding="utf-8"))
+        assert section_keys(written) == [section.name for section in cls.SECTIONS]
+        group = written["tests"] if cls is ReportWithExtraInTests else written
+        assert group["low_share"] == dataclasses.asdict(report.low_share)
+        assert written["notes"][1:] == [AuditReport.SECTIONS[1].note, EXTRA.note]
+        lines = (tmp_path / "report.md").read_text(encoding="utf-8").splitlines()
+        line = "- low_share (low-share): statistic 0.142857, p 1"
+        if cls is ReportWithExtra:
+            assert lines[lines.index("## Low share") :][:3] == ["## Low share", "", line]
+        else:
+            hockey_stick = next(i for i, text in enumerate(lines) if text.startswith("- hockey_stick:"))
+            assert lines[hockey_stick + 1] == line
+        assert f"- {EXTRA.note}" in lines
+        # Below its size gate the section is None: absent from the markdown
+        # at top level, "not run" in the tests group.
+        small = cls(build_pvalue_plot(self.RECORDS[:2]))
+        assert small.low_share is None
+        write_report_markdown(tmp_path / "small.md", small)
+        text = (tmp_path / "small.md").read_text(encoding="utf-8")
+        assert ("- low_share: not run (too few points)" in text) is (cls is ReportWithExtraInTests)
+        assert "low-share" not in text and "## Low share" not in text
 
 
 # --- Byte-order mark, quoted cells and the CSV writers' quoting ----------------
