@@ -26,14 +26,7 @@ from metaudit.effect_audit import (
     effects_from_statistics,
 )
 from metaudit.hacksim import SELECTION_RULES, SimConfig, SimResult, run_simulation
-from metaudit.searchspace import (
-    SearchSpace,
-    SearchSpaceOverflowError,
-    SpaceSummary,
-    StudyCounts,
-    compute_spaces,
-    summarize_spaces,
-)
+from metaudit.searchspace import SearchSpaceOverflowError, compute_spaces, summarize_spaces
 from metaudit.statkernel import InputError
 from metaudit.svgplot import render_pvalue_plot
 
@@ -78,13 +71,6 @@ class _WarningLines(logging.Handler):
 logging.getLogger("metaudit").addHandler(_WarningLines(logging.WARNING))
 
 
-def _read_spaces(path: str) -> tuple[list[StudyCounts], list[SearchSpace], SpaceSummary]:
-    """The studies of a counts CSV, their search spaces and the spaces' summary."""
-    studies = fileio.read_counts_csv(path)
-    spaces = [compute_spaces(s) for s in studies]
-    return studies, spaces, summarize_spaces(spaces)
-
-
 def _write_outputs(args: argparse.Namespace, outputs: list[tuple]) -> list[str]:
     """Make the output directory, then call ``writer(path, *data)`` for each
     ``(format, file name, writer, *data)`` that ``--format`` selects, in order.
@@ -102,7 +88,9 @@ def _write_outputs(args: argparse.Namespace, outputs: list[tuple]) -> list[str]:
 
 
 def cmd_space(args: argparse.Namespace) -> int:
-    studies, spaces, summary = _read_spaces(args.input)
+    studies = fileio.read_counts_csv(args.input)
+    spaces = [compute_spaces(s) for s in studies]
+    summary = summarize_spaces(spaces)
     written = _write_outputs(args, [
         ("csv", "spaces.csv", fileio.write_spaces_csv, studies, spaces),
         ("json", "space_summary.json", fileio.write_space_summary_json, summary),
@@ -115,15 +103,11 @@ def cmd_space(args: argparse.Namespace) -> int:
 def cmd_audit(args: argparse.Namespace) -> int:
     if args.alpha is not None and not args.counts:
         raise InputError("--alpha sets the multiplicity threshold and needs --counts")
-    table = fileio.read_effects_csv(args.input)
-    digests = [fileio.file_digest(args.input)]
-    counts = summary = None
-    if args.counts:
-        studies, spaces, summary = _read_spaces(args.counts)
-        counts = (studies, spaces)
-        digests.append(fileio.file_digest(args.counts))
-    report = audit(table, spaces=summary, alpha=args.alpha)
-    document = fileio.build_report_document(report, digests, counts)
+    digests: list[dict] = []  # of the bytes each reader parsed
+    table = fileio.read_effects_csv(args.input, digests=digests)
+    counts = fileio.read_counts_csv(args.counts, digests=digests) if args.counts else None
+    report = audit(table, counts, args.alpha)
+    document = fileio.build_report_document(report, digests)
     written = _write_outputs(args, [
         ("json", "report.json", fileio.write_report_json, document),
         ("csv", "plot_data.csv", fileio.write_plot_csv, report),

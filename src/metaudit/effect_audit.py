@@ -21,7 +21,13 @@ from typing import ClassVar
 
 import numpy as np
 
-from metaudit.searchspace import SpaceSummary
+from metaudit.searchspace import (
+    SearchSpace,
+    SpaceSummary,
+    StudyCounts,
+    compute_spaces,
+    summarize_spaces,
+)
 from metaudit.statkernel import (
     _SQRT_HALF,
     InputError,
@@ -275,12 +281,14 @@ class ReportSection:
 class AuditReport:
     """The diagnostics of one p-value plot, computed from what the report stores.
 
-    It stores ``plot``, ``spaces`` (a ``SpaceSummary`` or None) and ``alpha``
-    (None means 0.05), and builds each section of ``SECTIONS``, in report
-    order, from them: the tests the plot has the points for and, given
-    ``spaces``, the multiplicity report at ``alpha``, corrected by the median
+    It stores ``plot``, ``counts`` (a tuple of ``StudyCounts``, or None) and
+    ``alpha`` (None means 0.05).  When built, it computes the studies'
+    ``spaces`` and ``space_summary`` once, then each section of ``SECTIONS``,
+    in report order: the tests the plot has the points for and, given
+    ``counts``, the multiplicity report at ``alpha``, corrected by the median
     space3.  So ``dataclasses.replace(report, plot=other)`` is the report of
-    ``other``.  ``alpha`` without ``spaces`` raises InputError.
+    ``other``, and likewise for ``counts``.  ``alpha`` without ``counts``
+    raises InputError.
 
     The JSON and markdown writers read ``SECTIONS`` too.  To add a section:
     1. add its ``ReportSection`` to the table, "tests" sections first;
@@ -297,13 +305,13 @@ class AuditReport:
                       "sorted p-values on rank and rank squared, with a t test on the quadratic term."),
         ReportSection("hockey_stick", "tests", MIN_POINTS_HOCKEY_STICK,
                       lambda r: hockey_stick_fit(r.plot)),
-        ReportSection("multiplicity", None, 0, lambda r: None if r.spaces is None else (
+        ReportSection("multiplicity", None, 0, lambda r: None if r.counts is None else (
             multiplicity_report(r.plot.p, 0.05 if r.alpha is None else r.alpha,
-                                r.spaces.space3.median))),
+                                r.space_summary.space3.median))),
     )
 
     plot: PValuePlot
-    spaces: SpaceSummary | None = None
+    counts: tuple[StudyCounts, ...] | None = None
     alpha: float | None = None
     uniformity: TestResult = dataclasses.field(init=False)
     bilinearity: TestResult | None = dataclasses.field(init=False)
@@ -311,16 +319,28 @@ class AuditReport:
     multiplicity: MultiplicityReport | None = dataclasses.field(init=False)
 
     def __post_init__(self) -> None:
-        plot, spaces, alpha = self.plot, self.spaces, self.alpha
+        plot, counts = self.plot, self.counts
         if not isinstance(plot, PValuePlot):
             raise ValueError(f"plot must be a PValuePlot, got {type(plot).__name__}")
-        if spaces is not None and not isinstance(spaces, SpaceSummary):
-            raise ValueError(f"spaces must be a SpaceSummary or None, got {type(spaces).__name__}")
-        if alpha is not None and spaces is None:
-            raise InputError("alpha sets the multiplicity threshold and needs spaces")
+        if counts is not None:
+            if not isinstance(counts, (list, tuple)) or not counts or not all(
+                    isinstance(study, StudyCounts) for study in counts):
+                raise ValueError("counts must be a nonempty list or tuple of StudyCounts or None")
+            object.__setattr__(self, "counts", tuple(counts))
+        elif self.alpha is not None:
+            raise InputError("alpha sets the multiplicity threshold and needs counts")
+        self.space_summary  # the spaces and their summary, before any section
         for section in self.SECTIONS:
             result = section.compute(self) if plot.n >= section.min_points else None
             object.__setattr__(self, section.name, result)
+
+    @functools.cached_property
+    def spaces(self) -> tuple[SearchSpace, ...] | None:
+        return None if self.counts is None else tuple(map(compute_spaces, self.counts))
+
+    @functools.cached_property
+    def space_summary(self) -> SpaceSummary | None:
+        return None if self.spaces is None else summarize_spaces(self.spaces)
 
 
 @functools.lru_cache(maxsize=64)
@@ -728,14 +748,14 @@ def multiplicity_report(
 
 def audit(
     records: Sequence[EffectRecord],
-    spaces: SpaceSummary | None = None,
+    counts: Sequence[StudyCounts] | None = None,
     alpha: float | None = None,
 ) -> AuditReport:
     """The ``AuditReport`` of the p-value plot of ``records``.
 
     ``records`` may be an ``EffectsTable``.  Converts every non-flagged
     record to a p-value and builds the plot; the report runs the
-    diagnostics on it, and the multiplicity report when ``spaces`` is
-    given, at threshold ``alpha`` (default 0.05).
+    diagnostics on it, and the multiplicity report when the studies'
+    ``counts`` are given, at threshold ``alpha`` (default 0.05).
     """
-    return AuditReport(build_pvalue_plot(records), spaces, alpha)
+    return AuditReport(build_pvalue_plot(records), counts, alpha)

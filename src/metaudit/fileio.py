@@ -77,12 +77,16 @@ class ParseError(InputError):
         super().__init__(f"{message}{suffix}")
 
 
-def _read_text(path: str | Path, newline: str | None) -> io.TextIOWrapper:
+def _read_text(
+    path: str | Path, newline: str | None, digests: list[dict] | None = None
+) -> io.TextIOWrapper:
     """The text of ``path``, UTF-8 with or without a byte-order mark, as a stream with
     ``open``'s ``newline`` meaning; bytes that are not UTF-8 raise ParseError.
 
-    The bytes are decoded whole once, only to check them; the stream decodes
-    them again, a chunk at a time, so the whole text is never held as a str.
+    The file is read once, and its bytes are decoded whole once, only to check
+    them; the stream decodes them again, a chunk at a time, so the whole text is
+    never held as a str.  ``digests``, if given, gets the basename (a report must
+    not depend on the working directory) and the SHA-256 of those bytes.
     """
     with open(path, "rb") as handle:
         data = handle.read()
@@ -93,12 +97,14 @@ def _read_text(path: str | Path, newline: str | None) -> io.TextIOWrapper:
         before = data[: exc.start].decode("utf-8") + "?"  # "?" in place of the bad byte
         row = len(io.StringIO(before, newline=newline).readlines())  # the bad byte's line
         raise ParseError(f"{path}: {exc}", row=row) from None
+    if digests is not None:
+        digests.append({"name": Path(path).name, "sha256": hashlib.sha256(data).hexdigest()})
     return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8-sig", newline=newline)
 
 
 def _read_csv(
     path: Path, headers: list[list[str]], expected: list[str], rows_name: str,
-    parse: Callable[[list[str], list[int], list[list[str]]], _T],
+    parse: Callable[[list[str], list[int], list[list[str]]], _T], digests: list[dict] | None,
 ) -> _T:
     """``parse(header, lines, rows)``: the matched entry of ``headers``, and the
     first line and cells of each record after it.
@@ -127,7 +133,7 @@ def _read_csv(
     rows: list[list[str]] = []
     error = None
     try:
-        for cells in csv.reader(record_lines(_read_text(path, ""))):
+        for cells in csv.reader(record_lines(_read_text(path, "", digests))):
             lines.append(first_line)
             rows.append(cells)
             first_line = 0
@@ -175,8 +181,9 @@ def _parse_int(cell: str, row: int, column: str) -> int:
         raise ParseError(f"expected an integer, got {cell!r}", row=row, column=column) from None
 
 
-def read_counts_csv(path: str | Path) -> list[StudyCounts]:
-    """Parse a study-counts CSV into StudyCounts rows.
+def read_counts_csv(path: str | Path, *, digests: list[dict] | None = None) -> list[StudyCounts]:
+    """Parse a study-counts CSV into StudyCounts rows; given ``digests``,
+    append the name and SHA-256 of the bytes parsed.
 
     Header is matched case-insensitively; the trailing covariate_names
     column is optional and holds a semicolon-separated name list.  Lines
@@ -201,7 +208,7 @@ def read_counts_csv(path: str | Path) -> list[StudyCounts]:
         return studies
 
     headers = [COUNTS_HEADER_NAMED, COUNTS_HEADER]
-    return _read_csv(Path(path), headers, COUNTS_HEADER, "study", parse)
+    return _read_csv(Path(path), headers, COUNTS_HEADER, "study", parse, digests)
 
 
 def _floats(cells: Sequence[str]) -> tuple[list[float], int | None]:
@@ -286,8 +293,9 @@ def _effects_columns(header: list[str], lines: list[int], cells: list[list[str]]
     return table
 
 
-def read_effects_csv(path: str | Path) -> EffectsTable:
-    """Parse an effects CSV into an EffectsTable, a sequence of EffectRecords.
+def read_effects_csv(path: str | Path, *, digests: list[dict] | None = None) -> EffectsTable:
+    """Parse an effects CSV into an EffectsTable, a sequence of EffectRecords;
+    given ``digests``, append the name and SHA-256 of the bytes parsed.
 
     The level column is optional (default 0.95) and may be left empty per
     row; rows with ns=1 may leave all numeric fields empty.  A malformed
@@ -296,7 +304,7 @@ def read_effects_csv(path: str | Path) -> EffectsTable:
     parse; a bad row before an unreadable record comes first.
     """
     headers = [EFFECTS_HEADER, EFFECTS_HEADER_NO_LEVEL]
-    return _read_csv(Path(path), headers, EFFECTS_HEADER, "effect", _effects_columns)
+    return _read_csv(Path(path), headers, EFFECTS_HEADER, "effect", _effects_columns, digests)
 
 
 _BOOLEANS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
@@ -454,13 +462,6 @@ def _write_chunked(
             handle.write("".join(lines(start, min(start + _CHUNK_ROWS, n_rows))))
 
 
-def file_digest(path: str | Path) -> dict:
-    # Record the basename, not the full path, so reports stay byte-identical
-    # when the same inputs are audited from a different working directory.
-    data = Path(path).read_bytes()
-    return {"name": Path(path).name, "sha256": hashlib.sha256(data).hexdigest()}
-
-
 def _needs_quotes(text: str) -> bool:
     return "," in text or '"' in text or "\r" in text or "\n" in text
 
@@ -550,6 +551,8 @@ def write_space_summary_json(path: str | Path, summary: SpaceSummary) -> None:
 
 def _pvalue_table(plot) -> JsonTable:
     """The one ranked table: each plotted p-value with its study id and rank."""
+    if len(plot.study_ids) != plot.n:
+        raise ValueError("the plot has no study ids, and a report names each p-value's study")
     return JsonTable((plot.study_ids, plot.p, range(1, plot.n + 1)), ("study_id", "p", "rank"))
 
 
@@ -568,31 +571,23 @@ def _report_notes(report: AuditReport) -> list[str]:
     return notes
 
 
-def build_report_document(
-    report: AuditReport,
-    digests: list[dict],
-    counts: tuple[list[StudyCounts], list[SearchSpace]] | None = None,
-) -> dict:
+def build_report_document(report: AuditReport, digests: list[dict]) -> dict:
     """Assemble the schema-versioned report JSON document.
 
-    ``counts`` is the ``(studies, spaces)`` of a counts file, or None; its
-    summary is ``report.spaces``, the one the multiplicity report used, so
-    counts without it raise ValueError.  ``pvalues`` is the one ranked table,
-    a JsonTable over the plot's columns; a reader derives the reference
-    i/(n+1) from ``plot.n``.  The sections follow ``report.SECTIONS``: the
-    "tests" group under ``tests``, then each top-level section.
+    ``spaces`` and ``space_summary`` are the report's, or None without
+    counts.  ``pvalues`` is the one ranked table, a JsonTable over the plot's
+    columns; a reader derives the reference i/(n+1) from ``plot.n``.  The
+    sections follow ``report.SECTIONS``: the "tests" group under ``tests``,
+    then each top-level section.
     """
     plot = report.plot
     spaces = space_summary = None
-    if counts is not None:
-        if report.spaces is None:
-            raise ValueError("counts need a report audited with their space summary")
-        studies, study_spaces = counts
+    if report.counts is not None:
         spaces = [
             {"study_id": s.study_id, "space1": sp.space1, "space2": sp.space2, "space3": sp.space3}
-            for s, sp in zip(studies, study_spaces)
+            for s, sp in zip(report.counts, report.spaces)
         ]
-        space_summary = space_summary_document(report.spaces)
+        space_summary = space_summary_document(report.space_summary)
     sections = {"tests": {}}  # each a dict of its dataclass's fields in order, or None
     for section in report.SECTIONS:
         result = getattr(report, section.name)

@@ -3,6 +3,8 @@
 import argparse
 import csv
 import dataclasses
+import functools
+import hashlib
 import io
 import json
 import subprocess
@@ -28,6 +30,30 @@ from tests.conftest import CORPUS_ROWS, CORPUS_SUMMARY
 GOLDEN_DIR = Path(__file__).parent / "golden"
 COUNTS = str(bundled_data_path("nawrot_counts.csv"))
 EFFECTS = str(bundled_data_path("example_effects.csv"))
+
+
+_OPEN_LOGS: list[list[str]] = []  # the log of the running test, while one runs
+
+
+def _log_open(event: str, args: tuple) -> None:
+    if event == "open" and _OPEN_LOGS:
+        _OPEN_LOGS[-1].append(str(args[0]))
+
+
+@functools.cache
+def _add_open_hook() -> None:
+    sys.addaudithook(_log_open)
+
+
+@pytest.fixture
+def opened():
+    """The path of each file the process opens during the test, however it is
+    opened: an audit hook, added once per process, sees every open."""
+    _add_open_hook()
+    log: list[str] = []
+    _OPEN_LOGS.append(log)
+    yield log
+    _OPEN_LOGS.remove(log)
 
 
 def run_space(tmp_path, *extra):
@@ -383,6 +409,73 @@ class TestCmdAudit:
         assert main(["audit", "--input", str(effects), "--output", str(outdir)]) == 0
         document = json.loads((outdir / "report.json").read_text(encoding="utf-8"))
         assert document["plot"]["n"] == 2
+
+    def test_each_input_is_opened_once(self, tmp_path, opened):
+        # The reader and then the digest once each opened both inputs.
+        argv = ["audit", "--input", EFFECTS, "--counts", COUNTS, "--output", str(tmp_path / "a")]
+        assert main(argv) == 0
+        assert [opened.count(path) for path in (EFFECTS, COUNTS)] == [1, 1]
+
+    def test_digest_names_the_bytes_parsed(self, tmp_path, monkeypatch):
+        # The digest once came from a second read, which saw the edited bytes.
+        originals = {name: Path(path).read_bytes() for name, path in [
+            ("effects.csv", EFFECTS), ("counts.csv", COUNTS)]}
+        for run in ("edited", "plain"):
+            (tmp_path / run).mkdir()
+            for name, data in originals.items():
+                (tmp_path / run / name).write_bytes(data)
+        real_open = open
+
+        def open_then_edit(file, mode="r", *args, **kwargs):
+            """Hands the reader an input's bytes, then appends a comment line to the file."""
+            if mode != "rb" or Path(file).parent != tmp_path / "edited":
+                return real_open(file, mode, *args, **kwargs)
+            with real_open(file, "rb") as handle:
+                data = handle.read()
+            with real_open(file, "ab") as handle:
+                handle.write(b"# edited after the read\n")
+            return io.BytesIO(data)
+
+        digests = {}
+        for run in ("edited", "plain"):
+            with monkeypatch.context() as patch:
+                if run == "edited":
+                    patch.setattr(fileio, "open", open_then_edit, raising=False)
+                inputs = ["--input", str(tmp_path / run / "effects.csv"),
+                          "--counts", str(tmp_path / run / "counts.csv")]
+                assert main(["audit", *inputs, "--output", str(tmp_path / run / "out")]) == 0
+            report = (tmp_path / run / "out" / "report.json").read_text(encoding="utf-8")
+            digests[run] = json.loads(report)["inputs_digest"]
+        assert (tmp_path / "edited" / "effects.csv").read_bytes() != originals["effects.csv"]
+        assert digests["edited"] == digests["plain"] == [
+            {"name": name, "sha256": hashlib.sha256(data).hexdigest()}
+            for name, data in originals.items()
+        ]
+        assert all(len(d["sha256"]) == 64 for d in digests["plain"])
+
+    # The one study's space3, 5 * 2^62, is past 64 bits; its covariates are not.
+    OVERFLOWING_COUNTS = "study_id,outcomes,predictors,lags,covariates\nbig,5,1,1,62\n"
+
+    def test_all_ns_effects_exit_4_before_the_counts_overflow(self, tmp_path, capsys):
+        # The spaces were once computed before the plot was built, so this exited 3.
+        effects, counts = tmp_path / "ns.csv", tmp_path / "big.csv"
+        effects.write_text(
+            "study_id,label,ratio,ci_low,ci_high,level,ns\nns1,x,,,,0.95,1\n", encoding="utf-8"
+        )
+        counts.write_text(self.OVERFLOWING_COUNTS, encoding="utf-8")
+        outdir = tmp_path / "o"
+        argv = ["audit", "--input", str(effects), "--counts", str(counts), "--output", str(outdir)]
+        assert main(argv) == 4
+        assert "not-significant" in capsys.readouterr().err
+        assert not outdir.exists()
+
+    def test_overflowing_counts_exit_3_naming_the_study(self, tmp_path, capsys):
+        counts = tmp_path / "big.csv"
+        counts.write_text(self.OVERFLOWING_COUNTS, encoding="utf-8")
+        outdir = tmp_path / "o"
+        assert main(["audit", "--input", EFFECTS, "--counts", str(counts), "--output", str(outdir)]) == 3
+        assert "search space overflow for study 'big'" in capsys.readouterr().err
+        assert not outdir.exists()
 
 
 class TestCmdPlot:

@@ -1110,27 +1110,25 @@ class TestAudit:
         assert report.hockey_stick.breakpoint == 7
 
     def test_spaces_drive_multiplicity(self, corpus_studies):
-        summary = summarize_spaces([compute_spaces(s) for s in corpus_studies])
         records = [record_with_p(f"s{i:02d}", (i + 1) / 15) for i in range(14)]
-        report = audit(records, spaces=summary)
+        report = audit(records, counts=corpus_studies)
         assert report.multiplicity is not None
         assert report.multiplicity.m == pytest.approx(6784.0)
         assert report.multiplicity.adjusted_alpha == pytest.approx(0.05 / 6784)
-        at_alpha = audit(records, spaces=summary, alpha=0.001).multiplicity
+        at_alpha = audit(records, counts=corpus_studies, alpha=0.001).multiplicity
         assert (at_alpha.alpha, at_alpha.adjusted_alpha) == (0.001, 0.001 / at_alpha.m)
 
     def test_a_str_alpha_is_a_value_error(self, corpus_studies):
         # It once escaped as a bare TypeError.
-        summary = summarize_spaces([compute_spaces(s) for s in corpus_studies])
         records = [record_with_p(f"s{i:02d}", (i + 1) / 15) for i in range(14)]
         with pytest.raises(ValueError, match="^alpha must be a real number, got '0.05'$"):
-            audit(records, spaces=summary, alpha="0.05")
+            audit(records, counts=corpus_studies, alpha="0.05")
 
     def test_alpha_without_spaces_rejected(self):
-        # alpha sets only the multiplicity threshold; without spaces it was
-        # once dropped, and the report was that of the default.
+        # alpha sets only the multiplicity threshold; without counts (once
+        # spaces) it was once dropped, and the report was that of the default.
         records = [record_with_p(f"s{i:02d}", (i + 1) / 15) for i in range(14)]
-        with pytest.raises(InputError, match="alpha sets the multiplicity threshold and needs spaces"):
+        with pytest.raises(InputError, match="alpha sets the multiplicity threshold and needs counts"):
             audit(records, alpha=0.001)
 
     # The README's seven records, and seven whose p-values sit near 1.
@@ -1139,16 +1137,45 @@ class TestAudit:
 
     def test_a_copy_with_another_plot_reports_on_that_plot(self, corpus_studies):
         # The copy once kept the old sections: KS p 0.301 and breakpoint 4.
-        summary = summarize_spaces([compute_spaces(s) for s in corpus_studies])
-        report = audit(self.README_RECORDS, summary, 0.01)
+        report = audit(self.README_RECORDS, corpus_studies, 0.01)
         other = build_pvalue_plot(self.NEAR_NULL_RECORDS)
         copy = dataclasses.replace(report, plot=other)
-        expected = audit(self.NEAR_NULL_RECORDS, summary, 0.01)
+        expected = audit(self.NEAR_NULL_RECORDS, corpus_studies, 0.01)
         for name in ("uniformity", "bilinearity", "hockey_stick", "multiplicity"):
             assert getattr(copy, name) == getattr(expected, name), name
         assert f"{copy.uniformity.p_value:.2g}" == "0.00049"
         assert copy.hockey_stick.breakpoint == 3
         assert report.hockey_stick.breakpoint == 4
+
+    def test_a_copy_with_other_counts_reports_on_those_counts(self, corpus_studies):
+        report = audit(self.README_RECORDS, corpus_studies)
+        studies = corpus_studies[:3]
+        copy = dataclasses.replace(report, counts=studies)
+        expected = audit(self.README_RECORDS, studies)
+        assert copy.counts == tuple(studies)
+        assert copy.spaces == tuple(map(compute_spaces, studies)) == expected.spaces
+        assert copy.space_summary == summarize_spaces(list(copy.spaces)) == expected.space_summary
+        assert copy.multiplicity == expected.multiplicity != report.multiplicity
+        assert copy.multiplicity.m == copy.space_summary.space3.median
+        plain = dataclasses.replace(report, counts=None)
+        assert (plain.spaces, plain.space_summary, plain.multiplicity) == (None, None, None)
+
+    def test_spaces_are_computed_once_before_the_sections(self, monkeypatch, corpus_studies):
+        calls = []
+        for name in ("compute_spaces", "summarize_spaces", "uniformity_test"):
+            original = getattr(effect_audit, name)
+
+            def counted(*args, name=name, original=original):
+                calls.append(name)
+                return original(*args)
+
+            monkeypatch.setattr(effect_audit, name, counted)
+        report = audit(self.README_RECORDS, corpus_studies)
+        expected = ["compute_spaces"] * len(corpus_studies) + ["summarize_spaces", "uniformity_test"]
+        assert calls == expected
+        assert len(report.spaces) == len(corpus_studies)
+        assert report.space_summary.space3.median == report.multiplicity.m
+        assert calls == expected
 
     def test_a_section_cannot_be_given(self):
         report = audit(self.README_RECORDS)
@@ -1158,18 +1185,20 @@ class TestAudit:
         with pytest.raises(TypeError, match="uniformity"):
             AuditReport(report.plot, uniformity=other)
         assert [f.name for f in dataclasses.fields(AuditReport) if f.init] == [
-            "plot", "spaces", "alpha",
+            "plot", "counts", "alpha",
         ]
 
     def test_a_report_checks_what_it_is_given(self, corpus_studies):
         plot = build_pvalue_plot(self.README_RECORDS)
-        with pytest.raises(InputError, match="alpha sets the multiplicity threshold and needs spaces"):
+        with pytest.raises(InputError, match="alpha sets the multiplicity threshold and needs counts"):
             AuditReport(plot, alpha=0.01)
         with pytest.raises(ValueError, match="^plot must be a PValuePlot, got str$"):
             AuditReport("x")
         summary = summarize_spaces([compute_spaces(s) for s in corpus_studies])
-        with pytest.raises(ValueError, match="^spaces must be a SpaceSummary or None, got list$"):
-            AuditReport(plot, [summary])
+        for counts in (summary, [summary], corpus_studies[0], "s", []):
+            with pytest.raises(ValueError, match="^counts must be a nonempty list or tuple of"):
+                AuditReport(plot, counts)
+        assert AuditReport(plot, corpus_studies).counts == tuple(corpus_studies)
 
     def test_each_diagnostic_runs_once_per_report(self, monkeypatch, corpus_studies):
         calls = []
@@ -1182,8 +1211,7 @@ class TestAudit:
                 return original(first, *args)
 
             monkeypatch.setattr(effect_audit, name, counted)
-        summary = summarize_spaces([compute_spaces(s) for s in corpus_studies])
-        report = audit(self.README_RECORDS, summary)
+        report = audit(self.README_RECORDS, corpus_studies)
         assert calls == [(name, 7) for name in order]
         plot = build_pvalue_plot(self.README_RECORDS[:5])
         dataclasses.replace(report, plot=plot)

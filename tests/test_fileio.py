@@ -45,7 +45,6 @@ from metaudit.fileio import (
     _parse_int,
     build_report_document,
     bundled_data_path,
-    file_digest,
     json_dumps,
     read_counts_csv,
     read_effects_csv,
@@ -338,20 +337,18 @@ class TestJsonSerialization:
 
 
     def test_report_space_summary_is_the_audited_one(self, corpus_studies):
-        # The summary was once passed twice, so multiplicity.m could disagree with it.
+        # The spaces and their summary were once passed apart, so a document
+        # could list 14 studies beside the summary of 3.
         records = [record_from_statistic(f"s{i}", 0.3 * i, 0.1) for i in range(1, 8)]
-        spaces = [compute_spaces(s) for s in corpus_studies]
-        summary = summarize_spaces(spaces[:3])
-        document = build_report_document(audit(records, summary), [], (corpus_studies, spaces))
-        assert document["space_summary"] == fileio.space_summary_document(summary)
+        studies = corpus_studies[:3]
+        spaces = [compute_spaces(s) for s in studies]
+        document = build_report_document(audit(records, studies), [])
+        assert document["spaces"] == [
+            {"study_id": s.study_id, "space1": sp.space1, "space2": sp.space2, "space3": sp.space3}
+            for s, sp in zip(studies, spaces)
+        ]
+        assert document["space_summary"] == fileio.space_summary_document(summarize_spaces(spaces))
         assert document["multiplicity"]["m"] == document["space_summary"]["space3"]["median"]
-        assert len(document["spaces"]) == len(corpus_studies)
-
-    def test_counts_without_the_report_spaces_rejected(self, corpus_studies):
-        records = [record_from_statistic(f"s{i}", 0.3 * i, 0.1) for i in range(1, 8)]
-        spaces = [compute_spaces(s) for s in corpus_studies]
-        with pytest.raises(ValueError, match="counts need a report audited with their space summary"):
-            build_report_document(audit(records), [], (corpus_studies, spaces))
 
 
 class TestWriters:
@@ -441,12 +438,6 @@ class TestWriters:
         for cell in ("x\\|y", "p<br>q"):
             assert f"| {cell} |" in spaces
 
-    def test_file_digest_stable(self, tmp_path):
-        path = tmp_path / "f.txt"
-        path.write_text("stable contents\n", encoding="utf-8")
-        assert file_digest(path) == file_digest(path)
-        assert len(file_digest(path)["sha256"]) == 64
-
 
 # --- One table of report sections ----------------------------------------------
 
@@ -489,9 +480,8 @@ class TestReportSectionTable:
         names = [section.name for section in AuditReport.SECTIONS]
         assert names == ["uniformity", "bilinearity", "hockey_stick", "multiplicity"]
         assert names == [f.name for f in dataclasses.fields(AuditReport) if not f.init]
-        summary = summarize_spaces([compute_spaces(s) for s in corpus_studies])
-        for spaces in (None, summary):
-            document = build_report_document(audit(self.RECORDS, spaces), digests=[])
+        for counts in (None, corpus_studies):
+            document = build_report_document(audit(self.RECORDS, counts), digests=[])
             assert section_keys(document) == names
 
     @pytest.mark.parametrize("cls", [ReportWithExtra, ReportWithExtraInTests])
@@ -1021,12 +1011,15 @@ class TestJsonTableMatchesReference:
         with pytest.raises(ValueError, match="one column each of one length"):
             fileio.JsonTable(columns, keys)
 
-    def test_report_of_a_plot_without_study_ids_rejected(self):
+    def test_report_of_a_plot_without_study_ids_rejected(self, tmp_path):
         records = [record_from_statistic(f"s{i}", 0.3 * i, 0.1) for i in range(1, 8)]
         report = audit(records)
         report = dataclasses.replace(report, plot=PValuePlot(0, report.plot.p))
-        with pytest.raises(ValueError, match=r"\[0, 7, 7\]"):
+        # JsonTable once rejected it, naming only the lengths [0, 7, 7].
+        with pytest.raises(ValueError, match="^the plot has no study ids"):
             build_report_document(report, digests=[])
+        with pytest.raises(ValueError, match="^the plot has no study ids"):
+            write_report_markdown(tmp_path / "report.md", report)
 
 
 # --- The one-pass readers against the former per-line readers -------------------

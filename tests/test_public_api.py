@@ -93,7 +93,7 @@ def _built_values():
     spaces = compute_spaces(counts)
     summary = summarize_spaces([spaces])
     records = [record_from_statistic(f"s{i}", 0.3 * i, 0.1) for i in range(1, 8)]
-    report = audit(records, summary)
+    report = audit(records, [counts])
     fit = ols_fit([[1.0, x] for x in range(5)], [0.0, 1.1, 1.9, 3.2, 3.9])
     result = run_simulation(SimConfig(tests_per_study=3, replicates=20, seed=2))
     return {
