@@ -25,11 +25,9 @@ from metaudit.effect_audit import (
 from metaudit.fileio import ParseError, bundled_data_path
 from metaudit.hacksim import SimConfig, SimResult, run_simulation
 from metaudit.searchspace import (
-    SearchSpace,
     SearchSpaceOverflowError,
     SpaceSummary,
     StudyCounts,
-    compute_spaces,
     covariate_tally,
     summarize_spaces,
 )
@@ -60,7 +58,6 @@ __all__ = [
     "ParseError",
     "PValuePlot",
     "RankDeficiencyError",
-    "SearchSpace",
     "SearchSpaceOverflowError",
     "SimConfig",
     "SimResult",
@@ -71,7 +68,6 @@ __all__ = [
     "bilinearity_test",
     "bundled_data_path",
     "build_pvalue_plot",
-    "compute_spaces",
     "covariate_tally",
     "hockey_stick_fit",
     "ks_uniform_test",

@@ -26,7 +26,7 @@ from metaudit.effect_audit import (
     effects_from_statistics,
 )
 from metaudit.hacksim import SELECTION_RULES, SimConfig, SimResult, run_simulation
-from metaudit.searchspace import SearchSpaceOverflowError, compute_spaces, summarize_spaces
+from metaudit.searchspace import SearchSpaceOverflowError, summarize_spaces
 from metaudit.statkernel import InputError
 from metaudit.svgplot import render_pvalue_plot
 
@@ -89,20 +89,17 @@ def _write_outputs(args: argparse.Namespace, outputs: list[tuple]) -> list[str]:
 
 def cmd_space(args: argparse.Namespace) -> int:
     studies = fileio.read_counts_csv(args.input)
-    spaces = [compute_spaces(s) for s in studies]
-    summary = summarize_spaces(spaces)
+    summary = summarize_spaces(studies)
     written = _write_outputs(args, [
-        ("csv", "spaces.csv", fileio.write_spaces_csv, studies, spaces),
+        ("csv", "spaces.csv", fileio.write_spaces_csv, studies),
         ("json", "space_summary.json", fileio.write_space_summary_json, summary),
-        ("md", "spaces.md", fileio.write_spaces_markdown, studies, spaces, summary),
+        ("md", "spaces.md", fileio.write_spaces_markdown, studies, summary),
     ])
     _info(f"space: {len(studies)} studies -> " + ", ".join(written))
     return EXIT_OK
 
 
 def cmd_audit(args: argparse.Namespace) -> int:
-    if args.alpha is not None and not args.counts:
-        raise InputError("--alpha sets the multiplicity threshold and needs --counts")
     digests: list[dict] = []  # of the bytes each reader parsed
     table = fileio.read_effects_csv(args.input, digests=digests)
     counts = fileio.read_counts_csv(args.counts, digests=digests) if args.counts else None

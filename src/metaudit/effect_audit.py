@@ -21,13 +21,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from metaudit.searchspace import (
-    SearchSpace,
-    SpaceSummary,
-    StudyCounts,
-    compute_spaces,
-    summarize_spaces,
-)
+from metaudit.searchspace import SpaceSummary, StudyCounts, summarize_spaces
 from metaudit.statkernel import (
     _SQRT_HALF,
     InputError,
@@ -282,13 +276,13 @@ class AuditReport:
     """The diagnostics of one p-value plot, computed from what the report stores.
 
     It stores ``plot``, ``counts`` (a tuple of ``StudyCounts``, or None) and
-    ``alpha`` (None means 0.05).  When built, it computes the studies'
-    ``spaces`` and ``space_summary`` once, then each section of ``SECTIONS``,
-    in report order: the tests the plot has the points for and, given
-    ``counts``, the multiplicity report at ``alpha``, corrected by the median
-    space3.  So ``dataclasses.replace(report, plot=other)`` is the report of
-    ``other``, and likewise for ``counts``.  ``alpha`` without ``counts``
-    raises InputError.
+    ``alpha`` (None means 0.05).  When built, it computes each section of
+    ``SECTIONS``, in report order: the tests the plot has the points for and,
+    given ``counts``, the multiplicity report at ``alpha``, corrected by the
+    median space3 of ``space_summary``, computed once.  So
+    ``dataclasses.replace(report, plot=other)`` is the report of ``other``,
+    and likewise for ``counts``.  ``alpha`` without ``counts`` raises
+    InputError.
 
     The JSON and markdown writers read ``SECTIONS`` too.  To add a section:
     1. add its ``ReportSection`` to the table, "tests" sections first;
@@ -329,18 +323,13 @@ class AuditReport:
             object.__setattr__(self, "counts", tuple(counts))
         elif self.alpha is not None:
             raise InputError("alpha sets the multiplicity threshold and needs counts")
-        self.space_summary  # the spaces and their summary, before any section
         for section in self.SECTIONS:
             result = section.compute(self) if plot.n >= section.min_points else None
             object.__setattr__(self, section.name, result)
 
     @functools.cached_property
-    def spaces(self) -> tuple[SearchSpace, ...] | None:
-        return None if self.counts is None else tuple(map(compute_spaces, self.counts))
-
-    @functools.cached_property
     def space_summary(self) -> SpaceSummary | None:
-        return None if self.spaces is None else summarize_spaces(self.spaces)
+        return None if self.counts is None else summarize_spaces(self.counts)
 
 
 @functools.lru_cache(maxsize=64)

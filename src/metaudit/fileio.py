@@ -42,7 +42,7 @@ from metaudit.effect_audit import (
     MultiplicityReport,
 )
 from metaudit.hacksim import SimConfig, SimResult
-from metaudit.searchspace import SearchSpace, SpaceSummary, StudyCounts
+from metaudit.searchspace import SpaceSummary, StudyCounts
 from metaudit.statkernel import InputError, TestResult
 
 COUNTS_HEADER = ["study_id", "outcomes", "predictors", "lags", "covariates"]
@@ -187,9 +187,9 @@ def read_counts_csv(path: str | Path, *, digests: list[dict] | None = None) -> l
 
     Header is matched case-insensitively; the trailing covariate_names
     column is optional and holds a semicolon-separated name list.  Lines
-    starting with '#' are comments.  Overflow (covariates beyond the
-    64-bit guard) propagates as SearchSpaceOverflowError so callers can
-    distinguish it from malformed input.
+    starting with '#' are comments.  A row past either 64-bit limit (more
+    than 62 covariates, or a space3 past the unsigned range) raises
+    SearchSpaceOverflowError, so callers can tell it from malformed input.
     """
 
     def parse(header: list[str], row_lines: list[int], rows: list[list[str]]) -> list[StudyCounts]:
@@ -494,20 +494,18 @@ def _markdown_cells(texts: Sequence[str]) -> Sequence[str]:
     ]
 
 
-def write_spaces_csv(
-    path: str | Path, studies: list[StudyCounts], spaces: list[SearchSpace]
-) -> None:
+def write_spaces_csv(path: str | Path, studies: list[StudyCounts]) -> None:
     lines = ["study_id,outcomes,predictors,lags,covariates,space1,space2,space3\n"]
     lines += [
         f"{_csv_cell(s.study_id)},{s.outcomes},{s.predictors},{s.lags},{s.covariates},"
-        f"{sp.space1},{sp.space2},{sp.space3}\n"
-        for s, sp in zip(studies, spaces)
+        f"{s.space1},{s.space2},{s.space3}\n"
+        for s in studies
     ]
     write_text(path, "".join(lines))
 
 
 def write_spaces_markdown(
-    path: str | Path, studies: list[StudyCounts], spaces: list[SearchSpace], summary: SpaceSummary
+    path: str | Path, studies: list[StudyCounts], summary: SpaceSummary
 ) -> None:
     """The per-study spaces and their cross-study summary as markdown tables."""
     lines = [
@@ -517,10 +515,10 @@ def write_spaces_markdown(
         "| --- | --- | --- | --- | --- | --- | --- | --- |",
     ]
     study_ids = _markdown_cells([s.study_id for s in studies])
-    for study_id, s, sp in zip(study_ids, studies, spaces):
+    for study_id, s in zip(study_ids, studies):
         lines.append(
             f"| {study_id} | {s.outcomes} | {s.predictors} | {s.lags} "
-            f"| {s.covariates} | {sp.space1} | {sp.space2} | {sp.space3} |"
+            f"| {s.covariates} | {s.space1} | {s.space2} | {s.space3} |"
         )
     lines += [
         "",
@@ -574,8 +572,8 @@ def _report_notes(report: AuditReport) -> list[str]:
 def build_report_document(report: AuditReport, digests: list[dict]) -> dict:
     """Assemble the schema-versioned report JSON document.
 
-    ``spaces`` and ``space_summary`` are the report's, or None without
-    counts.  ``pvalues`` is the one ranked table, a JsonTable over the plot's
+    ``spaces`` and ``space_summary`` are those of the report's counts, or
+    None without counts.  ``pvalues`` is the one ranked table, a JsonTable over the plot's
     columns; a reader derives the reference i/(n+1) from ``plot.n``.  The
     sections follow ``report.SECTIONS``: the "tests" group under ``tests``,
     then each top-level section.
@@ -584,8 +582,8 @@ def build_report_document(report: AuditReport, digests: list[dict]) -> dict:
     spaces = space_summary = None
     if report.counts is not None:
         spaces = [
-            {"study_id": s.study_id, "space1": sp.space1, "space2": sp.space2, "space3": sp.space3}
-            for s, sp in zip(report.counts, report.spaces)
+            {"study_id": s.study_id, "space1": s.space1, "space2": s.space2, "space3": s.space3}
+            for s in report.counts
         ]
         space_summary = space_summary_document(report.space_summary)
     sections = {"tests": {}}  # each a dict of its dataclass's fields in order, or None

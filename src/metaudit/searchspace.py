@@ -11,6 +11,7 @@ usage by name.
 from __future__ import annotations
 
 import logging
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from metaudit.statkernel import _check_int, quantile_type6
@@ -25,7 +26,7 @@ MAX_COVARIATES = 62
 
 
 class SearchSpaceOverflowError(OverflowError):
-    """A space size exceeds the 64-bit unsigned range."""
+    """A study has more than 62 covariates, or its space3 exceeds the 64-bit unsigned range."""
 
     def __init__(self, study_id: str, detail: str):
         self.study_id = study_id
@@ -34,11 +35,16 @@ class SearchSpaceOverflowError(OverflowError):
 
 @dataclass(frozen=True)
 class StudyCounts:
-    """Per-study tallies of the knobs an analyst could turn.
+    """Per-study tallies of the knobs an analyst could turn, and the spaces they span.
 
     ``lags`` counts lag *configurations* tested, with the no-lag analysis
     counted as 1; it is not the maximum lag index.  ``covariate_names``,
     when given, is a list or tuple of exactly ``covariates`` strs, kept as a tuple.
+    It computes space1 = outcomes * predictors * lags (questions at issue),
+    space2 = 2^covariates (covariate-inclusion models) and space3 = space1 *
+    space2 (total analyses).  More than 62 covariates, or a space3 past the
+    64-bit unsigned range, raises SearchSpaceOverflowError rather than wrap:
+    these counts feed threshold division downstream.
     """
 
     study_id: str
@@ -59,6 +65,10 @@ class StudyCounts:
                 self.study_id,
                 f"covariates={self.covariates} exceeds the limit of {MAX_COVARIATES}",
             )
+        if self.space3 > U64_MAX:
+            raise SearchSpaceOverflowError(
+                self.study_id, f"total analyses {self.space3} exceeds the 64-bit unsigned range"
+            )
         names = self.covariate_names
         if names is None:
             return
@@ -73,18 +83,13 @@ class StudyCounts:
             )
         object.__setattr__(self, "covariate_names", tuple(names))
 
+    @property
+    def space1(self) -> int:
+        return self.outcomes * self.predictors * self.lags
 
-@dataclass(frozen=True)
-class SearchSpace:
-    """The three search-space sizes for one study.
-
-    space1 = outcomes * predictors * lags (questions at issue),
-    space2 = 2^covariates (covariate-inclusion models),
-    space3 = space1 * space2 (total analyses), computed from the other two.
-    """
-
-    space1: int
-    space2: int
+    @property
+    def space2(self) -> int:
+        return 1 << self.covariates
 
     @property
     def space3(self) -> int:
@@ -109,24 +114,6 @@ class SpaceSummary:
     space3: FiveNumberSummary
 
 
-def compute_spaces(counts: StudyCounts) -> SearchSpace:
-    """Exact integer search-space sizes for one study.
-
-    Raises ``SearchSpaceOverflowError`` instead of wrapping or saturating:
-    these counts feed threshold division downstream, so silent truncation
-    would corrupt the audit.
-    """
-    spaces = SearchSpace(
-        space1=counts.outcomes * counts.predictors * counts.lags, space2=1 << counts.covariates
-    )
-    if spaces.space3 > U64_MAX:
-        raise SearchSpaceOverflowError(
-            counts.study_id,
-            f"total analyses {spaces.space3} exceeds the 64-bit unsigned range",
-        )
-    return spaces
-
-
 def _summary(column: list[int]) -> FiveNumberSummary:
     return FiveNumberSummary(
         minimum=float(min(column)),
@@ -137,14 +124,14 @@ def _summary(column: list[int]) -> FiveNumberSummary:
     )
 
 
-def summarize_spaces(spaces: list[SearchSpace]) -> SpaceSummary:
+def summarize_spaces(studies: Sequence[StudyCounts]) -> SpaceSummary:
     """Five-number summary of each space column across studies."""
-    if not spaces:
+    if not studies:
         raise ValueError("summarize_spaces needs at least one study")
     return SpaceSummary(
-        space1=_summary([s.space1 for s in spaces]),
-        space2=_summary([s.space2 for s in spaces]),
-        space3=_summary([s.space3 for s in spaces]),
+        space1=_summary([s.space1 for s in studies]),
+        space2=_summary([s.space2 for s in studies]),
+        space3=_summary([s.space3 for s in studies]),
     )
 
 

@@ -303,8 +303,19 @@ class TestCmdAudit:
         outdir = tmp_path / "audit"
         assert main(["audit", "--input", EFFECTS, "--alpha", "0.01", "--output", str(outdir)]) == 2
         assert capsys.readouterr().err == (
-            "error: --alpha sets the multiplicity threshold and needs --counts\n"
+            "error: alpha sets the multiplicity threshold and needs counts\n"
         )
+        assert not outdir.exists()
+
+    def test_all_ns_effects_with_alpha_and_no_counts_exit_4(self, tmp_path, capsys):
+        # The CLI once checked --alpha before reading the effects, so this exited 2.
+        effects = tmp_path / "ns.csv"
+        effects.write_text(
+            "study_id,label,ratio,ci_low,ci_high,level,ns\nns1,x,,,,0.95,1\n", encoding="utf-8"
+        )
+        outdir = tmp_path / "o"
+        assert main(["audit", "--input", str(effects), "--alpha", "0.01", "--output", str(outdir)]) == 4
+        assert "not-significant" in capsys.readouterr().err
         assert not outdir.exists()
 
     def test_alpha_with_counts_sets_the_multiplicity_threshold(self, tmp_path):
@@ -456,8 +467,9 @@ class TestCmdAudit:
     # The one study's space3, 5 * 2^62, is past 64 bits; its covariates are not.
     OVERFLOWING_COUNTS = "study_id,outcomes,predictors,lags,covariates\nbig,5,1,1,62\n"
 
-    def test_all_ns_effects_exit_4_before_the_counts_overflow(self, tmp_path, capsys):
-        # The spaces were once computed before the plot was built, so this exited 3.
+    def test_all_ns_effects_exit_3_on_the_counts_overflow(self, tmp_path, capsys):
+        # Every counts error comes while the file is read, before the plot is
+        # built.  The space3 check once ran after the plot, so this exited 4.
         effects, counts = tmp_path / "ns.csv", tmp_path / "big.csv"
         effects.write_text(
             "study_id,label,ratio,ci_low,ci_high,level,ns\nns1,x,,,,0.95,1\n", encoding="utf-8"
@@ -465,8 +477,22 @@ class TestCmdAudit:
         counts.write_text(self.OVERFLOWING_COUNTS, encoding="utf-8")
         outdir = tmp_path / "o"
         argv = ["audit", "--input", str(effects), "--counts", str(counts), "--output", str(outdir)]
-        assert main(argv) == 4
-        assert "not-significant" in capsys.readouterr().err
+        assert main(argv) == 3
+        assert "search space overflow for study 'big'" in capsys.readouterr().err
+        assert not outdir.exists()
+
+    @pytest.mark.parametrize("command", ["audit", "space"])
+    def test_a_space3_overflow_exits_3_before_a_later_bad_row(self, tmp_path, capsys, command):
+        # The overflow once came after the whole file parsed, so row 3 was named and this exited 2.
+        counts = tmp_path / "big.csv"
+        counts.write_text(self.OVERFLOWING_COUNTS + "bad,x,1,1,1\n", encoding="utf-8")
+        outdir = tmp_path / "o"
+        inputs = {"audit": ["--input", EFFECTS, "--counts", str(counts)],
+                  "space": ["--input", str(counts)]}[command]
+        assert main([command, *inputs, "--output", str(outdir)]) == 3
+        err = capsys.readouterr().err
+        assert "search space overflow for study 'big'" in err
+        assert "row 3" not in err
         assert not outdir.exists()
 
     def test_overflowing_counts_exit_3_naming_the_study(self, tmp_path, capsys):

@@ -39,7 +39,7 @@ from metaudit.effect_audit import (
     record_from_statistic,
     uniformity_test,
 )
-from metaudit.searchspace import StudyCounts, compute_spaces, summarize_spaces
+from metaudit.searchspace import StudyCounts, summarize_spaces
 from metaudit.statkernel import InputError, std_normal_quantile
 
 mpmath.mp.dps = 40
@@ -1153,29 +1153,32 @@ class TestAudit:
         copy = dataclasses.replace(report, counts=studies)
         expected = audit(self.README_RECORDS, studies)
         assert copy.counts == tuple(studies)
-        assert copy.spaces == tuple(map(compute_spaces, studies)) == expected.spaces
-        assert copy.space_summary == summarize_spaces(list(copy.spaces)) == expected.space_summary
+        assert [s.space3 for s in copy.counts] == [s.space3 for s in studies] == [
+            s.space3 for s in expected.counts
+        ]
+        assert copy.space_summary == summarize_spaces(studies) == expected.space_summary
         assert copy.multiplicity == expected.multiplicity != report.multiplicity
         assert copy.multiplicity.m == copy.space_summary.space3.median
         plain = dataclasses.replace(report, counts=None)
-        assert (plain.spaces, plain.space_summary, plain.multiplicity) == (None, None, None)
+        assert (plain.counts, plain.space_summary, plain.multiplicity) == (None, None, None)
 
-    def test_spaces_are_computed_once_before_the_sections(self, monkeypatch, corpus_studies):
+    def test_summarize_spaces_runs_once_per_report(self, monkeypatch, corpus_studies):
         calls = []
-        for name in ("compute_spaces", "summarize_spaces", "uniformity_test"):
-            original = getattr(effect_audit, name)
+        original = effect_audit.summarize_spaces
 
-            def counted(*args, name=name, original=original):
-                calls.append(name)
-                return original(*args)
+        def counted(studies):
+            calls.append(len(studies))
+            return original(studies)
 
-            monkeypatch.setattr(effect_audit, name, counted)
+        monkeypatch.setattr(effect_audit, "summarize_spaces", counted)
         report = audit(self.README_RECORDS, corpus_studies)
-        expected = ["compute_spaces"] * len(corpus_studies) + ["summarize_spaces", "uniformity_test"]
-        assert calls == expected
-        assert len(report.spaces) == len(corpus_studies)
         assert report.space_summary.space3.median == report.multiplicity.m
-        assert calls == expected
+        assert report.space_summary is report.space_summary
+        assert calls == [len(corpus_studies)]
+        dataclasses.replace(report, counts=corpus_studies[:3]).space_summary
+        assert calls == [len(corpus_studies), 3]
+        assert audit(self.README_RECORDS).space_summary is None
+        assert calls == [len(corpus_studies), 3]
 
     def test_a_section_cannot_be_given(self):
         report = audit(self.README_RECORDS)
@@ -1194,7 +1197,7 @@ class TestAudit:
             AuditReport(plot, alpha=0.01)
         with pytest.raises(ValueError, match="^plot must be a PValuePlot, got str$"):
             AuditReport("x")
-        summary = summarize_spaces([compute_spaces(s) for s in corpus_studies])
+        summary = summarize_spaces(corpus_studies)
         for counts in (summary, [summary], corpus_studies[0], "s", []):
             with pytest.raises(ValueError, match="^counts must be a nonempty list or tuple of"):
                 AuditReport(plot, counts)

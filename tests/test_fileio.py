@@ -56,12 +56,7 @@ from metaudit.fileio import (
     write_spaces_csv,
 )
 from metaudit.hacksim import SimConfig, run_simulation
-from metaudit.searchspace import (
-    SearchSpaceOverflowError,
-    StudyCounts,
-    compute_spaces,
-    summarize_spaces,
-)
+from metaudit.searchspace import SearchSpaceOverflowError, StudyCounts, summarize_spaces
 from metaudit.statkernel import TestResult as Result  # a Test* name would be collected
 from tests.conftest import CORPUS_NAMES, CORPUS_ROWS
 
@@ -341,21 +336,19 @@ class TestJsonSerialization:
         # could list 14 studies beside the summary of 3.
         records = [record_from_statistic(f"s{i}", 0.3 * i, 0.1) for i in range(1, 8)]
         studies = corpus_studies[:3]
-        spaces = [compute_spaces(s) for s in studies]
         document = build_report_document(audit(records, studies), [])
         assert document["spaces"] == [
-            {"study_id": s.study_id, "space1": sp.space1, "space2": sp.space2, "space3": sp.space3}
-            for s, sp in zip(studies, spaces)
+            {"study_id": s.study_id, "space1": s.space1, "space2": s.space2, "space3": s.space3}
+            for s in studies
         ]
-        assert document["space_summary"] == fileio.space_summary_document(summarize_spaces(spaces))
+        assert document["space_summary"] == fileio.space_summary_document(summarize_spaces(studies))
         assert document["multiplicity"]["m"] == document["space_summary"]["space3"]["median"]
 
 
 class TestWriters:
     def test_spaces_csv_round_trip(self, tmp_path, corpus_studies):
-        spaces = [compute_spaces(s) for s in corpus_studies]
         path = tmp_path / "spaces.csv"
-        write_spaces_csv(path, corpus_studies, spaces)
+        write_spaces_csv(path, corpus_studies)
         lines = path.read_text(encoding="utf-8").splitlines()
         assert len(lines) == 15
         barnett = lines[1].split(",")
@@ -714,7 +707,7 @@ class TestCsvContract:
         studies = read_counts_csv(counts)
         assert studies[0].study_id == "Smith, 2001"
         path = tmp_path / "spaces.csv"
-        write_spaces_csv(path, studies, [compute_spaces(s) for s in studies])
+        write_spaces_csv(path, studies)
         with open(path, encoding="utf-8", newline="") as handle:
             rows = list(csv.reader(handle))
         assert rows[1] == ["Smith, 2001", "1", "2", "3", "4", "6", "16", "96"]

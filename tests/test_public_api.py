@@ -22,7 +22,6 @@ from metaudit import (
     audit,
     build_pvalue_plot,
     bundled_data_path,
-    compute_spaces,
     covariate_tally,
     ols_fit,
     record_from_statistic,
@@ -64,7 +63,7 @@ def test_the_readme_python_blocks_run_as_written(tmp_path, monkeypatch):
     for block, namespace in zip(README_BLOCKS, namespaces):
         exec(compile(block, "README.md", "exec"), namespace)
     api, simulation = namespaces
-    assert (api["space"].space1, api["space"].space2, api["space"].space3) == (28, 8192, 229376)
+    assert (api["study"].space1, api["study"].space2, api["study"].space3) == (28, 8192, 229376)
     assert f"{api['p']:.4f}" == "0.3601"
     write_effects_csv("records.csv", list(api["table"]))
     assert Path("copy.csv").read_bytes() == Path("records.csv").read_bytes()
@@ -90,8 +89,7 @@ def test_every_public_value_type_is_frozen(cls):
 
 def _built_values():
     counts = StudyCounts("s", 2, 3, 1, 2, covariate_names=["Age", "Sex"])
-    spaces = compute_spaces(counts)
-    summary = summarize_spaces([spaces])
+    summary = summarize_spaces([counts])
     records = [record_from_statistic(f"s{i}", 0.3 * i, 0.1) for i in range(1, 8)]
     report = audit(records, [counts])
     fit = ols_fit([[1.0, x] for x in range(5)], [0.0, 1.1, 1.9, 3.2, 3.9])
@@ -105,7 +103,6 @@ def _built_values():
         "AuditReport": (report, "bilinearity", None),
         "PValuePlot": (report.plot, "excluded_ns_count", 5),
         "StudyCounts": (counts, "covariates", 50),
-        "SearchSpace": (spaces, "space1", 1),
         "FiveNumberSummary": (summary.space1, "median", 0.0),
         "SpaceSummary": (summary, "space3", summary.space1),
     }
@@ -124,12 +121,12 @@ def test_a_built_value_cannot_be_rebound(name):
 # Each fact is stored once: what follows from the fields is computed from them.
 STORED = {
     "SimResult": ("p", "estimate", "published", "config"),
-    "SearchSpace": ("space1", "space2"),
+    "StudyCounts": ("study_id", "outcomes", "predictors", "lags", "covariates", "covariate_names"),
     "PValuePlot": ("excluded_ns_count", "p", "study_ids"),
 }
 COMPUTED = {
     "SimResult": ("replicate", "study", "publication_rate", "bias", "abs_bias", "mean_abs_estimate"),
-    "SearchSpace": ("space3",),
+    "StudyCounts": ("space1", "space2", "space3"),
     "PValuePlot": ("n",),
 }
 

@@ -10,17 +10,15 @@ from hypothesis import strategies as st
 from metaudit.searchspace import (
     MAX_COVARIATES,
     U64_MAX,
-    SearchSpace,
     SearchSpaceOverflowError,
     StudyCounts,
-    compute_spaces,
     covariate_tally,
     summarize_spaces,
 )
 from tests.conftest import CORPUS_ROWS, CORPUS_SUMMARY
 
 
-class TestComputeSpaces:
+class TestStudySpaces:
     @pytest.mark.parametrize(
         "study_id,outcomes,predictors,lags,covars,space1,space2,space3",
         CORPUS_ROWS,
@@ -36,16 +34,13 @@ class TestComputeSpaces:
             lags=lags,
             covariates=covars,
         )
-        spaces = compute_spaces(counts)
-        assert spaces.space1 == space1
-        assert spaces.space2 == space2
-        assert spaces.space3 == space3
+        assert counts.space1 == space1
+        assert counts.space2 == space2
+        assert counts.space3 == space3
 
     def test_minimal_study(self):
-        spaces = compute_spaces(
-            StudyCounts(study_id="s", outcomes=1, predictors=1, lags=1, covariates=0)
-        )
-        assert (spaces.space1, spaces.space2, spaces.space3) == (1, 1, 1)
+        counts = StudyCounts(study_id="s", outcomes=1, predictors=1, lags=1, covariates=0)
+        assert (counts.space1, counts.space2, counts.space3) == (1, 1, 1)
 
     @given(
         st.integers(min_value=1, max_value=50),
@@ -61,63 +56,46 @@ class TestComputeSpaces:
             lags=lags,
             covariates=covars,
         )
-        spaces = compute_spaces(counts)
-        assert spaces.space1 == outcomes * predictors * lags
-        assert spaces.space2 == 2**covars
-        assert spaces.space3 == spaces.space1 * spaces.space2
-        doubled = compute_spaces(
-            StudyCounts(
-                study_id="s",
-                outcomes=2 * outcomes,
-                predictors=predictors,
-                lags=lags,
-                covariates=covars,
-            )
-        )
-        assert doubled.space1 == 2 * spaces.space1
-        one_more = compute_spaces(
-            StudyCounts(
-                study_id="s",
-                outcomes=outcomes,
-                predictors=predictors,
-                lags=lags,
-                covariates=covars + 1,
-            )
-        )
-        assert one_more.space2 == 2 * spaces.space2
+        assert counts.space1 == outcomes * predictors * lags
+        assert counts.space2 == 2**covars
+        assert counts.space3 == counts.space1 * counts.space2
+        doubled = dataclasses.replace(counts, outcomes=2 * outcomes)
+        assert doubled.space1 == 2 * counts.space1
+        one_more = dataclasses.replace(counts, covariates=covars + 1)
+        assert one_more.space2 == 2 * counts.space2
 
     def test_space3_is_computed_so_it_cannot_disagree(self):
-        # SearchSpace(space1=1, space2=2, space3=5) was once accepted.
+        # SearchSpace(space1=1, space2=2, space3=5) was once accepted; the
+        # spaces are now computed from the tallies they come from.
         with pytest.raises(TypeError, match="space3"):
-            SearchSpace(space1=1, space2=2, space3=5)
-        spaces = SearchSpace(space1=1, space2=2)
-        assert spaces.space3 == 2
-        assert dataclasses.replace(spaces, space2=8).space3 == 8
+            StudyCounts("s", 1, 1, 1, 1, space3=5)
+        counts = StudyCounts("s", 1, 1, 1, 1)
+        assert counts.space3 == 2
+        assert dataclasses.replace(counts, covariates=3).space3 == 8
 
     def test_overflow_guard_raises_with_study_id(self):
-        counts = StudyCounts(
-            study_id="wide", outcomes=5, predictors=1, lags=1, covariates=62
-        )
         with pytest.raises(SearchSpaceOverflowError) as excinfo:
-            compute_spaces(counts)
+            StudyCounts(study_id="wide", outcomes=5, predictors=1, lags=1, covariates=62)
         assert excinfo.value.study_id == "wide"
         assert "wide" in str(excinfo.value)
+        assert "64-bit unsigned range" in str(excinfo.value)
 
     def test_boundary_below_overflow(self):
-        counts = StudyCounts(
-            study_id="s", outcomes=3, predictors=1, lags=1, covariates=62
-        )
-        spaces = compute_spaces(counts)
-        assert spaces.space3 == 3 * 2**62
-        assert spaces.space3 <= U64_MAX
+        counts = StudyCounts(study_id="s", outcomes=3, predictors=1, lags=1, covariates=62)
+        assert counts.space3 == 3 * 2**62
+        assert counts.space3 <= U64_MAX
 
     def test_exact_limit_rejected(self):
         # 4 * 2**62 == 2**64, one past the largest representable count.
-        counts = StudyCounts(
-            study_id="s", outcomes=4, predictors=1, lags=1, covariates=62
-        )
         with pytest.raises(SearchSpaceOverflowError):
-            compute_spaces(counts)
+            StudyCounts(study_id="s", outcomes=4, predictors=1, lags=1, covariates=62)
+
+    def test_a_replaced_copy_is_checked_for_overflow(self):
+        # The space3 check once ran only when the spaces were computed, so
+        # this copy was built and failed later, or not at all.
+        counts = StudyCounts("s", 1, 1, 1, 62)
+        with pytest.raises(SearchSpaceOverflowError, match="'s'"):
+            dataclasses.replace(counts, outcomes=5)
 
 
 class TestStudyCountsValidation:
@@ -165,7 +143,7 @@ class TestStudyCountsValidation:
 
 class TestSummarizeSpaces:
     def test_corpus_summary(self, corpus_studies):
-        summary = summarize_spaces([compute_spaces(s) for s in corpus_studies])
+        summary = summarize_spaces(corpus_studies)
         for name, expected in CORPUS_SUMMARY.items():
             five = getattr(summary, name)
             got = (
@@ -178,10 +156,8 @@ class TestSummarizeSpaces:
             assert got == pytest.approx(expected), name
 
     def test_single_study_summary_is_constant(self):
-        spaces = compute_spaces(
-            StudyCounts(study_id="s", outcomes=3, predictors=2, lags=1, covariates=2)
-        )
-        summary = summarize_spaces([spaces])
+        counts = StudyCounts(study_id="s", outcomes=3, predictors=2, lags=1, covariates=2)
+        summary = summarize_spaces([counts])
         assert summary.space3.minimum == summary.space3.maximum == 24.0
         assert summary.space3.median == 24.0
 
