@@ -93,7 +93,7 @@ def cmd_space(args: argparse.Namespace) -> int:
     written = _write_outputs(args, [
         ("csv", "spaces.csv", fileio.write_spaces_csv, studies),
         ("json", "space_summary.json", fileio.write_space_summary_json, summary),
-        ("md", "spaces.md", fileio.write_spaces_markdown, studies, summary),
+        ("md", "spaces.md", fileio.write_spaces_markdown, studies),
     ])
     _info(f"space: {len(studies)} studies -> " + ", ".join(written))
     return EXIT_OK

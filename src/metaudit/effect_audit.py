@@ -29,6 +29,7 @@ from metaudit.statkernel import (
     _check_bool,
     _check_int,
     _check_real,
+    _unit_interval_array,
     ks_uniform_test,
     ols_columns,
     std_normal_quantile,
@@ -716,7 +717,8 @@ def multiplicity_report(
     """Counts of significant p-values before and after threshold division.
 
     ``m`` is the size of the analysis search space being corrected for;
-    the adjusted threshold is alpha / m and counts are strict.
+    the adjusted threshold is alpha / m and counts are strict.  The first
+    p-value outside [0, 1] raises ValueError naming it.
     """
     _check_real("alpha", alpha)
     _check_real("m", m)
@@ -725,7 +727,7 @@ def multiplicity_report(
     if not m >= 1:
         raise ValueError(f"m must be at least 1, got {m!r}")
     adjusted = alpha / m
-    pvalues = np.asarray(pvalues, dtype=float)
+    pvalues = _unit_interval_array("pvalues", pvalues)
     return MultiplicityReport(
         alpha=alpha,
         m=float(m),

@@ -42,7 +42,7 @@ from metaudit.effect_audit import (
     MultiplicityReport,
 )
 from metaudit.hacksim import SimConfig, SimResult
-from metaudit.searchspace import SpaceSummary, StudyCounts
+from metaudit.searchspace import SpaceSummary, StudyCounts, summarize_spaces
 from metaudit.statkernel import InputError, TestResult
 
 COUNTS_HEADER = ["study_id", "outcomes", "predictors", "lags", "covariates"]
@@ -83,10 +83,10 @@ def _read_text(
     """The text of ``path``, UTF-8 with or without a byte-order mark, as a stream with
     ``open``'s ``newline`` meaning; bytes that are not UTF-8 raise ParseError.
 
-    The file is read once, and its bytes are decoded whole once, only to check
-    them; the stream decodes them again, a chunk at a time, so the whole text is
-    never held as a str.  ``digests``, if given, gets the basename (a report must
-    not depend on the working directory) and the SHA-256 of those bytes.
+    The file is read once.  Its bytes are decoded whole once, only to check
+    them, and that str is dropped before the stream decodes them again, a chunk
+    at a time.  ``digests``, if given, gets the basename (a report must not
+    depend on the working directory) and the SHA-256 of those bytes.
     """
     with open(path, "rb") as handle:
         data = handle.read()
@@ -504,10 +504,9 @@ def write_spaces_csv(path: str | Path, studies: list[StudyCounts]) -> None:
     write_text(path, "".join(lines))
 
 
-def write_spaces_markdown(
-    path: str | Path, studies: list[StudyCounts], summary: SpaceSummary
-) -> None:
+def write_spaces_markdown(path: str | Path, studies: list[StudyCounts]) -> None:
     """The per-study spaces and their cross-study summary as markdown tables."""
+    summary = summarize_spaces(studies)
     lines = [
         "# Analysis search spaces",
         "",

@@ -8,7 +8,7 @@ reproduce the bent p-value plots the audit diagnostics look for.
 
 Each study draws a shared factor g and K noise terms e_j (standard
 normal), forms z_j = delta + sqrt(rho) * g + sqrt(1 - rho) * e_j and
-p_j = erfc(|z_j| / sqrt(2)), and reports one (p_j, z_j): the smallest p
+p_j = erfc(|z_j| * sqrt(0.5)), and reports one z_j: the smallest p
 (report-min-p), the first p below alpha or else the first test's
 (report-first-significant), or a test picked by one integers(K) draw after
 the study's normals (report-random).
@@ -20,11 +20,11 @@ order, and the summaries are exact sums (``math.fsum``) of the columns.
 
 ``run_simulation`` keeps one Philox generator and re-keys it in place for
 each replicate.  It draws a block of replicates, selects across the whole
-block with NumPy, and stores the selected studies as columns; a block
-holds about 2**16 draws, so memory grows with the number of studies, not
-with the draws.  A ``SimResult`` stores only those columns and its config,
-and computes its index columns and summaries from them.  The tests keep a
-scalar, study-by-study simulator as its reference.
+block with NumPy, and stores each selected estimate; a block holds about
+2**16 draws, so memory grows with the number of studies, not with the
+draws.  A ``SimResult`` stores only the selected estimates and its config,
+and computes their p-values, index columns and summaries.  The tests keep
+a scalar, study-by-study simulator as its reference.
 """
 
 from __future__ import annotations
@@ -109,41 +109,48 @@ class SimConfig:
 
 @dataclass(frozen=True, eq=False)
 class SimResult:
-    """Outcome of a simulation run: three columns and the config they came from.
+    """Outcome of a simulation run: the selected estimates and their config.
 
-    ``p`` (selected p-value), ``estimate`` (selected z statistic) and
-    ``published`` (p < alpha) hold one entry per simulated study in
-    replicate order, ``config.replicates * config.n_studies`` in all, and are
-    made read-only.  Everything else is computed from them, once per result,
-    so a ``dataclasses.replace`` copy cannot disagree with itself: the index
-    columns ``replicate`` and ``study``; the ``reported`` mask (the published
-    studies when ``config`` censors at alpha, else all); ``publication_rate``;
-    ``bias``, the mean reported estimate minus the true effect; ``abs_bias``;
-    and ``mean_abs_estimate``, the magnitude the signed mean hides under the
-    null.  The means are exact (``math.fsum``), NaN when none is reported.
+    ``estimate`` holds each simulated study's selected z statistic in
+    replicate order, ``config.replicates * config.n_studies`` in all, and is
+    made read-only.  Everything else is computed from it, once per result,
+    so a ``dataclasses.replace`` copy cannot disagree with itself: ``p``,
+    the selected two-sided p-value ``erfc(|z| * sqrt(0.5))``; ``published``
+    (p < alpha); the index columns ``replicate`` and ``study``; the
+    ``reported`` mask (the published studies when ``config`` censors at
+    alpha, else all); ``publication_rate``; ``bias``, the mean reported
+    estimate minus the true effect; ``abs_bias``; and ``mean_abs_estimate``,
+    the magnitude the signed mean hides under the null.  The means are exact
+    (``math.fsum``), NaN when none is reported.
     """
 
-    p: np.ndarray = field(repr=False)
     estimate: np.ndarray = field(repr=False)
-    published: np.ndarray = field(repr=False)
     config: SimConfig
 
     def __post_init__(self) -> None:
         if not isinstance(self.config, SimConfig):
             raise InputError(f"config must be a SimConfig, got {type(self.config).__name__}")
         size = self.config.replicates * self.config.n_studies
-        for name, dtype in (("p", np.float64), ("estimate", np.float64), ("published", np.bool_)):
-            column = getattr(self, name)
-            if not isinstance(column, np.ndarray) or column.dtype != dtype or column.shape != (size,):
-                raise InputError(
-                    f"{name} must be a {np.dtype(dtype)} array of replicates * n_studies = "
-                    f"{size} entries, got {getattr(column, 'shape', type(column).__name__)}"
-                )
-            column.flags.writeable = False
+        column = self.estimate
+        if not isinstance(column, np.ndarray) or column.dtype != np.float64 or column.shape != (size,):
+            raise InputError(
+                f"estimate must be a float64 array of replicates * n_studies = "
+                f"{size} entries, got {getattr(column, 'shape', type(column).__name__)}"
+            )
+        column.flags.writeable = False
 
     @property
     def n_total(self) -> int:
-        return len(self.p)
+        return len(self.estimate)
+
+    @cached_property
+    def p(self) -> np.ndarray:
+        x = np.abs(self.estimate) * _SQRT_HALF
+        return _read_only(np.fromiter(map(math.erfc, x.tolist()), float, len(x)))
+
+    @cached_property
+    def published(self) -> np.ndarray:
+        return _read_only(self.p < self.config.alpha)
 
     @property
     def n_published(self) -> int:
@@ -277,7 +284,6 @@ def run_simulation(config: SimConfig) -> SimResult:
     rule = config.selection_rule
     philox = _RekeyedPhilox(config.seed)
 
-    pvalues = np.empty(n_total)
     estimates = np.empty(n_total)
     per_block = max(1, _BLOCK_DRAWS // width)
     draws = np.empty((min(per_block, config.replicates), width))
@@ -312,6 +318,5 @@ def run_simulation(config: SimConfig) -> SimResult:
         rows = np.arange(len(z))
         span = slice(start * n_studies, stop * n_studies)
         estimates[span] = z[rows, chosen]
-        pvalues[span] = np.fromiter(map(math.erfc, x[rows, chosen].tolist()), float, len(rows))
 
-    return SimResult(pvalues, estimates, pvalues < config.alpha, config)
+    return SimResult(estimates, config)

@@ -81,6 +81,22 @@ def _check_bool(name: str, value: object, error: type[ValueError] = ValueError) 
         raise error(f"{name} must be a bool, got {value!r}")
 
 
+def _unit_interval_array(name: str, values: Sequence[float]) -> np.ndarray:
+    """``values`` as a float64 array; the first value outside [0, 1] raises ValueError naming it.
+
+    Bool, int and float arrays of any width, ints, bools and float subclasses
+    are taken; NaN and any other type are not.
+    """
+    real_array = isinstance(values, np.ndarray) and values.dtype.kind in "biuf"
+    v = values.astype(float, copy=False) if real_array else None
+    if v is None or not ((0.0 <= v) & (v <= 1.0)).all():
+        for value in values if v is None else v:
+            if not (isinstance(value, (int, float)) and 0.0 <= value <= 1.0):
+                raise ValueError(f"{name} must lie in [0, 1], got {value!r}")
+        v = np.array(values, dtype=float)
+    return v
+
+
 @dataclass(frozen=True)
 class TestResult:
     """Outcome of one diagnostic test.
@@ -394,16 +410,9 @@ def ks_uniform_test(values: Sequence[float]) -> TestResult:
     n = len(values)
     if n == 0:
         raise ValueError("ks_uniform_test needs at least one value")
-    v = values if isinstance(values, np.ndarray) and values.dtype == np.float64 else None
-    if v is None or not ((0.0 <= v) & (v <= 1.0)).all():
-        # Names the first bad value; ints, bools and float subclasses pass.
-        for value in values:
-            if not (isinstance(value, (int, float)) and 0.0 <= value <= 1.0):
-                raise ValueError(f"values must lie in [0, 1], got {value!r}")
-        v = np.array(values, dtype=float)
     # i/n, (i-1)/n and the differences are single IEEE operations, as in
     # the scalar formula, and max is exact, so D has the scalar bits.
-    v = np.sort(v)
+    v = np.sort(_unit_interval_array("values", values))
     i = np.arange(1, n + 1)
     d = max(0.0, (i / n - v).max().item(), (v - (i - 1) / n).max().item())
     sqrt_n = math.sqrt(n)

@@ -10,6 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from metaudit.effect_audit import PValuePlot
+from metaudit.statkernel import _check_real
 
 WIDTH = 800
 HEIGHT = 600
@@ -36,9 +37,10 @@ def render_pvalue_plot(plot: PValuePlot, alpha: float = 0.05) -> str:
 
     One circle per plotted p-value, a dashed segment for the uniform
     reference line from (1, 1/(n+1)) to (n, n/(n+1)), and a solid
-    horizontal rule at the significance screen, which needs alpha in (0, 1)
-    to stay on the canvas.
+    horizontal rule at the significance screen, which needs a real alpha in
+    (0, 1) to stay on the canvas; any other alpha raises ValueError.
     """
+    _check_real("alpha", alpha)
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha!r}")
     n = plot.n

@@ -758,6 +758,10 @@ SIMULATE_GOLDEN = {
         "--n-studies", "3", "--k", "25", "--correlation", "0.4", "--true-effect", "1",
         "--rule", "report-first-significant", "--replicates", "100", "--seed", "11",
     ],
+    "sim_alpha_001": [
+        "--n-studies", "2", "--k", "5", "--correlation", "0.2", "--true-effect", "0.5",
+        "--alpha", "0.01", "--censor", "--replicates", "300", "--seed", "9",
+    ],
 }
 
 

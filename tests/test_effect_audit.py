@@ -292,6 +292,11 @@ def assert_intervals_match_scalar(statistics, se=0.1, level=0.95):
 
 
 class TestRatioIntervals:
+    @pytest.mark.parametrize("se", [0.0, -1.0, math.nan])
+    def test_standard_error_must_be_positive(self, se):
+        with pytest.raises(ValueError, match=f"^standard_error must be positive, got {se!r}$"):
+            effects_from_statistics(["s"], ["x"], [1.0], se)
+
     @pytest.mark.parametrize("level", [0.95, 0.9, 0.99])
     def test_random_statistics_match_the_scalar_reference(self, level):
         rng = random.Random(11)
@@ -1087,6 +1092,30 @@ class TestMultiplicityReport:
         # A str once escaped as a bare TypeError, and m=True was taken as 1.
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             multiplicity_report([0.1], alpha, m)
+
+    @pytest.mark.parametrize(
+        "pvalues, bad",
+        [
+            ([-1.0, math.nan, 2.0, 0.5], "-1.0"),
+            ([0.5, math.nan], "nan"),
+            (np.array([0.01, 2.0]), repr(np.float64(2.0))),
+            ([0.01, "0.02"], "'0.02'"),
+        ],
+        ids=["negative-first", "nan", "array-above-one", "str"],
+    )
+    def test_rejects_pvalues_outside_the_unit_interval(self, pvalues, bad):
+        # The -1.0 of the first list was once counted significant, and NaN and 2.0 passed unseen.
+        with pytest.raises(ValueError, match=f"^pvalues must lie in \\[0, 1\\], got {re.escape(bad)}$"):
+            multiplicity_report(pvalues, alpha=0.05, m=10)
+
+    @pytest.mark.parametrize(
+        "pvalues",
+        [[0, 0.0, True, 1.0], np.array([0.0, 0.0, 1.0, 1.0], dtype=np.float32), np.array([0, 0, 1, 1])],
+        ids=["list", "float32", "int-array"],
+    )
+    def test_accepts_the_unit_interval_ends(self, pvalues):
+        report = multiplicity_report(pvalues, alpha=0.05, m=10)
+        assert (report.n_significant_raw, report.n_significant_adjusted) == (2, 2)
 
 
 class TestAudit:

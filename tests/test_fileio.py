@@ -54,6 +54,7 @@ from metaudit.fileio import (
     write_report_markdown,
     write_sim_csv,
     write_spaces_csv,
+    write_spaces_markdown,
 )
 from metaudit.hacksim import SimConfig, run_simulation
 from metaudit.searchspace import SearchSpaceOverflowError, StudyCounts, summarize_spaces
@@ -355,6 +356,21 @@ class TestWriters:
         assert barnett[0] == "12 Barnett"
         assert barnett[5:] == ["28", "8192", "229376"]
 
+    @pytest.mark.parametrize("n", [14, 3])
+    def test_spaces_markdown_summarizes_the_studies_it_lists(self, tmp_path, corpus_studies, n):
+        # The summary was once passed apart, so the file could list 14 studies
+        # under a maximum space3 of 229,376, though "15 Peters" has 638,976.
+        studies = corpus_studies[:n]
+        path = tmp_path / "spaces.md"
+        write_spaces_markdown(path, studies)
+        listed, summary_table = path.read_text(encoding="utf-8").split("## Summary")
+        assert [line.split(" | ")[0] for line in listed.splitlines()[4:-1]] == [
+            f"| {s.study_id}" for s in studies
+        ]
+        maxima = [max(getattr(s, f"space{i}") for s in studies) for i in (1, 2, 3)]
+        assert f"| maximum | {maxima[0]} | {maxima[1]} | {maxima[2]} |" in summary_table
+        assert maxima[2] == {14: 638976, 3: 229376}[n]
+
     def test_plot_csv_matches_report(self, tmp_path):
         records = [record_from_statistic(f"s{i}", 0.5 * i, 0.1) for i in range(1, 6)]
         report = audit(records)
@@ -640,6 +656,40 @@ class TestCsvContract:
         with pytest.raises(ParseError) as excinfo:
             read_counts_csv(path)
         assert (excinfo.value.row, excinfo.value.column) == (3, "predictors")
+
+    @pytest.mark.parametrize("reader", [read_effects_csv, read_counts_csv])
+    def test_good_rows_before_an_unreadable_record_raise_its_error(self, tmp_path, reader, monkeypatch):
+        # The good rows parse first; then the record past the field limit is the error.
+        header, row = (
+            (EFFECTS_HEADER, "a,x,1.5,1.25,2.0,0.95,0") if reader is read_effects_csv
+            else (COUNTS_HEADER, "a,1,1,1,1")
+        )
+        path = tmp_path / "big.csv"
+        big = '"' + "x" * (csv.field_size_limit() + 1) + '"'
+        path.write_text("\n".join([",".join(header), row, f"{big},1"]) + "\n", encoding="utf-8")
+        parsed = []  # the rows each parse ran on
+        read_csv = fileio._read_csv
+
+        def spied(path, headers, expected, rows_name, parse, digests):
+            def spy(header, lines, rows):
+                parsed.append(rows)
+                return parse(header, lines, rows)
+
+            return read_csv(path, headers, expected, rows_name, spy, digests)
+
+        monkeypatch.setattr(fileio, "_read_csv", spied)
+        with pytest.raises(ParseError, match="field larger than field limit") as excinfo:
+            reader(path)
+        assert excinfo.value.row == 3
+        assert parsed == [[row.split(",")]]
+
+    def test_config_line_without_an_equals_sign_names_its_row(self, tmp_path):
+        path = tmp_path / "sim.cfg"
+        path.write_text("seed=1\nreplicates 3\n", encoding="utf-8")
+        with pytest.raises(ParseError) as excinfo:
+            fileio.read_sim_config(path)
+        assert str(excinfo.value) == f"{path}: expected key=value, got 'replicates 3' (row 2)"
+        assert excinfo.value.row == 2
 
     def test_undecodable_byte_past_the_first_decode_chunk_names_its_line(self, tmp_path):
         # A streamed decode once gave an offset within its 8 KB chunk, and no line.

@@ -348,20 +348,22 @@ class TestSelectionBias:
 
 
 class TestSimResult:
-    """A result stores three columns and its config; everything else is computed from them."""
+    """A result stores its estimates and config; everything else is computed from them."""
 
-    @pytest.mark.parametrize("kept", ["p < 0.01", "none"])
-    def test_a_replaced_published_column_gives_its_own_summary(self, kept):
-        # A copy once kept the publication rate and means of the run it was copied from.
+    @pytest.mark.parametrize("alpha", [0.01, 1e-12])
+    def test_a_replaced_alpha_gives_its_own_summary(self, alpha):
+        # The copy at alpha 0.01 once wrote the publication rate 0.4055 and the 811
+        # published studies of the run at 0.05; a fresh run at 0.01 publishes 191.
         config = SimConfig(tests_per_study=10, replicates=2000, censor_at_alpha=True, seed=1)
         result = run_simulation(config)
-        published = result.p < 0.01 if kept == "p < 0.01" else np.zeros(2000, dtype=bool)
-        copy = dataclasses.replace(result, published=published)
-        reported = result.estimate[published].tolist()
+        at_alpha = dataclasses.replace(config, alpha=alpha)
+        copy = dataclasses.replace(result, config=at_alpha)
+        reported = result.estimate[result.p < alpha].tolist()
         mean = math.fsum(reported) / len(reported) if reported else math.nan
         mean_abs = math.fsum(map(abs, reported)) / len(reported) if reported else math.nan
         expected = {
             **sim_summary_document(result),
+            "config": dataclasses.asdict(at_alpha),
             "publication_rate": len(reported) / 2000,
             "bias": mean,
             "abs_bias": mean_abs,
@@ -369,7 +371,9 @@ class TestSimResult:
             "n_published": len(reported),
             "n_reported": len(reported),
         }
-        assert json_dumps(sim_summary_document(copy)) == json_dumps(expected)
+        document = json_dumps(sim_summary_document(copy))
+        assert document == json_dumps(expected)
+        assert document == json_dumps(sim_summary_document(run_simulation(at_alpha)))
 
     def test_a_replaced_config_gives_its_own_summary(self):
         # The censored copy once wrote the uncensored bias 0.0413 for 811 reported estimates.
@@ -383,23 +387,21 @@ class TestSimResult:
     @pytest.mark.parametrize(
         "field, kind, match",
         [
-            ("p", "short", r"^p must be a float64 array of replicates \* n_studies = 60 entries"),
+            ("estimate", "short", r"^estimate must be a float64 array of replicates \* n_studies = 60 entries"),
             ("estimate", "list", "^estimate must be a float64 array"),
-            ("published", "float", "^published must be a bool array"),
-            ("p", "2-D", "^p must be a float64 array"),
-            ("config", "more replicates", "^p must be a float64 array .* = 62 entries"),
+            ("estimate", "2-D", "^estimate must be a float64 array"),
+            ("config", "more replicates", "^estimate must be a float64 array .* = 62 entries"),
             ("config", "dict", "^config must be a SimConfig, got dict$"),
         ],
-        ids=["short-p", "list-estimate", "float-published", "2d-p", "config-size", "dict-config"],
+        ids=["short-estimate", "list-estimate", "2d-estimate", "config-size", "dict-config"],
     )
     def test_columns_must_fit_the_config(self, field, kind, match):
         config = SimConfig(n_studies=2, replicates=30, seed=3)
         result = run_simulation(config)
         bad = {
-            "short": result.p[:-1],
+            "short": result.estimate[:-1],
             "list": result.estimate.tolist(),
-            "float": result.published.astype(float),
-            "2-D": result.p.reshape(30, 2),
+            "2-D": result.estimate.reshape(30, 2),
             "more replicates": dataclasses.replace(config, replicates=31),
             "dict": dataclasses.asdict(config),
         }

@@ -95,7 +95,7 @@ def _built_values():
     fit = ols_fit([[1.0, x] for x in range(5)], [0.0, 1.1, 1.9, 3.2, 3.9])
     result = run_simulation(SimConfig(tests_per_study=3, replicates=20, seed=2))
     return {
-        "SimResult": (result, "published", ~result.published),
+        "SimResult": (result, "estimate", -result.estimate),
         "TestResult": (report.uniformity, "p_value", 0.9),
         "OlsFit": (fit, "df", 99),
         "HockeyStickFit": (report.hockey_stick, "breakpoint", 99),
@@ -120,12 +120,14 @@ def test_a_built_value_cannot_be_rebound(name):
 
 # Each fact is stored once: what follows from the fields is computed from them.
 STORED = {
-    "SimResult": ("p", "estimate", "published", "config"),
+    "SimResult": ("estimate", "config"),
     "StudyCounts": ("study_id", "outcomes", "predictors", "lags", "covariates", "covariate_names"),
     "PValuePlot": ("excluded_ns_count", "p", "study_ids"),
 }
 COMPUTED = {
-    "SimResult": ("replicate", "study", "publication_rate", "bias", "abs_bias", "mean_abs_estimate"),
+    "SimResult": (
+        "p", "published", "replicate", "study", "publication_rate", "bias", "abs_bias", "mean_abs_estimate"
+    ),
     "StudyCounts": ("space1", "space2", "space3"),
     "PValuePlot": ("n",),
 }

@@ -500,6 +500,13 @@ class TestKsUniformTest:
         with pytest.raises(ValueError):
             ks_uniform_test([0.5, bad])
 
+    def test_float32_array_is_tested_as_its_float64_values(self):
+        # A float32 array once raised "values must lie in [0, 1]" naming its first, valid, value.
+        values = np.array([0.1, 0.4, 0.45, 0.8], dtype=np.float32)
+        assert ks_uniform_test(values) == ks_uniform_test(values.tolist())
+        with pytest.raises(ValueError, match=r"^values must lie in \[0, 1\], got .*1\.5"):
+            ks_uniform_test(np.array([0.1, 1.5], dtype=np.float32))
+
 
 def reference_ks_uniform_test(values):
     """The per-point loop that ks_uniform_test's NumPy statistic replaced, kept as its reference."""

@@ -71,6 +71,12 @@ class TestRenderPValuePlot:
         with pytest.raises(ValueError, match=r"alpha must lie in \(0, 1\)"):
             render_pvalue_plot(plot_of(4), alpha=alpha)
 
+    @pytest.mark.parametrize("alpha", ["0.5", None, True])
+    def test_rejects_alpha_that_is_not_a_real(self, alpha):
+        # A str or None once escaped as a bare TypeError from the range test.
+        with pytest.raises(ValueError, match=f"^alpha must be a real number, got {re.escape(repr(alpha))}$"):
+            render_pvalue_plot(plot_of(4), alpha=alpha)
+
     def test_rejects_an_empty_plot(self):
         # Once a ZeroDivisionError from placing rank 1 on an axis of n = 0 ranks.
         with pytest.raises(ValueError, match="empty p-value plot"):
