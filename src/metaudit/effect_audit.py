@@ -77,11 +77,7 @@ class EffectRecord:
                 raise ValueError(f"{name} must be a str, got {value!r}")
         if not self.study_id.strip():
             raise ValueError("study_id must be non-empty")
-        _check_real("confidence_level", self.confidence_level)
-        if not 0.5 < self.confidence_level < 1.0:
-            raise ValueError(
-                f"confidence_level must lie in (0.5, 1), got {self.confidence_level!r}"
-            )
+        _check_real("confidence_level", self.confidence_level, between=(0.5, 1))
         _check_bool("not_significant_flag", self.not_significant_flag)
         for name in ("ratio", "ci_low", "ci_high"):
             value = getattr(self, name)
@@ -409,8 +405,8 @@ def effects_from_statistics(
     if not standard_error > 0:
         raise ValueError(f"standard_error must be positive, got {standard_error!r}")
     statistics = np.asarray(statistics, dtype=float)
-    # The critical value needs a valid level: EffectRecord's check runs first.
-    EffectRecord("row", confidence_level=confidence_level, not_significant_flag=True)
+    # The critical value needs a valid level, checked first as EffectRecord checks it.
+    _check_real("confidence_level", confidence_level, between=(0.5, 1))
     z = _critical_value(confidence_level)
     # NumPy forms the same IEEE products as scalar code would; the exponent
     # is math.exp, because np.exp rounds differently for some arguments.
@@ -722,8 +718,7 @@ def multiplicity_report(
     """
     _check_real("alpha", alpha)
     _check_real("m", m)
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must lie in (0, 1), got {alpha!r}")
+    _check_real("alpha", alpha, between=(0, 1))
     if not m >= 1:
         raise ValueError(f"m must be at least 1, got {m!r}")
     adjusted = alpha / m

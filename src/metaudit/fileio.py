@@ -77,11 +77,9 @@ class ParseError(InputError):
         super().__init__(f"{message}{suffix}")
 
 
-def _read_text(
-    path: str | Path, newline: str | None, digests: list[dict] | None = None
-) -> io.TextIOWrapper:
+def _read_text(path: str | Path, digests: list[dict] | None = None) -> io.TextIOWrapper:
     """The text of ``path``, UTF-8 with or without a byte-order mark, as a stream with
-    ``open``'s ``newline`` meaning; bytes that are not UTF-8 raise ParseError.
+    ``open``'s ``newline=""`` meaning; bytes that are not UTF-8 raise ParseError.
 
     The file is read once.  Its bytes are decoded whole once, only to check
     them, and that str is dropped before the stream decodes them again, a chunk
@@ -95,27 +93,28 @@ def _read_text(
         data.decode("utf-8")
     except UnicodeDecodeError as exc:
         before = data[: exc.start].decode("utf-8") + "?"  # "?" in place of the bad byte
-        row = len(io.StringIO(before, newline=newline).readlines())  # the bad byte's line
+        row = len(io.StringIO(before, newline="").readlines())  # the bad byte's line
         raise ParseError(f"{path}: {exc}", row=row) from None
     if digests is not None:
         digests.append({"name": Path(path).name, "sha256": hashlib.sha256(data).hexdigest()})
-    return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8-sig", newline=newline)
+    return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8-sig", newline="")
 
 
 def _read_csv(
     path: Path, headers: list[list[str]], expected: list[str], rows_name: str,
-    parse: Callable[[list[str], list[int], list[list[str]]], _T], digests: list[dict] | None,
+    parse: Callable[[list[str], list[int], list[str], list[list[str]]], _T],
+    digests: list[dict] | None,
 ) -> _T:
-    """``parse(header, lines, rows)``: the matched entry of ``headers``, and the
-    first line and cells of each record after it.
+    """``parse(header, lines, ids, rows)``: the matched entry of ``headers``, and the
+    first line, stripped study id (the first cell) and cells of each record after it.
 
     One ``csv.reader`` reads the whole file, so quoted cells may hold
     commas, quotes and line breaks.  Blank and '#' lines are skipped
-    between records, never inside a quoted cell.  A record that the reader
-    cannot parse raises ParseError after ``parse`` has run on the rows
-    before it, so that a bad row before that record comes first.  A file
-    that parses whole logs one warning when rows share a study id, the
-    first cell of both formats; every row is kept.
+    between records, never inside a quoted cell.  The first record that
+    the reader cannot parse, or that lacks the header's field count, cuts
+    the file: its ParseError is raised after ``parse`` has run on the rows
+    above it, so that a bad cell above comes first.  A file that parses
+    whole logs one warning when rows share a study id; every row is kept.
     """
     first_line = 0  # of the record being read; 0 between records
 
@@ -133,7 +132,7 @@ def _read_csv(
     rows: list[list[str]] = []
     error = None
     try:
-        for cells in csv.reader(record_lines(_read_text(path, "", digests))):
+        for cells in csv.reader(record_lines(_read_text(path, digests))):
             lines.append(first_line)
             rows.append(cells)
             first_line = 0
@@ -143,12 +142,16 @@ def _read_csv(
     if not rows:
         raise error or ParseError(f"{path}: empty file; expected header {','.join(expected)}")
     header = _match_header(rows[0], headers, path)
+    if len(set(map(len, rows))) > 1:  # the header row has the header's count
+        bad = next(i for i, cells in enumerate(rows) if len(cells) != len(header))
+        error = ParseError(f"expected {len(header)} fields, got {len(rows[bad])}", row=lines[bad])
+        del rows[bad:], lines[bad:]
     if len(rows) == 1:
         raise error or ParseError(f"{path}: no {rows_name} rows after the header")
-    result = parse(header, lines[1:], rows[1:])
+    ids = [cells[0].strip() for cells in rows[1:]]
+    result = parse(header, lines[1:], ids, rows[1:])
     if error is not None:
         raise error
-    ids = [cells[0].strip() for cells in rows[1:]]
     if len(set(ids)) < len(ids):
         first: dict[str, int] = {}  # the line of each id's first row
         for line, study_id in zip(lines[1:], ids):
@@ -192,17 +195,17 @@ def read_counts_csv(path: str | Path, *, digests: list[dict] | None = None) -> l
     SearchSpaceOverflowError, so callers can tell it from malformed input.
     """
 
-    def parse(header: list[str], row_lines: list[int], rows: list[list[str]]) -> list[StudyCounts]:
+    def parse(
+        header: list[str], row_lines: list[int], ids: list[str], rows: list[list[str]]
+    ) -> list[StudyCounts]:
         studies = []
-        for lineno, cells in zip(row_lines, rows):
-            if len(cells) != len(header):
-                raise ParseError(f"expected {len(header)} fields, got {len(cells)}", row=lineno)
+        for lineno, study_id, cells in zip(row_lines, ids, rows):
             names = None
             if header is COUNTS_HEADER_NAMED and cells[5].strip():
                 names = [n.strip() for n in cells[5].split(";")]
             counts = [_parse_int(c, lineno, name) for c, name in zip(cells[1:5], header[1:5])]
             try:
-                studies.append(StudyCounts(cells[0].strip(), *counts, covariate_names=names))
+                studies.append(StudyCounts(study_id, *counts, covariate_names=names))
             except ValueError as exc:
                 raise ParseError(str(exc), row=lineno) from exc
         return studies
@@ -225,17 +228,19 @@ def _floats(cells: Sequence[str]) -> tuple[list[float], int | None]:
     return values, None
 
 
-def _effects_columns(header: list[str], lines: list[int], cells: list[list[str]]) -> EffectsTable:
+def _effects_columns(
+    header: list[str], lines: list[int], ids: list[str], cells: list[list[str]]
+) -> EffectsTable:
     """The effects table of the rows, or the ParseError of the first bad row in file order.
 
-    The checks run in the order that one row's fields are checked: field
-    count, ns cell, level, ratio, ci_low, ci_high, and then
-    ``EffectsTable``'s contract.  Each check runs once, over the rows
-    before the earliest row rejected so far, and a rejection keeps its
-    row's error; so the error raised at the end is the first bad row's,
-    from the first check that row fails.  No cell is converted twice.
+    ``_read_csv`` has checked the field counts and stripped the ids; the
+    checks here run in the order that one row's other cells are checked:
+    ns, level, ratio, ci_low, ci_high, then ``EffectsTable``'s contract.
+    Each check runs once, over the rows before the earliest row rejected
+    so far, and a rejection keeps its row's error; so the error raised at
+    the end is the first bad row's, from the first check that row fails.
+    No cell is converted twice.
     """
-    width = len(header)
     n = len(cells)  # rows from n on are not checked further
     error = None
 
@@ -243,13 +248,7 @@ def _effects_columns(header: list[str], lines: list[int], cells: list[list[str]]
         nonlocal n, error
         n, error = index, ParseError(message, row=lines[index], column=column)
 
-    widths = list(map(len, cells))
-    if set(widths) != {width}:
-        bad = next(i for i, k in enumerate(widths) if k != width)
-        reject(bad, f"expected {width} fields, got {widths[bad]}")
-    study_ids, labels, ratio, ci_low, ci_high, *level_column, ns_cells = (
-        zip(*cells[:n]) if n else [()] * width
-    )
+    _, labels, ratio, ci_low, ci_high, *level_column, ns_cells = zip(*cells)
     ns_cells = list(map(str.strip, ns_cells))
     if not set(ns_cells) <= {"0", "1", ""}:
         bad = next(i for i, cell in enumerate(ns_cells) if cell not in ("0", "1", ""))
@@ -283,7 +282,7 @@ def _effects_columns(header: list[str], lines: list[int], cells: list[list[str]]
         full[numeric] = values[:count]
     try:
         table = EffectsTable(
-            tuple(map(str.strip, study_ids[:n])), tuple(map(str.strip, labels[:n])), *columns,
+            tuple(ids[:n]), tuple(map(str.strip, labels[:n])), *columns,
             level=level[:n], ns=ns[:n],
         )
     except ValueError as exc:
@@ -319,7 +318,7 @@ def read_sim_config(path: str | Path) -> dict:
     """
     types = typing.get_type_hints(SimConfig)
     values: dict = {}
-    for lineno, line in enumerate(_read_text(path, None), start=1):
+    for lineno, line in enumerate(_read_text(path), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue

@@ -99,8 +99,7 @@ class SimConfig:
                 f"selection_rule must be one of {', '.join(SELECTION_RULES)}, "
                 f"got {self.selection_rule!r}"
             )
-        if not 0.0 < self.alpha < 1.0:
-            raise InputError(f"alpha must lie in (0, 1), got {self.alpha!r}")
+        _check_real("alpha", self.alpha, InputError, between=(0, 1))
         _check_bool("censor_at_alpha", self.censor_at_alpha, InputError)
 
     def total_draws(self) -> int:
@@ -111,9 +110,9 @@ class SimConfig:
 class SimResult:
     """Outcome of a simulation run: the selected estimates and their config.
 
-    ``estimate`` holds each simulated study's selected z statistic in
-    replicate order, ``config.replicates * config.n_studies`` in all, and is
-    made read-only.  Everything else is computed from it, once per result,
+    ``estimate`` holds each simulated study's selected z statistic, finite,
+    in replicate order, ``config.replicates * config.n_studies`` in all, and
+    is made read-only.  Everything else is computed from it, once per result,
     so a ``dataclasses.replace`` copy cannot disagree with itself: ``p``,
     the selected two-sided p-value ``erfc(|z| * sqrt(0.5))``; ``published``
     (p < alpha); the index columns ``replicate`` and ``study``; the
@@ -137,6 +136,9 @@ class SimResult:
                 f"estimate must be a float64 array of replicates * n_studies = "
                 f"{size} entries, got {getattr(column, 'shape', type(column).__name__)}"
             )
+        if not np.isfinite(column).all():
+            bad = int(np.argmin(np.isfinite(column)))
+            raise InputError(f"estimate[{bad}] must be finite, got {column[bad].item()!r}")
         column.flags.writeable = False
 
     @property

@@ -61,8 +61,11 @@ def _check_int(
         raise error(f"{name} must be {kind}, got {value!r}")
 
 
-def _check_real(name: str, value: object, error: type[ValueError] = ValueError) -> None:
-    """Raise ``error`` naming the field unless ``value`` is an int or float, not a bool.
+def _check_real(
+    name: str, value: object, error: type[ValueError] = ValueError, between: tuple | None = None
+) -> None:
+    """Raise ``error`` naming the field unless ``value`` is an int or float, not a bool,
+    that lies in the open interval ``between`` = (low, high) when that is given.
 
     Float subclasses such as ``np.float64`` pass, and the value is kept as
     given; an int past the largest float is rejected.
@@ -73,6 +76,8 @@ def _check_real(name: str, value: object, error: type[ValueError] = ValueError) 
         or isinstance(value, int) and not abs(value) <= sys.float_info.max
     ):
         raise error(f"{name} must be a real number, got {value!r}")
+    if between is not None and not between[0] < value < between[1]:
+        raise error(f"{name} must lie in ({between[0]}, {between[1]}), got {value!r}")
 
 
 def _check_bool(name: str, value: object, error: type[ValueError] = ValueError) -> None:

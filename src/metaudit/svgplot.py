@@ -40,9 +40,7 @@ def render_pvalue_plot(plot: PValuePlot, alpha: float = 0.05) -> str:
     horizontal rule at the significance screen, which needs a real alpha in
     (0, 1) to stay on the canvas; any other alpha raises ValueError.
     """
-    _check_real("alpha", alpha)
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must lie in (0, 1), got {alpha!r}")
+    _check_real("alpha", alpha, between=(0, 1))
     n = plot.n
     if not n:
         raise ValueError("cannot render an empty p-value plot (n = 0)")

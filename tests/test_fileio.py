@@ -671,9 +671,9 @@ class TestCsvContract:
         read_csv = fileio._read_csv
 
         def spied(path, headers, expected, rows_name, parse, digests):
-            def spy(header, lines, rows):
+            def spy(header, lines, ids, rows):
                 parsed.append(rows)
-                return parse(header, lines, rows)
+                return parse(header, lines, ids, rows)
 
             return read_csv(path, headers, expected, rows_name, spy, digests)
 
@@ -682,6 +682,43 @@ class TestCsvContract:
             reader(path)
         assert excinfo.value.row == 3
         assert parsed == [[row.split(",")]]
+
+    @pytest.mark.parametrize("reader", [read_effects_csv, read_counts_csv])
+    @pytest.mark.parametrize(
+        "kinds, row, fault",
+        [
+            (["good", "bad cell", "short"], 3, "bad cell"),
+            (["good", "short", "bad cell"], 3, "short"),
+            (["short", "good"], 2, "short"),
+            (["good", "short", "oversized"], 3, "short"),
+            (["good", "long", "bad cell"], 3, "long"),
+        ],
+        ids=["cell-above-short", "short-above-cell", "short-first-row", "short-above-oversized",
+             "long-above-cell"],
+    )
+    def test_the_field_count_error_comes_in_file_order(self, tmp_path, reader, kinds, row, fault):
+        # The first row at fault in file order gives the error, be it its count or a cell.
+        header, good = (
+            (EFFECTS_HEADER, "a,x,1.5,1.25,2.0,0.95,0") if reader is read_effects_csv
+            else (COUNTS_HEADER, "a,1,1,1,1")
+        )
+        texts = {
+            "good": good,
+            "bad cell": good[:-1] + "x",  # the last cell, ns or covariates
+            "short": good.rsplit(",", 1)[0],
+            "long": good + ",1",
+            "oversized": '"' + "x" * (csv.field_size_limit() + 1) + '",1',
+        }
+        path = tmp_path / "rows.csv"
+        rows = [",".join(header), *map(texts.get, kinds)]
+        path.write_text("\n".join(rows) + "\n", encoding="utf-8")
+        with pytest.raises(ParseError) as excinfo:
+            reader(path)
+        if fault == "bad cell":
+            assert (excinfo.value.row, excinfo.value.column) == (row, header[-1])
+        else:
+            fields = len(texts[fault].split(","))
+            assert str(excinfo.value) == f"expected {len(header)} fields, got {fields} (row {row})"
 
     def test_config_line_without_an_equals_sign_names_its_row(self, tmp_path):
         path = tmp_path / "sim.cfg"

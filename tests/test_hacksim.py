@@ -408,6 +408,16 @@ class TestSimResult:
         with pytest.raises(hacksim.InputError, match=match):
             dataclasses.replace(result, **{field: bad[kind]})
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_estimates_must_be_finite(self, value):
+        # A NaN estimate was once silently unpublished beside a "bias": null
+        # summary, and inf with -inf raised from math.fsum far from the input.
+        result = run_simulation(SimConfig(tests_per_study=2, replicates=5, seed=1))
+        match = rf"^estimate\[1\] must be finite, got {value!r}$"
+        for estimate in ([2.0, value, 1.0, 3.0, 0.5], [2.0, value, value, -value, 0.5]):
+            with pytest.raises(hacksim.InputError, match=match):
+                dataclasses.replace(result, estimate=np.array(estimate))
+
 
 class TestBatchedMatchesScalar:
     """run_simulation against the scalar simulate_study/substream loop."""

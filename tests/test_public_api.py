@@ -5,6 +5,7 @@ import ast
 import dataclasses
 import functools
 import importlib
+import math
 import operator
 import re
 from pathlib import Path
@@ -23,13 +24,16 @@ from metaudit import (
     build_pvalue_plot,
     bundled_data_path,
     covariate_tally,
+    multiplicity_report,
     ols_fit,
     record_from_statistic,
     run_simulation,
     summarize_spaces,
 )
+from metaudit.effect_audit import effects_from_statistics
 from metaudit.fileio import read_effects_csv, write_effects_csv
 from metaudit.searchspace import FiveNumberSummary
+from metaudit.svgplot import render_pvalue_plot
 
 Result = metaudit.TestResult  # a Test* name in the module would be collected as a test class
 
@@ -259,6 +263,52 @@ def test_a_real_field_is_kept_as_given():
     statistic, df = np.float64(1.5), 3
     result = Result(statistic=statistic, p_value=1, df=df)
     assert result.statistic is statistic and result.df is df and result.p_value == 1
+
+
+_PLOT = build_pvalue_plot([EffectRecord("s", ratio=1.5, ci_low=1.2, ci_high=1.875)])
+# Each site that checks a real against an open interval: its error type, the
+# field it names, the interval, and a call that passes the value there.
+OPEN_INTERVALS = {
+    "SimConfig": (InputError, "alpha", "(0, 1)", lambda value: SimConfig(alpha=value)),
+    "multiplicity_report": (
+        ValueError, "alpha", "(0, 1)", lambda value: multiplicity_report([0.5], value, 1)
+    ),
+    "render_pvalue_plot": (
+        ValueError, "alpha", "(0, 1)", lambda value: render_pvalue_plot(_PLOT, value)
+    ),
+    "EffectRecord": (
+        ValueError, "confidence_level", "(0.5, 1)",
+        lambda value: EffectRecord("s", confidence_level=value, not_significant_flag=True),
+    ),
+    "effects_from_statistics": (
+        ValueError, "confidence_level", "(0.5, 1)",
+        lambda value: effects_from_statistics(["s"], [""], [1.0], 0.1, value),
+    ),
+}
+
+
+@pytest.mark.parametrize("site", OPEN_INTERVALS)
+@pytest.mark.parametrize("bad", [0, 1, math.nan, math.inf, -math.inf, True, "0.5"], ids=repr)
+def test_a_value_outside_its_open_interval_gives_one_message_at_every_site(site, bad):
+    error, field, interval, call = OPEN_INTERVALS[site]
+    rule = "must be a real number" if isinstance(bad, (bool, str)) else f"must lie in {interval}"
+    message = f"{field} {rule}, got {bad!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$") as excinfo:
+        call(bad)
+    assert excinfo.type is error
+
+
+def test_each_interval_check_keeps_its_place_in_the_check_order():
+    with pytest.raises(InputError, match="^selection_rule must be one of"):
+        SimConfig(alpha=2.0, selection_rule="x")
+    with pytest.raises(ValueError, match="^m must be a real number, got 'm'$"):
+        multiplicity_report([0.5], 2.0, "m")
+    with pytest.raises(ValueError, match="^alpha must be a real number, got 'x'$"):
+        multiplicity_report([0.5], "x", "m")
+    with pytest.raises(ValueError, match="^study_id must be non-empty$"):
+        EffectRecord(" ", confidence_level=2.0, not_significant_flag=True)
+    with pytest.raises(ValueError, match="^standard_error must be positive"):
+        effects_from_statistics(["s"], [""], [1.0], 0.0, 2.0)
 
 
 @pytest.mark.parametrize(
