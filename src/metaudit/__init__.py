@@ -28,7 +28,6 @@ from metaudit.searchspace import (
     SearchSpaceOverflowError,
     SpaceSummary,
     StudyCounts,
-    covariate_tally,
     summarize_spaces,
 )
 from metaudit.statkernel import (
@@ -68,7 +67,6 @@ __all__ = [
     "bilinearity_test",
     "bundled_data_path",
     "build_pvalue_plot",
-    "covariate_tally",
     "hockey_stick_fit",
     "ks_uniform_test",
     "multiplicity_report",

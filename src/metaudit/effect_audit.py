@@ -31,7 +31,7 @@ from metaudit.statkernel import (
     _check_real,
     _unit_interval_array,
     ks_uniform_test,
-    ols_columns,
+    ols_fit,
     std_normal_quantile,
 )
 
@@ -546,7 +546,7 @@ def bilinearity_test(plot: PValuePlot) -> TestResult:
     ranks = np.arange(1, n + 1, dtype=np.int64)
     # float(i * i): the integer square, exact in int64, then rounded once.
     design = [[1.0] * n, ranks.astype(float).tolist(), (ranks * ranks).astype(float).tolist()]
-    fit = ols_columns(design, plot.p.tolist())
+    fit = ols_fit(design, plot.p.tolist())
     return TestResult(
         statistic=fit.t_statistics[2],
         p_value=fit.p_values[2],

@@ -47,8 +47,11 @@ from metaudit.statkernel import InputError, TestResult
 
 COUNTS_HEADER = ["study_id", "outcomes", "predictors", "lags", "covariates"]
 COUNTS_HEADER_NAMED = COUNTS_HEADER + ["covariate_names"]
+SPACES_HEADER = COUNTS_HEADER + ["space1", "space2", "space3"]
 EFFECTS_HEADER = ["study_id", "label", "ratio", "ci_low", "ci_high", "level", "ns"]
 EFFECTS_HEADER_NO_LEVEL = [c for c in EFFECTS_HEADER if c != "level"]
+PLOT_HEADER = ["rank", "p", "reference"]
+SIM_HEADER = ["replicate", "study", "p", "estimate"]
 
 REPORT_SCHEMA = "metaudit/2"
 
@@ -446,19 +449,29 @@ def write_text(path: str | Path, text: str) -> None:
         handle.write(text)
 
 
-# Rows per write() of the streamed CSV writers, which hold one chunk's
-# lines at a time instead of the whole file's text.
+# Rows per write() of the CSV writers, which hold one chunk's cells at a
+# time instead of the whole file's text.
 _CHUNK_ROWS = 4096
 
 
-def _write_chunked(
-    path: Path, header: str, n_rows: int, lines: Callable[[int, int], list[str]]
+def _write_csv(
+    path: str | Path, header: list[str], n_rows: int,
+    cells: Callable[[int, int], list[Sequence[str]]],
 ) -> None:
-    """Write the header line, then ``lines(start, stop)`` for each chunk of rows."""
+    """Write the header line, then for each chunk of rows the cell texts
+    ``cells(start, stop)`` returns, one sequence per header column."""
+    separators = [""] + [","] * (len(header) - 1) + ["\n"]
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write(header + "\n")
+        handle.write(",".join(header) + "\n")
         for start in range(0, n_rows, _CHUNK_ROWS):
-            handle.write("".join(lines(start, min(start + _CHUNK_ROWS, n_rows))))
+            columns = cells(start, min(start + _CHUNK_ROWS, n_rows))
+            handle.write("".join(_interleave(separators, columns)))
+
+
+def _reprs(columns: Sequence[np.ndarray], start: int, stop: int) -> list[list[str]]:
+    """The texts of rows ``start`` to ``stop`` of each column: tolist() yields ints
+    and Python floats, whose repr is their shortest round-trip text."""
+    return [list(map(repr, column[start:stop].tolist())) for column in columns]
 
 
 def _needs_quotes(text: str) -> bool:
@@ -494,13 +507,12 @@ def _markdown_cells(texts: Sequence[str]) -> Sequence[str]:
 
 
 def write_spaces_csv(path: str | Path, studies: list[StudyCounts]) -> None:
-    lines = ["study_id,outcomes,predictors,lags,covariates,space1,space2,space3\n"]
-    lines += [
-        f"{_csv_cell(s.study_id)},{s.outcomes},{s.predictors},{s.lags},{s.covariates},"
-        f"{s.space1},{s.space2},{s.space3}\n"
-        for s in studies
-    ]
-    write_text(path, "".join(lines))
+    def cells(start: int, stop: int) -> list[Sequence[str]]:
+        chunk = studies[start:stop]
+        ids = _csv_cells([s.study_id for s in chunk])
+        return [ids] + [[str(getattr(s, name)) for s in chunk] for name in SPACES_HEADER[1:]]
+
+    _write_csv(path, SPACES_HEADER, len(studies), cells)
 
 
 def write_spaces_markdown(path: str | Path, studies: list[StudyCounts]) -> None:
@@ -608,14 +620,8 @@ def write_report_json(path: str | Path, document: dict) -> None:
 def write_plot_csv(path: str | Path, report: AuditReport) -> None:
     """One row per rank: the ranked p-value and its uniform reference i/(n+1)."""
     plot = report.plot
-    columns = (plot.p, plot.reference())
-
-    def lines(start: int, stop: int) -> list[str]:
-        # tolist() yields Python floats, whose !r is their shortest round-trip text.
-        rows = zip(range(start + 1, stop + 1), *(column[start:stop].tolist() for column in columns))
-        return [f"{rank},{p!r},{ref!r}\n" for rank, p, ref in rows]
-
-    _write_chunked(Path(path), "rank,p,reference", plot.n, lines)
+    columns = (np.arange(1, plot.n + 1), plot.p, plot.reference())
+    _write_csv(path, PLOT_HEADER, plot.n, lambda start, stop: _reprs(columns, start, stop))
 
 
 def _fmt(value: float) -> str:
@@ -675,13 +681,7 @@ def write_sim_csv(path: str | Path, result: SimResult) -> None:
     """One row per published study, in replicate order."""
     published = result.published
     columns = [c[published] for c in (result.replicate, result.study, result.p, result.estimate)]
-
-    def lines(start: int, stop: int) -> list[str]:
-        # tolist() yields ints and Python floats, whose !r is their shortest round-trip text.
-        rows = zip(*(column[start:stop].tolist() for column in columns))
-        return [f"{replicate},{study},{p!r},{estimate!r}\n" for replicate, study, p, estimate in rows]
-
-    _write_chunked(Path(path), "replicate,study,p,estimate", len(columns[0]), lines)
+    _write_csv(path, SIM_HEADER, len(columns[0]), lambda start, stop: _reprs(columns, start, stop))
 
 
 def sim_summary_document(result: SimResult) -> dict:
@@ -711,21 +711,19 @@ def write_effects_csv(path: str | Path, records: Sequence[EffectRecord]) -> None
     table = EffectsTable.from_records(records)
     numbers = (table.ratio, table.ci_low, table.ci_high)
 
-    def lines(start: int, stop: int) -> list[str]:
-        ids = _csv_cells(table.study_ids[start:stop])
-        labels = _csv_cells(table.labels[start:stop])
+    def cells(start: int, stop: int) -> list[Sequence[str]]:
         # A table holds a few distinct levels: format each once.
         levels = table.level[start:stop].tolist()
         level_texts = {level: repr(level) for level in set(levels)}
-        levels = list(map(level_texts.__getitem__, levels))
-        # tolist() yields Python floats, whose !r is their shortest round-trip text.
-        rows = zip(ids, labels, *(column[start:stop].tolist() for column in numbers), levels)
-        texts = [
-            f"{study_id},{label},{r!r},{lo!r},{hi!r},{level},0\n"
-            for study_id, label, r, lo, hi, level in rows
-        ]
+        number_texts = _reprs(numbers, start, stop)
+        ns = ["0"] * (stop - start)
         for row in np.flatnonzero(table.ns[start:stop]).tolist():
-            texts[row] = f"{ids[row]},{labels[row]},,,,{levels[row]},1\n"
-        return texts
+            for texts in number_texts:
+                texts[row] = ""
+            ns[row] = "1"
+        return [
+            _csv_cells(table.study_ids[start:stop]), _csv_cells(table.labels[start:stop]),
+            *number_texts, list(map(level_texts.__getitem__, levels)), ns,
+        ]
 
-    _write_chunked(Path(path), ",".join(EFFECTS_HEADER), len(table), lines)
+    _write_csv(path, EFFECTS_HEADER, len(table), cells)

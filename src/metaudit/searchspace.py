@@ -4,19 +4,15 @@ Given per-study tallies of outcomes, predictors, lag configurations and
 adjustable covariates, computes how many distinct analyses the authors
 could have run: the number of questions (outcomes x predictors x lags),
 the number of covariate-inclusion models (2^covariates), and their
-product.  Also summarizes spaces across studies and tallies covariate
-usage by name.
+product.  Also summarizes spaces across studies.
 """
 
 from __future__ import annotations
 
-import logging
 from collections.abc import Sequence
 from dataclasses import dataclass
 
 from metaudit.statkernel import _check_int, quantile_type6
-
-logger = logging.getLogger(__name__)
 
 U64_MAX = 2**64 - 1
 
@@ -134,30 +130,3 @@ def summarize_spaces(studies: Sequence[StudyCounts]) -> SpaceSummary:
         space3=_summary([s.space3 for s in studies]),
     )
 
-
-def covariate_tally(studies: list[StudyCounts]) -> dict[str, int]:
-    """Count how many studies adjust for each named covariate.
-
-    Names are matched exactly after trimming surrounding whitespace; no
-    synonym merging is attempted, because deciding that temperature and
-    apparent temperature are "the same" covariate would inject judgment
-    the source tables do not make.  Studies without a name list are
-    skipped and logged.
-    """
-    tally: dict[str, int] = {}
-    skipped: list[str] = []
-    for study in studies:
-        if study.covariate_names is None:
-            skipped.append(study.study_id)
-            continue
-        for name in {raw.strip() for raw in study.covariate_names}:
-            if name:
-                tally[name] = tally.get(name, 0) + 1
-    if skipped:
-        logger.warning(
-            "covariate_tally skipped %d studies without covariate names: %s",
-            len(skipped),
-            ", ".join(skipped),
-        )
-    # Deterministic order: most used first, ties alphabetical.
-    return dict(sorted(tally.items(), key=lambda item: (-item[1], item[0])))

@@ -240,38 +240,26 @@ def _two_sided_t_p(t: float, df: int) -> float:
     return min(1.0, 2.0 * student_t_sf(abs(t), df))
 
 
-def ols_fit(design: Sequence[Sequence[float]], response: Sequence[float]) -> OlsFit:
-    """Ordinary least squares of ``response`` on the columns of ``design``.
+def ols_fit(columns: Sequence[Sequence[float]], response: Sequence[float]) -> OlsFit:
+    """Ordinary least squares of ``response`` on the design whose j-th column is ``columns[j]``.
 
-    The design matrix must already contain any intercept column.  Solves the
-    normal equations on column-equilibrated data via Cholesky; a failing
-    pivot identifies the offending column.  Residual variance uses divisor
-    n - k and each coefficient gets a two-sided t test on n - k degrees of
-    freedom.
+    The columns must already contain any intercept column and be of one
+    length n.  Their entries are used as given, so pass Python numbers
+    (NumPy scalars square differently).  Solves the normal equations on
+    column-equilibrated data via Cholesky; a failing pivot identifies the
+    offending column.  Residual variance uses divisor n - k and each
+    coefficient gets a two-sided t test on n - k degrees of freedom.
 
     Exact fits (residual norm at rounding level) would make t a ratio of
     noise terms, so there each t is snapped to 0 when the coefficient is
     itself at rounding level and to signed infinity otherwise.
     """
-    n = len(design)
-    if n == 0:
-        raise ValueError("design matrix has no rows")
-    k = len(design[0])
+    k = len(columns)
     if k == 0:
         raise ValueError("design matrix has no columns")
-    if any(len(row) != k for row in design):
-        raise ValueError("design matrix rows have inconsistent lengths")
-    return ols_columns([[row[j] for row in design] for j in range(k)], response)
-
-
-def ols_columns(columns: Sequence[Sequence[float]], response: Sequence[float]) -> OlsFit:
-    """``ols_fit`` of the design whose j-th column is ``columns[j]``.
-
-    The columns must be of equal length n; their entries are used as
-    given, so pass Python numbers (NumPy scalars square differently).
-    """
-    k = len(columns)
     n = len(columns[0])
+    if any(len(column) != n for column in columns):
+        raise ValueError("design matrix columns have unequal lengths")
     if len(response) != n:
         raise ValueError(f"response length {len(response)} != row count {n}")
     if n <= k:

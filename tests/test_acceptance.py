@@ -233,8 +233,9 @@ def test_criterion_4_bilinearity_properties():
     t_exact = float(beta[2]) / math.sqrt(sigma2 * float(inverse_diagonal[2]))
     assert result.statistic == pytest.approx(t_exact, rel=1e-9)
 
-    design = [[1.0, float(i), float(i * i)] for i in range(1, 15)]
-    fit = ols_fit(design, sorted(HOCKEY_PVALUES))
+    ranks = range(1, 15)
+    columns = [[1.0] * 14, [float(i) for i in ranks], [float(i * i) for i in ranks]]
+    fit = ols_fit(columns, sorted(HOCKEY_PVALUES))
     for got, exact in zip(fit.coefficients, beta):
         assert abs(got - float(exact)) < 1e-9
     assert fit.rss == pytest.approx(float(rss), rel=1e-9)
@@ -377,7 +378,7 @@ def test_criterion_9_invariant_suites():
         beta = [float(rng.randint(-4, 4)) for _ in range(k + 1)]
         response = [sum(b * x for b, x in zip(beta, row)) for row in design]
         try:
-            fit = ols_fit(design, response)
+            fit = ols_fit([list(column) for column in zip(*design)], response)
         except RankDeficiencyError:
             continue
         assert max(

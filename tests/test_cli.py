@@ -106,6 +106,13 @@ class TestCmdSpace:
         _, outdir = run_space(tmp_path)
         assert (outdir / name).read_bytes() == (GOLDEN_DIR / "space_nawrot" / name).read_bytes()
 
+    @pytest.mark.parametrize("chunk_rows", [1, 7])
+    def test_chunk_size_does_not_change_spaces_csv(self, tmp_path, monkeypatch, chunk_rows):
+        monkeypatch.setattr(fileio, "_CHUNK_ROWS", chunk_rows)
+        _, outdir = run_space(tmp_path, "--format", "csv")
+        golden = GOLDEN_DIR / "space_nawrot" / "spaces.csv"
+        assert (outdir / "spaces.csv").read_bytes() == golden.read_bytes()
+
     def test_overflow_exits_3(self, tmp_path, capsys):
         bad = tmp_path / "wide.csv"
         bad.write_text(
@@ -784,6 +791,15 @@ class TestSimulateGolden:
         monkeypatch.setattr(fileio, "_CHUNK_ROWS", chunk_rows)
         for name in SIMULATE_GOLDEN:
             self.assert_golden(tmp_path, name)
+
+    def test_no_published_study_writes_the_headers_alone(self, tmp_path):
+        # At alpha 1e-9, none of the 3 censored studies is published.
+        outdir = tmp_path / "none"
+        effects = outdir / "sim_effects.csv"
+        argv = ["simulate", "--k", "1", "--replicates", "3", "--seed", "1", "--censor", "--alpha", "1e-9"]
+        assert main(argv + ["--emit-effects", str(effects), "--output", str(outdir)]) == 0
+        assert (outdir / "sim_results.csv").read_bytes() == b"replicate,study,p,estimate\n"
+        assert effects.read_bytes() == (",".join(EFFECTS_HEADER) + "\n").encode()
 
 
 # Command -> its input arguments, and the file each --format value writes.

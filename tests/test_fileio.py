@@ -40,6 +40,9 @@ from metaudit.fileio import (
     COUNTS_HEADER_NAMED,
     EFFECTS_HEADER,
     EFFECTS_HEADER_NO_LEVEL,
+    PLOT_HEADER,
+    SIM_HEADER,
+    SPACES_HEADER,
     ParseError,
     _match_header,
     _parse_int,
@@ -446,6 +449,57 @@ class TestWriters:
             assert f" {cell} |" in report
         for cell in ("x\\|y", "p<br>q"):
             assert f"| {cell} |" in spaces
+
+
+def csv_rows(path):
+    with open(path, encoding="utf-8", newline="") as handle:
+        return list(csv.reader(handle))
+
+
+def texts(*columns):
+    """Rows of the repr of each column's values, which callers pass as ``.tolist()``'s
+    Python numbers: on NumPy 2 a NumPy scalar's repr is ``np.float64(...)``."""
+    return [list(row) for row in zip(*(map(repr, column) for column in columns))]
+
+
+class TestWrittenHeaders:
+    """Each CSV writer emits its declared header, and the package's reader of a
+    format accepts what its writer wrote.  Only the effects CSV has both today:
+    spaces.csv, plot_data.csv and sim_results.csv have no reader yet."""
+
+    def test_effects_csv_is_read_back(self, tmp_path):
+        records = [record_from_statistic(f"s{i}", 0.3 * i, 0.1) for i in range(1, 5)]
+        records.append(EffectRecord(study_id="n", not_significant_flag=True))
+        table = EffectsTable.from_records(records)
+        path = tmp_path / "effects.csv"
+        write_effects_csv(path, table)
+        assert csv_rows(path)[0] == EFFECTS_HEADER
+        assert read_effects_csv(path) == table
+
+    def test_spaces_csv(self, tmp_path, corpus_studies):
+        path = tmp_path / "spaces.csv"
+        write_spaces_csv(path, corpus_studies)
+        ids = [s.study_id for s in corpus_studies]
+        counts = texts(*([getattr(s, name) for s in corpus_studies] for name in SPACES_HEADER[1:]))
+        assert csv_rows(path) == [SPACES_HEADER] + [[i, *row] for i, row in zip(ids, counts)]
+
+    def test_plot_csv(self, tmp_path):
+        report = audit([record_from_statistic(f"s{i}", 0.5 * i, 0.1) for i in range(1, 6)])
+        path = tmp_path / "plot_data.csv"
+        write_plot_csv(path, report)
+        plot = report.plot
+        rows = texts(list(range(1, plot.n + 1)), plot.p.tolist(), plot.reference().tolist())
+        assert csv_rows(path) == [PLOT_HEADER] + rows
+
+    def test_sim_csv(self, tmp_path):
+        result = run_simulation(SimConfig(tests_per_study=5, replicates=200, seed=3))
+        path = tmp_path / "sim_results.csv"
+        write_sim_csv(path, result)
+        published = result.published
+        columns = (result.replicate, result.study, result.p, result.estimate)
+        rows = texts(*(column[published].tolist() for column in columns))
+        assert len(rows) == result.n_published > 0
+        assert csv_rows(path) == [SIM_HEADER] + rows
 
 
 # --- One table of report sections ----------------------------------------------

@@ -23,7 +23,6 @@ from metaudit import (
     audit,
     build_pvalue_plot,
     bundled_data_path,
-    covariate_tally,
     multiplicity_report,
     ols_fit,
     record_from_statistic,
@@ -96,7 +95,7 @@ def _built_values():
     summary = summarize_spaces([counts])
     records = [record_from_statistic(f"s{i}", 0.3 * i, 0.1) for i in range(1, 8)]
     report = audit(records, [counts])
-    fit = ols_fit([[1.0, x] for x in range(5)], [0.0, 1.1, 1.9, 3.2, 3.9])
+    fit = ols_fit([[1.0] * 5, [float(x) for x in range(5)]], [0.0, 1.1, 1.9, 3.2, 3.9])
     result = run_simulation(SimConfig(tests_per_study=3, replicates=20, seed=2))
     return {
         "SimResult": (result, "estimate", -result.estimate),
@@ -175,7 +174,7 @@ EDITS = {
     "plot-id": (lambda values: operator.setitem(values["plot"].study_ids, 0, 5), TypeError),
     # build_report_document once raised "JsonTable keys ... [8, 7, 7]".
     "plot-append": (lambda values: values["plot"].study_ids.append("x"), AttributeError),
-    # covariate_tally once counted a third name for a study with two covariates.
+    # A study with two covariates once gained a third name.
     "names-append": (lambda values: values["counts"].covariate_names.append("z"), AttributeError),
 }
 
@@ -191,7 +190,7 @@ def test_an_edit_after_the_check_fails_at_the_edit(edit):
     ranked = tuple(f"s{i}" for i in range(7, 0, -1))
     assert plot.study_ids == build_pvalue_plot(records).study_ids == ranked
     assert build_pvalue_plot(records).excluded_ns_count == 0
-    assert covariate_tally([counts]) == {"Age": 1, "Sex": 1}
+    assert counts.covariate_names == ("Age", "Sex")
 
 
 def test_an_effects_table_is_unhashable():

@@ -1,7 +1,6 @@
 """Tests for search-space counting and summarization."""
 
 import dataclasses
-import logging
 
 import pytest
 from hypothesis import given
@@ -12,7 +11,6 @@ from metaudit.searchspace import (
     U64_MAX,
     SearchSpaceOverflowError,
     StudyCounts,
-    covariate_tally,
     summarize_spaces,
 )
 from tests.conftest import CORPUS_ROWS, CORPUS_SUMMARY
@@ -164,68 +162,3 @@ class TestSummarizeSpaces:
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             summarize_spaces([])
-
-
-class TestCovariateTally:
-    def test_corpus_tally(self, corpus_studies):
-        tally = covariate_tally(corpus_studies)
-        assert tally["Age"] == 12
-        assert tally["DOW"] == 8
-        assert tally["Sex"] == 12
-        assert tally["Smoking status"] == 3
-
-    def test_counts_studies_not_occurrences(self):
-        study = StudyCounts(
-            study_id="s",
-            outcomes=1,
-            predictors=1,
-            lags=1,
-            covariates=2,
-            covariate_names=["Age ", " Age"],
-        )
-        assert covariate_tally([study])["Age"] == 1
-
-    def test_whitespace_trimmed_before_matching(self):
-        studies = [
-            StudyCounts(
-                study_id="a",
-                outcomes=1,
-                predictors=1,
-                lags=1,
-                covariates=1,
-                covariate_names=["  DOW"],
-            ),
-            StudyCounts(
-                study_id="b",
-                outcomes=1,
-                predictors=1,
-                lags=1,
-                covariates=1,
-                covariate_names=["DOW  "],
-            ),
-        ]
-        assert covariate_tally(studies) == {"DOW": 2}
-
-    def test_warns_and_skips_unnamed_studies(self, caplog):
-        studies = [
-            StudyCounts(
-                study_id="named",
-                outcomes=1,
-                predictors=1,
-                lags=1,
-                covariates=1,
-                covariate_names=["Age"],
-            ),
-            StudyCounts(
-                study_id="anon", outcomes=1, predictors=1, lags=1, covariates=3
-            ),
-        ]
-        with caplog.at_level(logging.WARNING):
-            tally = covariate_tally(studies)
-        assert tally == {"Age": 1}
-        assert "anon" in caplog.text
-
-    def test_ordered_most_common_first(self, corpus_studies):
-        tally = covariate_tally(corpus_studies)
-        counts = list(tally.values())
-        assert counts == sorted(counts, reverse=True)
